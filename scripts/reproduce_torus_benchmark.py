@@ -37,7 +37,10 @@ def main() -> int:
         progress=lambda s: print("  " + s, file=sys.stderr),
     )
     for rep in reports:
-        print(f"{rep.engine}: separated {rep.separated}/{rep.total} ({rep.seconds:.1f}s)")
+        print(
+            f"{rep.engine}: separated {rep.separated}/{rep.total}, "
+            f"{rep.unknown} unknown ({rep.seconds:.1f}s)"
+        )
     return 0
 
 

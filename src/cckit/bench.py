@@ -202,9 +202,12 @@ def read_dataset(fp) -> list[tuple[CombinatorialComplex, CombinatorialComplex, d
             continue
         try:
             doc = json.loads(line)
-            left = decode_json(json.dumps(doc["left"]["cc"]))
-            right = decode_json(json.dumps(doc["right"]["cc"]))
-        except (KeyError, json.JSONDecodeError) as exc:
+            left, right = (decode_json(json.dumps(doc[side]["cc"])) for side in ("left", "right"))
+        except (KeyError, TypeError):
+            raise ParseError(
+                f"dataset line {lineno}: expected an object with left.cc and right.cc"
+            ) from None
+        except (json.JSONDecodeError, ParseError) as exc:
             raise ParseError(f"dataset line {lineno}: {exc}") from exc
         out.append((left, right, doc))
     return out
@@ -274,11 +277,15 @@ def labeled_to_json(index: int, lc: LabeledComplex) -> dict:
 
 @dataclass
 class EngineReport:
+    """Per-engine counts; an unknown (oracle budget ran out) is neither
+    separated nor confirmed indistinguishable."""
+
     engine: str
     separated: int
     total: int
     rounds: list[int | None] = field(default_factory=list)
     seconds: float = 0.0
+    unknown: int = 0
 
 
 def run_benchmark(
@@ -286,11 +293,12 @@ def run_benchmark(
     engines: Sequence[Engine],
     progress: Callable[[str], None] | None = None,
 ) -> list[EngineReport]:
-    """Count separated pairs per engine, with earliest rounds and wall time."""
+    """Count separated and unknown pairs per engine, with earliest rounds and
+    wall time."""
     reports = []
     for engine in engines:
         t0 = time.perf_counter()
-        separated = 0
+        separated = unknown = 0
         rounds: list[int | None] = []
         for k, (a, b) in enumerate(pairs):
             verdict: Verdict = distinguish(a, b, engine)
@@ -298,6 +306,7 @@ def run_benchmark(
                 separated += 1
                 rounds.append(verdict.round)
             else:
+                unknown += verdict.engine.endswith(":unknown")
                 rounds.append(None)
             if progress and (k + 1) % 50 == 0:
                 progress(f"{engine.name}: {k + 1}/{len(pairs)} pairs")
@@ -308,6 +317,7 @@ def run_benchmark(
                 total=len(pairs),
                 rounds=rounds,
                 seconds=time.perf_counter() - t0,
+                unknown=unknown,
             )
         )
     return reports

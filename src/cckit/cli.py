@@ -311,13 +311,19 @@ def _cmd_run_benchmark(args) -> int:
         finite_rounds = [r for r in rep.rounds if r is not None]
         earliest = min(finite_rounds) if finite_rounds else "n/a"
         print(
-            f"{rep.engine}: separated {rep.separated}/{rep.total} "
+            f"{rep.engine}: separated {rep.separated}/{rep.total}, {rep.unknown} unknown "
             f"(earliest round {earliest}, {rep.seconds:.1f}s)"
         )
         if rep.engine in expectations and rep.separated != expectations[rep.engine]:
             print(
                 f"expectation violated: {rep.engine} separated {rep.separated}, "
                 f"expected {expectations[rep.engine]}",
+                file=sys.stderr,
+            )
+            status = EXPECTATION_ERROR
+        if expectations and rep.unknown:
+            print(
+                f"expectation violated: {rep.engine} left {rep.unknown} pair(s) unknown",
                 file=sys.stderr,
             )
             status = EXPECTATION_ERROR
@@ -328,6 +334,7 @@ def _cmd_run_benchmark(args) -> int:
                     {
                         "engine": r.engine,
                         "separated": r.separated,
+                        "unknown": r.unknown,
                         "total": r.total,
                         "rounds": r.rounds,
                         "seconds": r.seconds,

@@ -511,6 +511,11 @@ def encode_json(cc: CombinatorialComplex) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def decode_json(data: bytes | str) -> CombinatorialComplex:
     """Parse the CC JSON format; inverse of :func:`encode_json`.
 
@@ -530,7 +535,7 @@ def decode_json(data: bytes | str) -> CombinatorialComplex:
         cell_layers = doc["cells"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(dimension, int) or not isinstance(num_nodes, int):
+    if not _is_int(dimension) or not _is_int(num_nodes):
         raise ParseError("dimension and num_nodes must be integers")
     if not isinstance(cell_layers, list) or len(cell_layers) != dimension + 1:
         raise ParseError(f"cells must be an array of length dimension+1 = {dimension + 1}")
@@ -541,7 +546,7 @@ def decode_json(data: bytes | str) -> CombinatorialComplex:
         if not isinstance(layer, list):
             raise ParseError(f"cells[{r}] must be an array")
         for arr in layer:
-            if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr):
+            if not isinstance(arr, list) or not all(_is_int(v) for v in arr):
                 raise ParseError(f"cells[{r}] entries must be integer arrays")
             if any(b <= a for a, b in zip(arr, arr[1:])):
                 raise ParseError(f"cell {arr} is not strictly increasing")

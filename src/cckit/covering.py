@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+import numpy as np
+
 from .complex import (
     CombinatorialComplex,
     NeighborhoodSpec,
@@ -105,8 +107,6 @@ def _spec_first_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
     Vectorized: sorted images of each neighbor list must equal the target's
     (strictly increasing) neighbor list, which also forces injectivity.
     """
-    import numpy as np
-
     src, tgt = m.source, m.target
     rank, tr = spec.r1, spec.target_rank
     indptr_s, indices_s = src.neighbor_csr(spec)
@@ -193,21 +193,6 @@ def fiber_sizes(m: CellMap, rank: int) -> list[int]:
     return counts
 
 
-def _torus_coords(index: int, periods: tuple[int, ...]) -> tuple[int, ...]:
-    coords = []
-    for p in reversed(periods):
-        index, c = divmod(index, p)
-        coords.append(c)
-    return tuple(reversed(coords))
-
-
-def _torus_flat(coords: tuple[int, ...], periods: tuple[int, ...]) -> int:
-    idx = 0
-    for c, p in zip(coords, periods):
-        idx = idx * p + c
-    return idx
-
-
 def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> CellMap:
     """Coordinatewise mod map between tori with divisible periods."""
     if not isinstance(big, TorusParams):
@@ -219,16 +204,7 @@ def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> Cel
     for bp, sp in zip(big.periods, small.periods):
         if bp % sp != 0:
             raise NotDivisible(f"period {bp} not divisible by {sp}")
-    src = torus(big)
-    tgt = torus(small)
-    node_image = [
-        _torus_flat(
-            tuple(c % sp for c, sp in zip(_torus_coords(v, big.periods), small.periods)),
-            small.periods,
-        )
-        for v in range(src.num_nodes)
-    ]
-    return cell_map_from_node_map(src, tgt, node_image)
+    return _mod_map_onto(torus(big), big, small)
 
 
 def strip_covers(h: int, p: int) -> tuple[CombinatorialComplex, CellMap, CellMap]:
@@ -311,12 +287,8 @@ def torus_union_certificate(
 def _mod_map_onto(
     cover: CombinatorialComplex, big: TorusParams, small: TorusParams
 ) -> CellMap:
-    tgt = torus(small)
-    node_image = [
-        _torus_flat(
-            tuple(c % sp for c, sp in zip(_torus_coords(v, big.periods), small.periods)),
-            small.periods,
-        )
-        for v in range(cover.num_nodes)
-    ]
-    return cell_map_from_node_map(cover, tgt, node_image)
+    """The coordinatewise mod map from the torus `cover` (periods `big`)."""
+    coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
+    wrapped = tuple(c % p for c, p in zip(coords, small.periods))
+    node_image = np.ravel_multi_index(wrapped, small.periods).tolist()
+    return cell_map_from_node_map(cover, torus(small), node_image)

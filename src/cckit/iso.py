@@ -6,21 +6,25 @@ splits both complexes into node-connectivity components (cells sharing a
 vertex; invariant under any containment-preserving bijection) and matches
 components, then decides each component pair by individualization-refinement:
 cells are partitioned by stable joint refinement colors over all natural
-neighborhoods, pairs of same-colored cells are tentatively identified and the
-partition re-refined, backtracking on histogram mismatches.  Positive answers
-carry a witness map that is re-verified against the definition before being
-returned.
+neighborhoods, computed by the kernel of :mod:`cckit.refinement`
+(:class:`~cckit.refinement.CellColors`).  A cell of each complex in the
+smallest non-singleton class gets one fresh color and the partition is
+re-refined, backtracking as soon as the class sizes of the two complexes
+differ.  Positive answers carry a witness map that is re-verified against the
+definition before being returned.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .complex import CombinatorialComplex, Verts, build_cc, natural_specs
 from .covering import CellMap
 from .errors import MapNotWellDefined
+from .refinement import CellColors
 
 DEFAULT_BUDGET = 200_000
 BUDGET_ENV_VAR = "CCKIT_ORACLE_BUDGET"
@@ -88,110 +92,56 @@ class _Search:
     def __init__(self, a: CombinatorialComplex, b: CombinatorialComplex, counter: _Counter):
         self.a = a
         self.b = b
-        self.ell = a.dimension
-        self.specs = natural_specs(self.ell)
-        self.specs_by_rank: dict[int, list] = defaultdict(list)
-        for s in self.specs:
-            self.specs_by_rank[s.r1].append(s)
-        self.nbrs = [[cc.neighbor_lists(s) for s in self.specs] for cc in (a, b)]
-        self.spec_index = {s: k for k, s in enumerate(self.specs)}
+        self.kernel = CellColors([a, b], a.dimension)
+        self.specs = tuple(natural_specs(a.dimension))
         self.counter = counter
 
-    def refine(self, colors):
-        """Joint refinement to stability; bails out early when the two
-        histograms diverge (a divergence can never heal, colors only split).
-
-        Returns (colors, histograms_equal).
-        """
-        while True:
-            palette: dict = {}
-
-            def intern(sig):
-                c = palette.get(sig)
-                if c is None:
-                    c = len(palette)
-                    palette[sig] = c
-                return c
-
-            new_colors = []
-            for ci in range(2):
-                per_rank = []
-                for r in range(self.ell + 1):
-                    rank_specs = self.specs_by_rank[r]
-                    tables = [
-                        (self.nbrs[ci][self.spec_index[s]], colors[ci][s.target_rank])
-                        for s in rank_specs
-                    ]
-                    row = []
-                    for i, old in enumerate(colors[ci][r]):
-                        sig = (
-                            old,
-                            tuple(
-                                tuple(sorted(tgt[j] for j in nbr[i]))
-                                for nbr, tgt in tables
-                            ),
-                        )
-                        row.append(intern(sig))
-                    per_rank.append(row)
-                new_colors.append(per_rank)
-            before = len({c for pr in colors for row in pr for c in row})
-            after = len(palette)
-            colors = new_colors
-            hist = self.histograms(colors)
-            if hist[0] != hist[1]:
-                return colors, False
-            if after == before:
-                return colors, True
-
-    @staticmethod
-    def histograms(colors):
-        return [
-            tuple(tuple(sorted(Counter(row).items())) for row in per_rank)
-            for per_rank in colors
-        ]
-
     def run(self) -> CellMap | None:
-        init = [
-            [[r] * len(cc.cells(r)) for r in range(cc.dimension + 1)]
-            for cc in (self.a, self.b)
-        ]
-        return self._search(init)
+        return self._search(self.kernel.colors, self.kernel.classes)
 
-    def _search(self, colors):
+    def refine(self, colors: np.ndarray, classes: int) -> np.ndarray | None:
+        """Joint refinement to stability; returns the class sizes, or None as
+        soon as the two histograms diverge (colors only split, so a divergence
+        never heals)."""
+        kernel = self.kernel
+        kernel.colors, kernel.classes = colors, classes
+        while True:
+            changed = kernel.cell_round(self.specs)
+            counts = kernel.class_counts()
+            if not np.array_equal(counts[0], counts[1]):
+                return None
+            if not changed:
+                return counts[0]
+
+    def _search(self, colors: np.ndarray, classes: int) -> CellMap | None:
         self.counter.spend()
-        colors, consistent = self.refine(colors)
-        if not consistent:
+        sizes = self.refine(colors, classes)
+        if sizes is None:
             return None
-        classes_a: dict[tuple[int, int], list[int]] = defaultdict(list)
-        classes_b: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for r in range(self.ell + 1):
-            for i, c in enumerate(colors[0][r]):
-                classes_a[(r, c)].append(i)
-            for i, c in enumerate(colors[1][r]):
-                classes_b[(r, c)].append(i)
-        split = None
-        for key in sorted(classes_a, key=lambda k: (len(classes_a[k]), k)):
-            if len(classes_a[key]) > 1:
-                split = key
-                break
-        if split is None:
+        kernel = self.kernel
+        colors, k = kernel.colors, kernel.classes
+        in_a = kernel.owner == 0
+        if sizes.max() == 1:
             # discrete partition: the color-induced bijection is forced
-            mapping = [[0] * len(self.a.skeletons[r]) for r in range(self.ell + 1)]
-            for (r, c), cells_a in classes_a.items():
-                mapping[r][cells_a[0]] = classes_b[(r, c)][0]
-            candidate = CellMap(self.a, self.b, tuple(tuple(row) for row in mapping))
+            where_b = np.empty(k, dtype=np.int64)
+            where_b[colors[~in_a]] = np.flatnonzero(~in_a)
+            image = where_b[colors]
+            mapping = tuple(
+                tuple((image[kernel.span(0, r)] - kernel.span(1, r).start).tolist())
+                for r in range(self.a.dimension + 1)
+            )
+            candidate = CellMap(self.a, self.b, mapping)
             if check_isomorphism(candidate) is None:
                 return candidate
             return None
-        r, c = split
-        x = classes_a[split][0]
-        # unique int mark; the next refine pass re-interns everything anyway
-        fresh = 1_000_000_000 + self.counter.used
-        for y in classes_b[split]:
-            trial = [[list(row) for row in per_rank] for per_rank in colors]
-            trial[0][r][x] = fresh
-            trial[1][r][y] = fresh
-            found = self._search(trial)
+        # smallest non-singleton class; ids run by rank, then by first cell
+        split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
+        members = colors == split
+        x = np.flatnonzero(members & in_a)[0]
+        for y in np.flatnonzero(members & ~in_a):
+            trial = colors.copy()
+            trial[[x, y]] = k  # a fresh color individualizes both cells
+            found = self._search(trial, k + 1)
             if found is not None:
                 return found
         return None

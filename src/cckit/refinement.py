@@ -1,22 +1,26 @@
 """Color-refinement distinguishability engines.
 
 Message-passing updates with injective aggregation are abstracted to
-Weisfeiler-Leman style refinement: the new color of a cell is the interned
-tuple of its old color and one neighbor-color multiset per configured
-neighborhood function.  Complexes are refined jointly in a shared palette, so
-their color histograms are directly comparable.
+Weisfeiler-Leman style refinement, and every update is one operation: a row
+per cell holding its old color and one sorted neighbor-color multiset per
+configured neighborhood function, numbered jointly across the complexes being
+compared (:func:`intern_rows`).  Equal ids mean equal rows, so the color
+histograms of different complexes are directly comparable.  Cell rounds gather
+neighbor colors through padded index matrices (:func:`padded_gather`); pair
+rounds and pooling build their rows over the pair space and intern them the
+same way.
 
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
 incidence- or distance-based markings ("scl"), and staged diagrams mixing the
-two with pooling ("smcn").  The exact-isomorphism oracle lives in
-:mod:`cckit.iso`.
+two with pooling ("smcn").  The exact-isomorphism oracle in :mod:`cckit.iso`
+refines with the same kernel, :class:`CellColors`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,8 +104,132 @@ def default_smcn_diagram() -> tuple[Stage, ...]:
     )
 
 
-def _hist(colors) -> Hist:
-    return tuple(sorted(Counter(colors).items()))
+def _hist(colors: np.ndarray) -> Hist:
+    values, counts = np.unique(colors, return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))
+
+
+# -- the refinement kernel ------------------------------------------------------
+
+
+def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Number the rows of 2-D int blocks jointly: ids per block, class count.
+
+    Narrower blocks are padded with -1 on the right.  Ids follow the first
+    occurrence of each distinct row over the blocks in order.  Exact and
+    hash-free: a stable lexsort over the columns, then adjacent rows compared.
+    """
+    sizes = [len(b) for b in blocks]
+    rows = np.full((sum(sizes), max(b.shape[1] for b in blocks)), -1, dtype=np.int64)
+    pos = 0
+    for b in blocks:
+        rows[pos : pos + len(b), : b.shape[1]] = b
+        pos += len(b)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    leader = np.ones(len(rows), dtype=bool)
+    leader[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # the sort is stable, so each group's leader is its earliest row
+    renumber = np.empty(int(leader.sum()), dtype=np.int64)
+    renumber[np.argsort(order[leader])] = np.arange(len(renumber))
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = renumber[np.cumsum(leader) - 1]
+    return np.split(ids, np.cumsum(sizes)[:-1]), len(renumber)
+
+
+def padded_gather(
+    lists_per_cc: Sequence[Sequence[Sequence[int]]], shifts: Sequence[int] | None = None
+) -> list[np.ndarray]:
+    """Neighbor lists as (n, w) index matrices, one per complex, with one
+    joint width w.  Short rows are padded with -1, which reads a sentinel the
+    caller appends last; shifts offset each complex's indices."""
+    lengths = [np.fromiter(map(len, lists), np.int64, len(lists)) for lists in lists_per_cc]
+    width = max((int(n.max()) for n in lengths if len(n)), default=0)
+    out = []
+    for ci, (lists, n) in enumerate(zip(lists_per_cc, lengths)):
+        mat = np.full((len(lists), width), -1, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(lists), np.int64, int(n.sum()))
+        mat[np.arange(width) < n[:, None]] = flat + (shifts[ci] if shifts else 0)
+        out.append(mat)
+    return out
+
+
+class CellColors:
+    """Joint cell colors of several complexes, refined by one kernel round.
+
+    All cells sit in one array, rank by rank and within a rank complex by
+    complex.  Initial colors are the ranks; every row starts with the old
+    color, so each color stays inside one rank.
+    """
+
+    def __init__(self, ccs: Sequence[CombinatorialComplex], ell: int):
+        self.ccs = list(ccs)
+        self.ell = ell
+        m = len(self.ccs)
+        sizes = [len(cc.cells(r)) for r in range(ell + 1) for cc in self.ccs]
+        self.starts = list(accumulate(sizes, initial=0))
+        self.owner = np.tile(np.arange(m), ell + 1).repeat(sizes)
+        self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
+        self.classes = len(np.unique(self.colors))
+        self._gathers: dict[tuple[NeighborhoodSpec, ...], list] = {}
+
+    def span(self, ci: int, r: int) -> slice:
+        """Positions of the rank-r cells of complex ci."""
+        k = r * len(self.ccs) + ci
+        return slice(self.starts[k], self.starts[k + 1])
+
+    def rank_span(self, r: int) -> slice:
+        """Positions of the rank-r cells of all complexes."""
+        m = len(self.ccs)
+        return slice(self.starts[r * m], self.starts[(r + 1) * m])
+
+    def class_counts(self) -> np.ndarray:
+        """(complexes, colors) matrix of class sizes."""
+        m, k = len(self.ccs), int(self.colors.max()) + 1
+        return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
+
+    def recolor(self, blocks: Sequence[np.ndarray]) -> bool:
+        """New colors from the rows of blocks given in cell order; True when
+        the partition got finer."""
+        ids, k = intern_rows(blocks)
+        changed = k > self.classes
+        self.colors, self.classes = np.concatenate(ids), k
+        return changed
+
+    def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
+        """One simultaneous update; returns False once the partition is stable."""
+        if specs not in self._gathers:
+            self._gathers[specs] = self._build(specs)
+        # shift colors to 1.. (0 is the pad) and lift each spec's columns
+        # into their own value range: one sort per row keeps the multisets apart
+        ext = np.append(self.colors + 1, 0)
+        base = int(ext.max()) + 1
+        blocks = []
+        for r, (index, segment) in enumerate(self._gathers[specs]):
+            old = self.colors[self.rank_span(r)]
+            blocks.append(np.column_stack((old, np.sort(ext[index] + segment * base, axis=1))))
+        return self.recolor(blocks)
+
+    def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
+        """Per rank: the gather matrix over all complexes and each column's spec."""
+        m = len(self.ccs)
+        out = []
+        for r in range(self.ell + 1):
+            mats = [
+                np.vstack(
+                    padded_gather(
+                        [cc.neighbor_lists(s) for cc in self.ccs],
+                        [self.starts[s.target_rank * m + ci] for ci in range(m)],
+                    )
+                )
+                for s in specs
+                if s.r1 == r
+            ]
+            n = len(self.colors[self.rank_span(r)])
+            index = np.hstack([np.empty((n, 0), dtype=np.int64), *mats])
+            segment = np.repeat(np.arange(len(mats)), [mat.shape[1] for mat in mats])
+            out.append((index, segment))
+        return out
 
 
 class _PairState:
@@ -117,105 +245,35 @@ class _PairState:
         self.gathers = gathers
 
 
-class _JointState:
-    """Shared palette plus per-complex colors for one refinement run."""
+class _JointState(CellColors):
+    """Cell colors plus the live pair colorings of one diagram run."""
 
     def __init__(self, ccs: Sequence[CombinatorialComplex]):
-        self.ccs = list(ccs)
-        self.ell = max(cc.dimension for cc in ccs)
-        self.palette: dict = {}
-        self.colors: list[list[list[int]]] = []
-        for cc in ccs:
-            per_rank = []
-            for r in range(self.ell + 1):
-                c = self.intern(("rank", r))
-                per_rank.append([c] * len(cc.cells(r)))
-            self.colors.append(per_rank)
+        super().__init__(ccs, max(cc.dimension for cc in ccs))
         self.pair_states: list[_PairState] = []
 
-    def intern(self, sig) -> int:
-        table = self.palette
-        c = table.get(sig)
-        if c is None:
-            c = len(table)
-            table[sig] = c
-        return c
-
-    def distinct_cell_colors(self) -> int:
-        return len({c for per_rank in self.colors for row in per_rank for c in row})
+    def view(self, ci: int, top: int) -> tuple:
+        """Rank histograms 0..top plus live pair histograms of one complex."""
+        ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
+        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
 
     def snapshot(self) -> list[tuple]:
-        """Comparable view per complex: rank histograms + live pair histograms."""
-        out = []
-        for ci, cc in enumerate(self.ccs):
-            ranks = tuple(_hist(self.colors[ci][r]) for r in range(self.ell + 1))
-            pairs = tuple(
-                _hist(ps.mats[ci].ravel().tolist()) for ps in self.pair_states
-            )
-            out.append((ranks, pairs))
-        return out
-
-    # -- cell refinement ------------------------------------------------------
-
-    def homp_round(self, specs: Sequence[NeighborhoodSpec]) -> bool:
-        """One simultaneous update; returns False once the partition is stable."""
-        before = self.distinct_cell_colors()
-        specs_by_rank: dict[int, list[NeighborhoodSpec]] = {}
-        for s in specs:
-            specs_by_rank.setdefault(s.r1, []).append(s)
-        new_all = []
-        for ci, cc in enumerate(self.ccs):
-            per_rank = []
-            for r in range(self.ell + 1):
-                old_row = self.colors[ci][r]
-                row = []
-                rank_specs = specs_by_rank.get(r, ())
-                nbr_tables = [
-                    (cc.neighbor_lists(s), self.colors[ci][s.target_rank])
-                    for s in rank_specs
-                ]
-                for i, old in enumerate(old_row):
-                    sig = (
-                        old,
-                        tuple(
-                            tuple(sorted(tgt_colors[j] for j in nbrs[i]))
-                            for nbrs, tgt_colors in nbr_tables
-                        ),
-                    )
-                    row.append(self.intern(sig))
-                per_rank.append(row)
-            new_all.append(per_rank)
-        self.colors = new_all
-        return self.distinct_cell_colors() > before
+        """Comparable view per complex."""
+        return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
 
     # -- pair refinement --------------------------------------------------------
 
     def seed_pairs(self, block: SclBlock) -> _PairState:
         r1, r2 = block.r1, block.r2
-        rows = []
-        shapes = []
+        marks, rows = [], []
         for ci, cc in enumerate(self.ccs):
-            n1, n2 = len(cc.cells(r1)), len(cc.cells(r2))
-            shapes.append((n1, n2))
-            c1 = np.asarray(self.colors[ci][r1], dtype=np.int64)
-            c2 = np.asarray(self.colors[ci][r2], dtype=np.int64)
+            c1, c2 = self.colors[self.span(ci, r1)], self.colors[self.span(ci, r2)]
             mark = _marking_matrix(cc, r1, r2, block.marking)
-            sig = np.empty((n1 * n2, 3), dtype=np.int64)
-            sig[:, 0] = np.repeat(c1, n2)
-            sig[:, 1] = np.tile(c2, n1)
-            sig[:, 2] = mark.ravel()
-            rows.append(sig)
-        joint = np.concatenate(rows, axis=0)
-        _, inverse = np.unique(joint, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # 1-D on every numpy version
-        num_colors = int(inverse.max()) + 1 if len(inverse) else 0
-        mats = []
-        pos = 0
-        for n1, n2 in shapes:
-            mats.append(inverse[pos : pos + n1 * n2].reshape(n1, n2).astype(np.int64))
-            pos += n1 * n2
-        gathers = _build_gathers(self.ccs, r1, r2, self.ell)
-        state = _PairState(r1, r2, mats, num_colors, gathers)
+            marks.append(mark)
+            rows.append(np.column_stack((c1.repeat(len(c2)), np.tile(c2, len(c1)), mark.ravel())))
+        ids, num_colors = intern_rows(rows)
+        mats = [i.reshape(mark.shape) for i, mark in zip(ids, marks)]
+        state = _PairState(r1, r2, mats, num_colors, _build_gathers(self.ccs, r1, r2, self.ell))
         self.pair_states.append(state)
         return state
 
@@ -247,15 +305,8 @@ class _JointState:
                     parts.append(np.broadcast_to(g[None, :, :], (n1, n2, g.shape[1])))
             sig = np.concatenate(parts, axis=2)
             blocks_per_cc.append(sig.reshape(n1 * n2, sig.shape[2]))
-        joint = np.concatenate(blocks_per_cc, axis=0)
-        _, inverse = np.unique(joint, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # 1-D on every numpy version
-        num_colors = int(inverse.max()) + 1 if len(inverse) else 0
-        pos = 0
-        for ci in range(len(self.ccs)):
-            n1, n2 = state.mats[ci].shape
-            state.mats[ci] = inverse[pos : pos + n1 * n2].reshape(n1, n2).astype(np.int64)
-            pos += n1 * n2
+        ids, num_colors = intern_rows(blocks_per_cc)
+        state.mats = [i.reshape(C.shape) for i, C in zip(ids, state.mats)]
         changed = num_colors > state.num_colors
         state.num_colors = num_colors
         return changed
@@ -265,25 +316,16 @@ class _JointState:
         if not self.pair_states:
             raise PoolWithoutScl("pool stage with no preceding pair block")
         state = self.pair_states[-1]
-        r1, r2 = state.r1, state.r2
-        for ci in range(len(self.ccs)):
-            C = state.mats[ci]
-            rows = [tuple(np.sort(C[i, :]).tolist()) for i in range(C.shape[0])]
-            cols = [tuple(np.sort(C[:, j]).tolist()) for j in range(C.shape[1])]
-            if r1 == r2:
-                self.colors[ci][r1] = [
-                    self.intern((old, rows[i], cols[i]))
-                    for i, old in enumerate(self.colors[ci][r1])
-                ]
-            else:
-                self.colors[ci][r1] = [
-                    self.intern((old, "row", rows[i]))
-                    for i, old in enumerate(self.colors[ci][r1])
-                ]
-                self.colors[ci][r2] = [
-                    self.intern((old, "col", cols[j]))
-                    for j, old in enumerate(self.colors[ci][r2])
-                ]
+        blocks = []
+        for r in range(self.ell + 1):
+            for ci, C in enumerate(state.mats):
+                parts = [self.colors[self.span(ci, r), None]]
+                if r == state.r1:  # multiset of each row
+                    parts.append(np.sort(C, axis=1))
+                if r == state.r2:  # multiset of each column
+                    parts.append(np.sort(C, axis=0).T)
+                blocks.append(np.hstack(parts))
+        self.recolor(blocks)
 
 
 def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) -> np.ndarray:
@@ -315,7 +357,8 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
 
 
 def _build_gathers(ccs, r1: int, r2: int, ell: int):
-    """Padded neighbor-index arrays per complex, with joint widths per slot."""
+    """Padded neighbor-index matrices per complex, with joint widths per slot;
+    a -1 pad reads the sentinel row or column the pair round appends."""
     specs: list[tuple[str, NeighborhoodSpec]] = []
     for r in range(ell + 1):
         specs.append(("x", adjacency(r1, r)))
@@ -325,44 +368,11 @@ def _build_gathers(ccs, r1: int, r2: int, ell: int):
         specs.append(("y", co_adjacency(r2, r)))
     specs.append(("bx", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_UP, r1, r2)))
     specs.append(("by", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_DOWN, r2, r1)))
-
-    widths = []
-    lists_per_cc = []
-    for cc in ccs:
-        lists = [cc.neighbor_lists(spec) for _, spec in specs]
-        lists_per_cc.append(lists)
-    for si in range(len(specs)):
-        widths.append(
-            max(
-                (len(nbrs) for lists in lists_per_cc for nbrs in lists[si]),
-                default=0,
-            )
-        )
-
-    gathers = []
-    for ci, cc in enumerate(ccs):
-        n1, n2 = len(cc.cells(r1)), len(cc.cells(r2))
-        per_cc = []
-        for si, (slot, spec) in enumerate(specs):
-            w = widths[si]
-            if w == 0:
-                continue
-            nbr = lists_per_cc[ci][si]
-            if slot == "x":
-                pad_value = n1  # sentinel row in row_ext
-            elif slot == "y":
-                pad_value = n2
-            elif slot == "bx":
-                pad_value = n2  # sentinel column in col_ext
-            else:
-                pad_value = n1  # sentinel column in ct_ext
-            mat = np.full((len(nbr), w), pad_value, dtype=np.int64)
-            for i, ns in enumerate(nbr):
-                if ns:
-                    mat[i, : len(ns)] = ns
-            per_cc.append((slot, mat))
-        gathers.append(per_cc)
-    return gathers
+    per_spec = [padded_gather([cc.neighbor_lists(spec) for cc in ccs]) for _, spec in specs]
+    return [
+        [(slot, mats[ci]) for (slot, _), mats in zip(specs, per_spec) if mats[ci].shape[1]]
+        for ci in range(len(ccs))
+    ]
 
 
 def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
@@ -409,7 +419,7 @@ def run_diagram(
             )
             rounds = st.rounds if st.rounds is not None else total_cells + 1
             for k in range(rounds):
-                changed = state.homp_round(specs)
+                changed = state.cell_round(specs)
                 tick += 1
                 yield tick, state.snapshot(), state
                 if st.rounds is None and not changed:
@@ -449,8 +459,7 @@ def _final_state(ccs, stages) -> _JointState:
 def _fingerprints_of(state: _JointState) -> list[Fingerprint]:
     out = []
     for ci, cc in enumerate(state.ccs):
-        ranks = tuple(_hist(state.colors[ci][r]) for r in range(cc.dimension + 1))
-        pairs = tuple(_hist(ps.mats[ci].ravel().tolist()) for ps in state.pair_states)
+        ranks, pairs = state.view(ci, cc.dimension)
         out.append(
             Fingerprint(
                 skeleton_sizes=cc.skeleton_sizes(),
@@ -480,7 +489,10 @@ def homp_refine(
     results = []
     for ci, cc in enumerate(state.ccs):
         coloring = Coloring(
-            tuple(tuple(state.colors[ci][r]) for r in range(cc.dimension + 1))
+            tuple(
+                tuple(state.colors[state.span(ci, r)].tolist())
+                for r in range(cc.dimension + 1)
+            )
         )
         results.append((coloring, prints[ci]))
     return results

@@ -9,7 +9,19 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from cckit.complex import CombinatorialComplex, NeighborhoodKind, NeighborhoodSpec, SimpleGraph, build_cc
+from cckit.complex import (
+    CombinatorialComplex,
+    NeighborhoodKind,
+    NeighborhoodSpec,
+    SimpleGraph,
+    adjacency,
+    build_cc,
+    co_adjacency,
+    incidence_down,
+    incidence_up,
+    natural_specs,
+)
+from cckit.refinement import HompBlock, SclBlock, _marking_matrix
 
 
 def brute_neighborhood(
@@ -231,3 +243,140 @@ def brute_is_covering(m) -> bool:
                 if len(image_cells) != len(nbrs) or image_cells != expected:
                     return False
     return True
+
+
+class ReferenceRefinement:
+    """Per-cell refinement with tuple signatures and dict palettes.
+
+    The plain loop the numpy kernel of cckit.refinement is checked against:
+    colors[ci][r][i] is the color of rank-r cell i of complex ci, drawn from
+    one palette for the whole run; pairs[ci][x][y] is the live pair coloring.
+    """
+
+    def __init__(self, ccs):
+        self.ccs = list(ccs)
+        self.ell = max(cc.dimension for cc in ccs)
+        self.palette: dict = {}
+        self.colors = [
+            [[self.intern(("rank", r))] * len(cc.cells(r)) for r in range(self.ell + 1)]
+            for cc in self.ccs
+        ]
+        self.block = None
+        self.pairs: list[list[list[int]]] = []
+        self.pair_count = 0
+
+    def intern(self, sig) -> int:
+        return self.palette.setdefault(sig, len(self.palette))
+
+    def distinct_cell_colors(self) -> int:
+        return len({c for per_rank in self.colors for row in per_rank for c in row})
+
+    def homp_round(self, specs) -> bool:
+        before = self.distinct_cell_colors()
+        new_all = []
+        for ci, cc in enumerate(self.ccs):
+            per_rank = []
+            for r in range(self.ell + 1):
+                tables = [
+                    (cc.neighbor_lists(s), self.colors[ci][s.target_rank])
+                    for s in specs
+                    if s.r1 == r
+                ]
+                per_rank.append([
+                    self.intern((
+                        old,
+                        tuple(tuple(sorted(tgt[j] for j in nbrs[i])) for nbrs, tgt in tables),
+                    ))
+                    for i, old in enumerate(self.colors[ci][r])
+                ])
+            new_all.append(per_rank)
+        self.colors = new_all
+        return self.distinct_cell_colors() > before
+
+    def _renumber_pairs(self, sigs) -> bool:
+        palette: dict = {}
+        self.pairs = [
+            [[palette.setdefault(s, len(palette)) for s in row] for row in per_cc]
+            for per_cc in sigs
+        ]
+        changed = len(palette) > self.pair_count
+        self.pair_count = len(palette)
+        return changed
+
+    def seed_pairs(self, block: SclBlock) -> None:
+        self.block = block
+        sigs = []
+        for ci, cc in enumerate(self.ccs):
+            c1, c2 = self.colors[ci][block.r1], self.colors[ci][block.r2]
+            mark = _marking_matrix(cc, block.r1, block.r2, block.marking).tolist()
+            sigs.append([
+                [(c1[x], c2[y], mark[x][y]) for y in range(len(c2))] for x in range(len(c1))
+            ])
+        self._renumber_pairs(sigs)
+
+    def scl_round(self) -> bool:
+        r1, r2 = self.block.r1, self.block.r2
+        sigs = []
+        for ci, cc in enumerate(self.ccs):
+            C = self.pairs[ci]
+            xs = [cc.neighbor_lists(f(r1, r)) for r in range(self.ell + 1) for f in (adjacency, co_adjacency)]
+            ys = [cc.neighbor_lists(f(r2, r)) for r in range(self.ell + 1) for f in (adjacency, co_adjacency)]
+            up = cc.neighbor_lists(incidence_up(r1, r2))
+            down = cc.neighbor_lists(incidence_down(r2, r1))
+            sigs.append([
+                [
+                    (
+                        C[x][y],
+                        tuple(tuple(sorted(C[x2][y] for x2 in nb[x])) for nb in xs),
+                        tuple(tuple(sorted(C[x][y2] for y2 in nb[y])) for nb in ys),
+                        tuple(sorted(C[x][y2] for y2 in up[x])),
+                        tuple(sorted(C[x2][y] for x2 in down[y])),
+                    )
+                    for y in range(len(C[x]))
+                ]
+                for x in range(len(C))
+            ])
+        return self._renumber_pairs(sigs)
+
+    def pool(self) -> None:
+        r1, r2 = self.block.r1, self.block.r2
+        for ci, C in enumerate(self.pairs):
+            rows = [tuple(sorted(row)) for row in C]
+            cols = [tuple(sorted(col)) for col in zip(*C)] or [()] * len(self.colors[ci][r2])
+            if r1 == r2:
+                self.colors[ci][r1] = [
+                    self.intern((old, rows[i], cols[i])) for i, old in enumerate(self.colors[ci][r1])
+                ]
+            else:
+                self.colors[ci][r1] = [
+                    self.intern((old, "row", rows[i])) for i, old in enumerate(self.colors[ci][r1])
+                ]
+                self.colors[ci][r2] = [
+                    self.intern((old, "col", cols[j])) for j, old in enumerate(self.colors[ci][r2])
+                ]
+
+
+def reference_diagram(ccs, stages):
+    """Run stages on ReferenceRefinement, yielding the state at every tick
+    (the tick count of cckit.refinement.run_diagram)."""
+    state = ReferenceRefinement(ccs)
+    yield state
+    for st in stages:
+        if isinstance(st, HompBlock):
+            specs = tuple(st.specs) if st.specs is not None else tuple(natural_specs(state.ell))
+            for _ in range(st.rounds or 10**9):
+                changed = state.homp_round(specs)
+                yield state
+                if st.rounds is None and not changed:
+                    break
+        elif isinstance(st, SclBlock):
+            state.seed_pairs(st)
+            yield state
+            for _ in range(st.rounds or 10**9):
+                changed = state.scl_round()
+                yield state
+                if st.rounds is None and not changed:
+                    break
+        else:
+            state.pool()
+            yield state

@@ -208,6 +208,23 @@ class TestDatasetCmds:
         assert payload[0]["engine"] == "homp"
         assert payload[0]["rounds"] == [None]
 
+    def test_run_benchmark_unknown_fails_expectation(self, capsys, tmp_path, monkeypatch):
+        # a one-node budget leaves the single-component pair undecided
+        out_file = tmp_path / "pairs.jsonl"
+        run(capsys, "gen-torus-dataset", "24", "24", "3", "-o", str(out_file))
+        monkeypatch.setenv("CCKIT_ORACLE_BUDGET", "1")
+        code, out, err = run(
+            capsys,
+            "run-benchmark", "--dataset", str(out_file),
+            "--engines", "oracle", "--expect", "oracle=5", "--json",
+        )
+        assert code == 3
+        assert "oracle: separated 5/6, 1 unknown" in out
+        assert "unknown" in err
+        payload = json.loads(out.splitlines()[-1])
+        assert payload[0]["unknown"] == 1
+        assert payload[0]["separated"] == 5
+
     def test_gen_cycle_product(self, capsys):
         code, out, _ = run(capsys, "gen", "cycle-product", "--n", "3", "--m", "4")
         assert code == 0

@@ -1,8 +1,11 @@
 """Corner cases cutting across modules."""
 
+import io
 import json
 
 import pytest
+
+from cckit.bench import read_dataset
 
 from cckit.complex import (
     build_cc,
@@ -30,6 +33,32 @@ class TestDecodeStrictness:
     def test_non_object_top_level(self):
         with pytest.raises(ParseError):
             decode_json(b"[1,2,3]")
+
+    def test_bool_vertex_rejected(self):
+        # bool is an int subclass in Python; [0, true] must not become [0, 1]
+        doc = {"dimension": 1, "num_nodes": 2, "cells": [None, [[0, True]]]}
+        with pytest.raises(ParseError):
+            decode_json(json.dumps(doc))
+
+    def test_bool_num_nodes_rejected(self):
+        doc = {"dimension": 0, "num_nodes": True, "cells": [None]}
+        with pytest.raises(ParseError):
+            decode_json(json.dumps(doc))
+
+
+class TestReadDataset:
+    @pytest.mark.parametrize("line", ["[1]", '{"left":[]}', '{"left":{"cc":1},"right":{"cc":1}}'])
+    def test_malformed_line_is_parse_error(self, line):
+        with pytest.raises(ParseError, match="dataset line 1"):
+            read_dataset(io.StringIO(line + "\n"))
+
+    def test_malformed_line_exits_2(self, tmp_path, capsys):
+        from cckit.cli import main
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1]\n")
+        assert main(["run-benchmark", "--dataset", str(path), "--engines", "homp"]) == 2
+        assert "dataset line 1" in capsys.readouterr().err
 
 
 class TestLenientBlocks:
