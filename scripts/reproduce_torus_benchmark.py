@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the torus pair dataset and run all three engines over it.
 
-Writes the dataset to torus_pairs.jsonl (unless --output says otherwise) and
-prints per-engine separation counts.  Expected outcome: plain cell refinement
-separates 0/223, the staged pair-refinement diagram and the exact oracle both
-separate 223/223.
+Writes the dataset to torus_pairs.jsonl (unless --output says otherwise),
+verifies every pair's common-cover certificate, and prints per-engine
+separation counts.  Exits 1 if any certificate fails to verify.  Expected
+outcome: every certificate verifies, plain cell refinement separates 0/223,
+the staged pair-refinement diagram and the exact oracle both separate 223/223.
 """
 
 import argparse
@@ -30,6 +31,20 @@ def main() -> int:
     with open(args.output, "w") as fp:
         write_dataset(pairs, fp)
     print(f"wrote {args.output}")
+
+    t0 = time.perf_counter()
+    failed = 0
+    for p in pairs:
+        violation = p.certificate.verify()
+        if violation is not None:
+            failed += 1
+            print(f"certificate {p.left_params} vs {p.right_params}: {violation}", file=sys.stderr)
+    print(
+        f"verified {len(pairs)} certificates in {time.perf_counter() - t0:.1f}s, "
+        f"{failed} violations"
+    )
+    if failed:
+        return 1
 
     reports = run_benchmark(
         [(p.left, p.right) for p in pairs],

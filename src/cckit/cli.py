@@ -23,7 +23,7 @@ from .complex import (
     parse_edge_list_blocks,
 )
 from .covering import CellMap, verify_covering
-from .errors import CCError, ParseError
+from .errors import BadParams, CCError, ParseError
 from .generators import (
     StripParams,
     TorusParams,
@@ -61,9 +61,26 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _read_input(path: str) -> str:
+    """Whole text of an input file; a missing, unreadable or non-UTF-8 file is
+    a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return fp.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _open_output(path: str):
+    """An output file opened for writing; an unwritable path is BadParams."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _read_cc(path: str) -> CombinatorialComplex:
-    with open(path, "rb") as fp:
-        return decode_json(fp.read())
+    return decode_json(_read_input(path))
 
 
 def _parse_spec(text: str) -> NeighborhoodSpec:
@@ -112,7 +129,12 @@ def _dist_json(d):
 def _cmd_gen(args) -> int:
     out = sys.stdout
     if args.family == "torus":
-        periods = tuple(int(x) for x in args.periods.split(","))
+        try:
+            periods = tuple(int(x) for x in args.periods.split(","))
+        except ValueError:
+            raise ParseError(
+                f"bad --periods {args.periods!r}; expected comma-separated integers"
+            ) from None
         out.write(encode_json(torus(TorusParams(periods))).decode() + "\n")
     elif args.family in ("cylinder", "moebius"):
         params = StripParams(args.height, args.perimeter)
@@ -135,8 +157,7 @@ def _cmd_gen(args) -> int:
 def _read_graph_arg(args) -> "SimpleGraph":
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())
-    with open(args.input) as fp:
-        return parse_edge_list(fp.read())
+    return parse_edge_list(_read_input(args.input))
 
 
 def _cmd_lift(args) -> int:
@@ -212,18 +233,25 @@ def _cmd_distinguish(args) -> int:
 
 
 def _read_cell_map(path: str) -> CellMap:
-    with open(path) as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+    try:
+        doc = json.loads(_read_input(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("cover JSON must be an object")
     try:
         source = decode_json(json.dumps(doc["source"]))
         target = decode_json(json.dumps(doc["target"]))
-        assignment = tuple(tuple(int(x) for x in row) for row in doc["assignment"])
+        rows = doc["assignment"]
     except KeyError as exc:
         raise ParseError(f"cover JSON missing field {exc.args[0]!r}") from exc
-    return CellMap(source, target, assignment)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+        for row in rows
+    ):
+        raise ParseError("cover JSON assignment must be an array of integer arrays")
+    return CellMap(source, target, tuple(tuple(row) for row in rows))
 
 
 def _cmd_verify_cover(args) -> int:
@@ -250,7 +278,7 @@ def _cmd_gen_torus_dataset(args) -> int:
     if args.output == "-":
         bench.write_dataset(pairs, sys.stdout)
     else:
-        with open(args.output, "w") as fp:
+        with _open_output(args.output) as fp:
             bench.write_dataset(pairs, fp)
     print(f"wrote {len(pairs)} pairs", file=sys.stderr)
     if args.expect_pairs is not None and len(pairs) != args.expect_pairs:
@@ -265,12 +293,8 @@ def _cmd_gen_torus_dataset(args) -> int:
 
 
 def _cmd_label_lifted(args) -> int:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fp:
-            text = fp.read()
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
+    text = sys.stdin.read() if args.input == "-" else _read_input(args.input)
+    out = sys.stdout if args.output == "-" else _open_output(args.output)
     lift = CyclicLiftParams(args.max_cycle_len)
     blocks = parse_edge_list_blocks(text)
     status = 0
@@ -295,8 +319,7 @@ def _cmd_label_lifted(args) -> int:
 
 
 def _cmd_run_benchmark(args) -> int:
-    with open(args.dataset) as fp:
-        records = bench.read_dataset(fp)
+    records = bench.read_dataset(_read_input(args.dataset).splitlines())
     pairs = [(left, right) for left, right, _ in records]
     engines = [_parse_engine(name, None) for name in args.engines.split(",")]
     reports = bench.run_benchmark(

@@ -13,9 +13,12 @@ may duplicate that work but always observe identical results.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateCell,
@@ -165,62 +168,178 @@ class SparseBinaryMatrix:
         return m
 
 
+Csr = tuple[np.ndarray, np.ndarray]  # (indptr, indices), int64, read-only
+
+
+def _frozen(indptr: np.ndarray, indices: np.ndarray) -> Csr:
+    """Freeze a CSR: complexes share their caches, so no caller may write."""
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> Csr:
+    """CSR of (row, col) entries already in row-major order."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return _frozen(indptr, cols.astype(np.int64, copy=False))
+
+
+def _empty_csr(n_rows: int) -> Csr:
+    return _frozen(np.zeros(n_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def row_lengths(indptr: np.ndarray) -> np.ndarray:
+    """Entries per row of a CSR (np.diff without its per-call overhead)."""
+    return indptr[1:] - indptr[:-1]
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR."""
+    return np.repeat(np.arange(len(indptr) - 1), row_lengths(indptr))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of an int array, ascending, with their multiplicities.
+
+    Sort-based: faster than np.unique's hashing on the many small arrays a
+    complex's neighborhoods are built from.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], row_lengths(np.append(starts, len(keys)))
+
+
+def _expand(csr: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows listed in `rows`, concatenated: each value's position in
+    `rows`, and the values."""
+    indptr, indices = csr
+    starts = indptr[rows]
+    deg = indptr[rows + 1] - starts
+    pos = np.repeat(np.arange(len(rows)), deg)
+    # output slot k holds entry k - (first slot of its row) of that row
+    firsts = np.cumsum(deg) - deg
+    return pos, indices[np.arange(len(pos)) + (starts - firsts)[pos]]
+
+
+def _transpose(csr: Csr, n_cols: int) -> Csr:
+    indptr, indices = csr
+    order = np.argsort(indices, kind="stable")
+    return _csr(indices[order], _row_ids(indptr)[order], n_cols)
+
+
+def _pairs_within(groups: Csr, n: int) -> Csr:
+    """The relation on 0..n-1 joining distinct members of a common group."""
+    indptr, members = groups
+    pos, b = _expand(groups, _row_ids(indptr))
+    a = members[pos]
+    keys, _ = _runs((a * n + b)[a != b])
+    rows = keys // n
+    return _csr(rows, keys - rows * n, n)
+
+
+def _tuple_rows(csr: Csr) -> list[tuple[int, ...]]:
+    indptr, indices = csr
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def padded_rows(csr: Csr, width: int | None = None) -> np.ndarray:
+    """The rows of a CSR as an (n, width) matrix, padded with -1 on the right;
+    width defaults to the longest row."""
+    indptr, indices = csr
+    lengths = row_lengths(indptr)
+    if width is None:
+        width = int(lengths.max(initial=0))
+    mat = np.full((len(lengths), width), -1, dtype=np.int64)
+    mat[np.arange(width) < lengths[:, None]] = indices
+    return mat
+
+
 class CombinatorialComplex:
     """Validated complex with lazily cached neighborhood structure.
 
-    Skeletons are lexicographically sorted vertex tuples; every index used by
-    matrices, graphs and colorings derives from that order, so all outputs are
-    deterministic.  Use :func:`build_cc` instead of calling this directly.
+    Each skeleton is stored as a CSR pair of int64 arrays ``(indptr, verts)``:
+    cell i of rank r has the vertices ``verts[indptr[i]:indptr[i + 1]]``,
+    strictly increasing, and the cells are in lexicographic order.  Every
+    index used by matrices, graphs and colorings derives from that order, so
+    all outputs are deterministic.  Neighborhoods are CSR arrays too
+    (:meth:`neighbor_csr`); the tuple forms (:attr:`skeletons`,
+    :meth:`neighbor_lists`) are cached views built on first use.  All arrays
+    are read-only, since several callers may share one complex.  Use
+    :func:`build_cc` instead of calling this directly.
     """
 
     __slots__ = (
         "num_nodes",
         "dimension",
-        "skeletons",
-        "_vsets",
+        "_cells",
+        "_skeletons",
         "_index",
-        "_vertex_cells",
-        "_contains",
-        "_neighbor_cache",
         "_csr_cache",
+        "_lists_cache",
+        "__weakref__",
     )
 
-    def __init__(self, num_nodes: int, skeletons: tuple[tuple[Verts, ...], ...]):
+    def __init__(
+        self,
+        num_nodes: int,
+        cells: tuple[Csr, ...],
+        skeletons: tuple[tuple[Verts, ...], ...] | None = None,
+    ):
         self.num_nodes = num_nodes
-        self.dimension = len(skeletons) - 1
-        self.skeletons = skeletons
-        self._vsets: tuple[tuple[frozenset[int], ...], ...] = tuple(
-            tuple(frozenset(c) for c in sk) for sk in skeletons
-        )
-        self._index: dict[tuple[Verts, int], int] = {}
-        for r, sk in enumerate(skeletons):
-            for i, verts in enumerate(sk):
-                self._index[(verts, r)] = i
-        # vertex -> cell indices, per rank; filled lazily
-        self._vertex_cells: dict[int, list[list[int]]] = {}
-        self._contains: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        self._neighbor_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
-        self._csr_cache: dict[NeighborhoodSpec, tuple] = {}
+        self.dimension = len(cells) - 1
+        self._cells = tuple(_frozen(*csr) for csr in cells)
+        self._skeletons = skeletons
+        self._index: dict[tuple[Verts, int], int] | None = None
+        self._csr_cache: dict[NeighborhoodSpec, Csr] = {}
+        self._lists_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def skeletons(self) -> tuple[tuple[Verts, ...], ...]:
+        """Vertex tuples per rank, in skeleton order."""
+        if self._skeletons is None:
+            self._skeletons = tuple(tuple(_tuple_rows(csr)) for csr in self._cells)
+        return self._skeletons
+
+    def skeleton_arrays(self, rank: int) -> Csr:
+        """(indptr, verts) of the rank-`rank` skeleton; empty beyond the dimension."""
+        if 0 <= rank <= self.dimension:
+            return self._cells[rank]
+        return _empty_csr(0)
+
     def skeleton_sizes(self) -> tuple[int, ...]:
-        return tuple(len(sk) for sk in self.skeletons)
+        return tuple(len(indptr) - 1 for indptr, _ in self._cells)
+
+    def skeleton_size(self, rank: int) -> int:
+        """Number of rank-`rank` cells; 0 beyond the dimension."""
+        return len(self.skeleton_arrays(rank)[0]) - 1
 
     def num_cells(self) -> int:
-        return sum(len(sk) for sk in self.skeletons)
+        return sum(self.skeleton_sizes())
 
     def cells(self, rank: int) -> tuple[Verts, ...]:
         if 0 <= rank <= self.dimension:
             return self.skeletons[rank]
         return ()
 
+    def _positions(self) -> dict[tuple[Verts, int], int]:
+        if self._index is None:
+            self._index = {
+                (verts, r): i for r, sk in enumerate(self.skeletons) for i, verts in enumerate(sk)
+            }
+        return self._index
+
     def has_cell(self, verts: Verts, rank: int) -> bool:
-        return (verts, rank) in self._index
+        return (verts, rank) in self._positions()
 
     def cell_position(self, verts: Verts, rank: int) -> int:
         try:
-            return self._index[(verts, rank)]
+            return self._positions()[(verts, rank)]
         except KeyError:
             raise UnknownCell(f"no rank-{rank} cell {verts}") from None
 
@@ -231,121 +350,84 @@ class CombinatorialComplex:
         return (
             isinstance(other, CombinatorialComplex)
             and self.num_nodes == other.num_nodes
-            and self.skeletons == other.skeletons
+            and self.dimension == other.dimension
+            and all(
+                np.array_equal(a, b)
+                for mine, theirs in zip(self._cells, other._cells)
+                for a, b in zip(mine, theirs)
+            )
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_nodes, self.skeletons))
+        return hash((self.num_nodes, *(a.tobytes() for csr in self._cells for a in csr)))
 
     def __repr__(self) -> str:
         return f"CombinatorialComplex(n0={self.num_nodes}, sizes={self.skeleton_sizes()})"
 
-    # -- containment structure -----------------------------------------------
+    # -- neighborhood functions ------------------------------------------------
 
-    def _vertex_cells_of(self, rank: int) -> list[list[int]]:
-        """For each node id, the rank-`rank` cell indices containing it."""
-        if rank not in self._vertex_cells:
-            table: list[list[int]] = [[] for _ in range(self.num_nodes)]
-            if 0 <= rank <= self.dimension:
-                for i, vs in enumerate(self.skeletons[rank]):
-                    for v in vs:
-                        table[v].append(i)
-            self._vertex_cells[rank] = table
-        return self._vertex_cells[rank]
+    def neighbor_csr(self, spec: NeighborhoodSpec) -> Csr:
+        """(indptr, indices) of every rank-r1 cell's neighborhood, sorted per row.
+
+        Indices refer to the target skeleton (r1 for (co)adjacency, r2 for
+        incidence).  Everything derives from one containment relation per rank
+        pair: incidence-up is containment, incidence-down its transpose,
+        adjacency joins two r1-cells inside a common r2-cell and co-adjacency
+        two r1-cells over a common r2-cell.  Cached per spec.
+        """
+        csr = self._csr_cache.get(spec)
+        if csr is None:
+            csr = self._compute_csr(spec)
+            self._csr_cache[spec] = csr
+        return csr
+
+    def _compute_csr(self, spec: NeighborhoodSpec) -> Csr:
+        r1, r2 = spec.r1, spec.r2
+        n1 = self.skeleton_size(r1)
+        if n1 == 0 or not 0 <= r2 <= self.dimension:
+            return _empty_csr(n1)
+        if spec.kind is NeighborhoodKind.INCIDENCE_UP:
+            return self._containment(r1, r2)
+        if spec.kind is NeighborhoodKind.INCIDENCE_DOWN:
+            return _transpose(self.neighbor_csr(incidence_up(r2, r1)), n1)
+        if spec.kind is NeighborhoodKind.ADJACENCY:
+            return _pairs_within(self.neighbor_csr(incidence_down(r2, r1)), n1)
+        return _pairs_within(self.neighbor_csr(incidence_up(r2, r1)), n1)
+
+    def _containment(self, r_sub: int, r_sup: int) -> Csr:
+        """For each r_sub-cell x, the r_sup-cells y with x a subset of y."""
+        sup = self._cells[r_sup]
+        if r_sub == 0:  # node v is the rank-0 cell v: the cells holding each node
+            return _transpose(sup, self.num_nodes)
+        sub_ptr, sub_verts = self._cells[r_sub]
+        n_sup = self.skeleton_size(r_sup)
+        # every (x, y) with y holding some vertex of x, once per shared vertex
+        pos, y = _expand(self.neighbor_csr(incidence_up(0, r_sup)), sub_verts)
+        x = _row_ids(sub_ptr)[pos]
+        keys, shared = _runs(x * n_sup + y)
+        rows = keys // n_sup
+        inside = shared == row_lengths(sub_ptr)[rows]
+        return _csr(rows[inside], (keys - rows * n_sup)[inside], len(sub_ptr) - 1)
+
+    def neighbor_lists(self, spec: NeighborhoodSpec) -> list[tuple[int, ...]]:
+        """Neighborhood of every cell in skeleton r1, as sorted index tuples:
+        a cached view of :meth:`neighbor_csr`."""
+        lists = self._lists_cache.get(spec)
+        if lists is None:
+            lists = _tuple_rows(self.neighbor_csr(spec))
+            self._lists_cache[spec] = lists
+        return lists
 
     def contains_lists(self, r_sub: int, r_sup: int) -> list[tuple[int, ...]]:
         """For each cell in skeleton r_sub, the r_sup cells containing it.
 
         Containment is vertex-set inclusion (equality counts).
         """
-        key = (r_sub, r_sup)
-        if key not in self._contains:
-            result: list[tuple[int, ...]] = []
-            if not (0 <= r_sub <= self.dimension and 0 <= r_sup <= self.dimension):
-                self._contains[key] = result
-                return result
-            table = self._vertex_cells_of(r_sup)
-            sup_vsets = self._vsets[r_sup]
-            for vs in self.skeletons[r_sub]:
-                candidates = table[vs[0]]
-                if len(vs) == 1:
-                    result.append(tuple(candidates))
-                    continue
-                rest = vs[1:]
-                hits = [j for j in candidates if all(v in sup_vsets[j] for v in rest)]
-                result.append(tuple(hits))
-            self._contains[key] = result
-        return self._contains[key]
+        return self.neighbor_lists(incidence_up(r_sub, r_sup))
 
     def contained_lists(self, r_sup: int, r_sub: int) -> list[tuple[int, ...]]:
         """For each cell in skeleton r_sup, the r_sub cells it contains."""
-        fwd = self.contains_lists(r_sub, r_sup)
-        n_sup = len(self.skeletons[r_sup]) if 0 <= r_sup <= self.dimension else 0
-        out: list[list[int]] = [[] for _ in range(n_sup)]
-        for i, sups in enumerate(fwd):
-            for j in sups:
-                out[j].append(i)
-        return [tuple(js) for js in out]
-
-    # -- neighborhood functions ------------------------------------------------
-
-    def neighbor_lists(self, spec: NeighborhoodSpec) -> list[tuple[int, ...]]:
-        """Neighborhood of every cell in skeleton r1, as sorted index tuples.
-
-        Indices refer to the target skeleton (r1 for (co)adjacency, r2 for
-        incidence).  Cached per spec.
-        """
-        if spec in self._neighbor_cache:
-            return self._neighbor_cache[spec]
-        r1, r2 = spec.r1, spec.r2
-        n1 = len(self.skeletons[r1]) if 0 <= r1 <= self.dimension else 0
-        result: list[tuple[int, ...]]
-        if n1 == 0 or not (0 <= r2 <= self.dimension):
-            result = [()] * n1
-        elif spec.kind is NeighborhoodKind.INCIDENCE_UP:
-            result = self.contains_lists(r1, r2)
-        elif spec.kind is NeighborhoodKind.INCIDENCE_DOWN:
-            result = [tuple(t) for t in self.contained_lists(r1, r2)]
-        elif spec.kind is NeighborhoodKind.ADJACENCY:
-            up = self.contains_lists(r1, r2)
-            down = self.contained_lists(r2, r1)
-            result = []
-            for i in range(n1):
-                acc: set[int] = set()
-                for z in up[i]:
-                    acc.update(down[z])
-                acc.discard(i)
-                result.append(tuple(sorted(acc)))
-        else:  # CO_ADJACENCY
-            down2 = self.contained_lists(r1, r2)
-            up2 = self.contains_lists(r2, r1)
-            result = []
-            for i in range(n1):
-                acc = set()
-                for z in down2[i]:
-                    acc.update(up2[z])
-                acc.discard(i)
-                result.append(tuple(sorted(acc)))
-        self._neighbor_cache[spec] = result
-        return result
-
-    def neighbor_csr(self, spec: NeighborhoodSpec):
-        """(indptr, indices) int64 arrays for the spec's neighbor lists."""
-        if spec not in self._csr_cache:
-            import numpy as np
-
-            lists = self.neighbor_lists(spec)
-            degrees = np.fromiter((len(x) for x in lists), dtype=np.int64, count=len(lists))
-            indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            if indptr[-1]:
-                indices = np.concatenate(
-                    [np.asarray(x, dtype=np.int64) for x in lists if x]
-                )
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._csr_cache[spec] = (indptr, indices)
-        return self._csr_cache[spec]
+        return self.neighbor_lists(incidence_down(r_sup, r_sub))
 
 
 # -- construction ---------------------------------------------------------------
@@ -383,36 +465,64 @@ def build_cc(
         seen[key] = None
         max_rank = max(max_rank, rank)
 
-    # rank-0 cells are exactly the singletons
-    for v in range(num_nodes):
-        seen.setdefault(((v,), 0), None)
-
     skeletons: list[list[Verts]] = [[] for _ in range(max_rank + 1)]
     for verts, rank in seen:
         skeletons[rank].append(verts)
+    skeletons[0] = [(v,) for v in range(num_nodes)]  # rank 0 is every singleton
+    cells = []
     for sk in skeletons:
         sk.sort()
+        lengths = np.fromiter(map(len, sk), dtype=np.int64, count=len(sk))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        verts = np.fromiter(chain.from_iterable(sk), dtype=np.int64, count=int(indptr[-1]))
+        cells.append((indptr, verts))
+    return _validated(num_nodes, cells, tuple(map(tuple, skeletons)))
 
-    cc = CombinatorialComplex(num_nodes, tuple(tuple(sk) for sk in skeletons))
+
+def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> CombinatorialComplex:
+    """Complex from one (cells, width) int array per rank 1, 2, ...
+
+    Each row lists the distinct in-range vertices of one cell in any order,
+    and no cell repeats within a rank; array-built generators guarantee that
+    by construction.  Rows are sorted and put in canonical order here, and
+    rank monotonicity is checked as in :func:`build_cc`.
+    """
+    cells = [(np.arange(num_nodes + 1, dtype=np.int64), np.arange(num_nodes, dtype=np.int64))]
+    for rows in rows_by_rank:
+        rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        n, width = rows.shape
+        cells.append((np.arange(0, n * width + 1, width, dtype=np.int64), rows.ravel()))
+    return _validated(num_nodes, cells)
+
+
+def _validated(num_nodes: int, cells, skeletons=None) -> CombinatorialComplex:
+    cc = CombinatorialComplex(num_nodes, tuple(cells), skeletons)
     _check_rank_monotonicity(cc)
     return cc
 
 
 def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
-    """Strict inclusion must not decrease rank (equal vertex sets exempt)."""
+    """Strict inclusion must not decrease rank (equal vertex sets exempt).
+
+    A higher-rank cell x inside a lower-rank cell y is strict exactly when
+    |x| < |y|, so rank pairs whose sizes rule that out are skipped unjoined.
+    """
+    lengths = [row_lengths(indptr) for indptr, _ in cc._cells]
     for r_low in range(cc.dimension + 1):
         for r_high in range(r_low + 1, cc.dimension + 1):
-            # any r_high cell strictly inside an r_low cell is a violation
-            fwd = cc.contains_lists(r_high, r_low)
-            vsets_low = cc._vsets[r_low]
-            vsets_high = cc._vsets[r_high]
-            for i, sups in enumerate(fwd):
-                for j in sups:
-                    if vsets_high[i] != vsets_low[j]:
-                        raise RankViolation(
-                            f"rank-{r_high} cell {cc.skeletons[r_high][i]} is contained in "
-                            f"rank-{r_low} cell {cc.skeletons[r_low][j]}"
-                        )
+            low, high = lengths[r_low], lengths[r_high]
+            if not len(low) or not len(high) or high.min() >= low.max():
+                continue
+            indptr, sups = cc.neighbor_csr(incidence_up(r_high, r_low))
+            subs = _row_ids(indptr)
+            strict = np.flatnonzero(high[subs] < low[sups])
+            if strict.size:
+                i, j = subs[strict[0]], sups[strict[0]]
+                raise RankViolation(
+                    f"rank-{r_high} cell {cc.skeletons[r_high][i]} is contained in "
+                    f"rank-{r_low} cell {cc.skeletons[r_low][j]}"
+                )
 
 
 def graph_as_cc(g: SimpleGraph) -> CombinatorialComplex:
@@ -438,8 +548,8 @@ def neighborhood(cc: CombinatorialComplex, spec: NeighborhoodSpec, x: Cell) -> s
 
 def neighborhood_matrix(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> SparseBinaryMatrix:
     """Matrix form of a neighborhood function, rows indexed by skeleton r1."""
-    n_rows = len(cc.cells(spec.r1))
-    n_cols = len(cc.cells(spec.target_rank))
+    n_rows = cc.skeleton_size(spec.r1)
+    n_cols = cc.skeleton_size(spec.target_rank)
     entries = frozenset(
         (i, j) for i, nbrs in enumerate(cc.neighbor_lists(spec)) for j in nbrs
     )
@@ -450,7 +560,7 @@ def augmented_hasse_graph(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> S
     """Graph on skeleton r1 with edges given by a (co)adjacency function."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"augmented Hasse graph needs (co)adjacency, got {spec}")
-    n = len(cc.cells(spec.r1))
+    n = cc.skeleton_size(spec.r1)
     edges = set()
     for i, nbrs in enumerate(cc.neighbor_lists(spec)):
         for j in nbrs:
@@ -480,22 +590,29 @@ def hasse_graph(cc: CombinatorialComplex) -> tuple[SimpleGraph, tuple[int, ...]]
 
 def disjoint_union(a: CombinatorialComplex, b: CombinatorialComplex) -> CombinatorialComplex:
     """Concatenate two complexes, shifting b's node ids past a's."""
-    shift = a.num_nodes
-    cells: list[tuple[Verts, int]] = []
-    for r in range(a.dimension + 1):
-        cells.extend((verts, r) for verts in a.skeletons[r] if r > 0)
-    for r in range(b.dimension + 1):
-        cells.extend((tuple(v + shift for v in verts), r) for verts in b.skeletons[r] if r > 0)
-    return build_cc(cells, a.num_nodes + b.num_nodes)
+    return disjoint_union_all([a, b])
 
 
 def disjoint_union_all(parts: Sequence[CombinatorialComplex]) -> CombinatorialComplex:
+    """Concatenate complexes, shifting each part's node ids past the previous ones.
+
+    Works on the skeleton arrays: every cell of a later part starts with a
+    larger node id, so concatenating the skeletons keeps them in canonical
+    order, and no cell of one part contains a cell of another.
+    """
     if not parts:
         raise EmptyCell("disjoint union of nothing")
-    out = parts[0]
-    for p in parts[1:]:
-        out = disjoint_union(out, p)
-    return out
+    if len(parts) == 1:
+        return parts[0]
+    shifts = np.cumsum([0] + [p.num_nodes for p in parts])
+    cells = []
+    for r in range(max(p.dimension for p in parts) + 1):
+        arrays = [p.skeleton_arrays(r) for p in parts]
+        ends = np.cumsum([0] + [int(indptr[-1]) for indptr, _ in arrays])
+        indptr = np.concatenate([[0]] + [ptr[1:] + e for (ptr, _), e in zip(arrays, ends)])
+        verts = np.concatenate([v + s for (_, v), s in zip(arrays, shifts)])
+        cells.append((indptr, verts))
+    return CombinatorialComplex(int(shifts[-1]), tuple(cells))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -521,10 +638,12 @@ def decode_json(data: bytes | str) -> CombinatorialComplex:
 
     The rank-0 entry may be null or empty (singletons are implied).
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

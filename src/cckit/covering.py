@@ -9,8 +9,9 @@ certificates produced here witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .complex import (
     NeighborhoodSpec,
     Verts,
     natural_specs,
+    padded_rows,
+    row_lengths,
 )
 from .errors import (
     DimensionMismatch,
@@ -27,6 +30,7 @@ from .errors import (
     PeriodTooSmall,
 )
 from .generators import StripParams, TorusParams, cylinder, moebius, torus
+from .refinement import intern_rows
 
 
 @dataclass(frozen=True)
@@ -34,25 +38,31 @@ class CellMap:
     """Total rank-preserving map between the cells of two complexes.
 
     assignment[r][i] is the target-skeleton index of the image of source cell
-    i at rank r.
+    i at rank r.  Rows may be given as any int sequences, arrays included;
+    they are kept as tuples, and images[r] holds the same row as a read-only
+    int64 array.
     """
 
     source: CombinatorialComplex
     target: CombinatorialComplex
     assignment: tuple[tuple[int, ...], ...]
+    images: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.assignment) != self.source.dimension + 1:
             raise MapNotWellDefined("assignment must cover every source rank")
-        for r, row in enumerate(self.assignment):
-            if len(row) != len(self.source.skeletons[r]):
+        images = tuple(np.array(row, dtype=np.int64) for row in self.assignment)
+        for r, row in enumerate(images):
+            if len(row) != self.source.skeleton_size(r):
                 raise MapNotWellDefined(f"assignment at rank {r} is not total")
-            n_t = len(self.target.cells(r))
-            for j in row:
-                if not 0 <= j < n_t:
-                    raise MapNotWellDefined(
-                        f"rank-{r} image index {j} outside target skeleton"
-                    )
+            outside = (row < 0) | (row >= self.target.skeleton_size(r))
+            if outside.any():
+                raise MapNotWellDefined(
+                    f"rank-{r} image index {row[outside.argmax()]} outside target skeleton"
+                )
+            row.flags.writeable = False
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "assignment", tuple(tuple(row.tolist()) for row in images))
 
     def image_verts(self, rank: int, index: int) -> Verts:
         return self.target.skeletons[rank][self.assignment[rank][index]]
@@ -61,22 +71,45 @@ class CellMap:
 def cell_map_from_node_map(
     source: CombinatorialComplex,
     target: CombinatorialComplex,
-    node_image: list[int],
+    node_image: Sequence[int],
 ) -> CellMap:
-    """Extend a node-level map cell-wise; every image set must be a target cell."""
-    if len(node_image) != source.num_nodes:
+    """Extend a node-level map cell-wise; every image set must be a target cell.
+
+    Vectorized per rank: the padded vertex rows go through the node map, are
+    sorted and de-duplicated within each row, then matched against the target
+    rows by joint interning (target rows are distinct, so target row j gets
+    id j and an image row with any other id is no target cell).
+    """
+    node_image = np.asarray(node_image, dtype=np.int64)
+    if node_image.shape != (source.num_nodes,):
         raise MapNotWellDefined("node map must cover every source node")
+    outside = (node_image < 0) | (node_image >= target.num_nodes)
+    if outside.any():
+        raise MapNotWellDefined(
+            f"node {outside.argmax()} maps to {node_image[outside.argmax()]}, "
+            f"outside the target's nodes"
+        )
+    pad = target.num_nodes  # sorts after every node
     assignment = []
     for r in range(source.dimension + 1):
-        row = []
-        for verts in source.skeletons[r]:
-            img = tuple(sorted({node_image[v] for v in verts}))
-            if not target.has_cell(img, r):
-                raise MapNotWellDefined(
-                    f"image {img} of rank-{r} cell {verts} is not a target cell"
-                )
-            row.append(target.cell_position(img, r))
-        assignment.append(tuple(row))
+        rows = padded_rows(source.skeleton_arrays(r))
+        if len(rows) == 0:
+            assignment.append(np.zeros(0, dtype=np.int64))
+            continue
+        img = np.sort(np.where(rows >= 0, node_image[rows], pad), axis=1)
+        img[:, 1:][img[:, 1:] == img[:, :-1]] = pad  # repeated images
+        img = np.sort(img, axis=1)
+        img[img == pad] = -1
+        targets = padded_rows(target.skeleton_arrays(r))
+        (_, ids), _ = intern_rows([targets, img])
+        unmatched = np.flatnonzero(ids >= len(targets))
+        if unmatched.size:
+            i = unmatched[0]
+            raise MapNotWellDefined(
+                f"image {tuple(int(v) for v in img[i] if v >= 0)} of rank-{r} cell "
+                f"{tuple(int(v) for v in rows[i] if v >= 0)} is not a target cell"
+            )
+        assignment.append(ids)
     return CellMap(source, target, tuple(assignment))
 
 
@@ -100,42 +133,35 @@ class CoveringViolation:
         return f"{self.reason}{loc}"
 
 
-def _spec_first_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
+def first_spec_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
     """Index of the first source cell whose neighborhood is not mapped
     bijectively onto its image's neighborhood, or None if the spec passes.
 
     Vectorized: sorted images of each neighbor list must equal the target's
-    (strictly increasing) neighbor list, which also forces injectivity.
+    (strictly increasing) neighbor list, which also forces injectivity.  Rows
+    are compared up to the first one whose degree differs from its image's.
     """
-    src, tgt = m.source, m.target
-    rank, tr = spec.r1, spec.target_rank
-    indptr_s, indices_s = src.neighbor_csr(spec)
-    indptr_t, indices_t = tgt.neighbor_csr(spec)
-    n1 = len(indptr_s) - 1
-    if n1 == 0:
+    indptr_s, indices_s = m.source.neighbor_csr(spec)
+    indptr_t, indices_t = m.target.neighbor_csr(spec)
+    rho = m.images[spec.r1]
+    if len(rho) == 0:
         return None
-    rho1 = np.asarray(m.assignment[rank], dtype=np.int64)
-    deg_s = np.diff(indptr_s)
-    deg_t = np.diff(indptr_t)
-    bad_deg = np.nonzero(deg_s != deg_t[rho1])[0]
-    if bad_deg.size:
-        return int(bad_deg[0])
-    total = int(deg_s.sum())
-    if total == 0:
-        return None
-    rho_t = np.asarray(m.assignment[tr], dtype=np.int64)
-    images = rho_t[indices_s]
-    rows = np.repeat(np.arange(n1), deg_s)
-    order = np.lexsort((images, rows))
-    sorted_images = images[order]
-    out_ptr = indptr_s
-    starts = indptr_t[rho1]
-    flat_pos = np.arange(total) - np.repeat(out_ptr[:-1], deg_s) + np.repeat(starts, deg_s)
-    expected = indices_t[flat_pos]
-    mismatch = np.nonzero(sorted_images != expected)[0]
-    if mismatch.size:
-        return int(rows[order[mismatch[0]]])
-    return None
+    starts = indptr_t[rho]
+    deg_s = row_lengths(indptr_s)
+    bad_deg = np.flatnonzero(deg_s != indptr_t[rho + 1] - starts)
+    n1 = int(bad_deg[0]) if bad_deg.size else len(rho)
+    total = int(indptr_s[n1])
+    if total:
+        rows = np.repeat(np.arange(n1), deg_s[:n1])
+        # images sorted within each row: one sort of row-major packed keys
+        width = m.target.skeleton_size(spec.target_rank)
+        keys = rows * width + m.images[spec.target_rank][indices_s[:total]]
+        keys.sort()
+        expected = indices_t[np.arange(total) + (starts[:n1] - indptr_s[:n1])[rows]]
+        mismatch = np.flatnonzero(keys - rows * width != expected)
+        if mismatch.size:
+            return int(rows[mismatch[0]])
+    return n1 if n1 < len(rho) else None
 
 
 def verify_covering(m: CellMap) -> CoveringViolation | None:
@@ -150,22 +176,19 @@ def verify_covering(m: CellMap) -> CoveringViolation | None:
         raise DimensionMismatch(
             f"source dimension {src.dimension} != target dimension {tgt.dimension}"
         )
-    for r in range(tgt.dimension + 1):
-        hit = set(m.assignment[r])
-        if len(hit) != len(tgt.skeletons[r]):
-            missing = next(
-                j for j in range(len(tgt.skeletons[r])) if j not in hit
-            )
+    for r, n_t in enumerate(tgt.skeleton_sizes()):
+        empty = np.flatnonzero(np.bincount(m.images[r], minlength=n_t) == 0)
+        if empty.size:
             return CoveringViolation(
                 reason=f"not surjective onto skeleton {r}: "
-                f"cell {tgt.skeletons[r][missing]} has empty fiber",
+                f"cell {tgt.skeletons[r][empty[0]]} has empty fiber",
             )
     specs = natural_specs(src.dimension)
     for rank in range(src.dimension + 1):
         rank_specs = [s for s in specs if s.r1 == rank]
         first: tuple[int, int] | None = None  # (cell index, spec position)
         for pos, spec in enumerate(rank_specs):
-            cell = _spec_first_failure(m, spec)
+            cell = first_spec_failure(m, spec)
             if cell is not None and (first is None or (cell, pos) < first):
                 first = (cell, pos)
         if first is not None:
@@ -187,10 +210,7 @@ def verify_covering(m: CellMap) -> CoveringViolation | None:
 
 def fiber_sizes(m: CellMap, rank: int) -> list[int]:
     """Number of source cells over each target cell of the given rank."""
-    counts = [0] * len(m.target.cells(rank))
-    for j in m.assignment[rank]:
-        counts[j] += 1
-    return counts
+    return np.bincount(m.images[rank], minlength=m.target.skeleton_size(rank)).tolist()
 
 
 def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> CellMap:
@@ -290,5 +310,5 @@ def _mod_map_onto(
     """The coordinatewise mod map from the torus `cover` (periods `big`)."""
     coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
     wrapped = tuple(c % p for c, p in zip(coords, small.periods))
-    node_image = np.ravel_multi_index(wrapped, small.periods).tolist()
+    node_image = np.ravel_multi_index(wrapped, small.periods)
     return cell_map_from_node_map(cover, torus(small), node_image)

@@ -7,10 +7,13 @@ convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 
-from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc
+import numpy as np
+
+from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc, from_uniform_rows
 from .errors import BadParams, PeriodTooSmall
 
 
@@ -23,6 +26,8 @@ class TorusParams:
     def __post_init__(self) -> None:
         if not self.periods:
             raise BadParams("torus needs at least one period")
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in self.periods):
+            raise BadParams(f"torus periods must be integers, got {self.periods}")
         for p in self.periods:
             if p < 3:
                 raise PeriodTooSmall(f"torus period {p} < 3")
@@ -49,11 +54,11 @@ class StripParams:
             )
 
 
-def _flatten(coord: tuple[int, ...], periods: tuple[int, ...]) -> int:
-    idx = 0
-    for c, p in zip(coord, periods):
-        idx = idx * p + c
-    return idx
+# One complex per live period tuple: a complex is immutable and its caches are
+# pure, so every caller holding a torus can share it with the next one.
+_TORI: "weakref.WeakValueDictionary[tuple[int, ...], CombinatorialComplex]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def torus(params: TorusParams | tuple[int, ...]) -> CombinatorialComplex:
@@ -62,24 +67,30 @@ def torus(params: TorusParams | tuple[int, ...]) -> CombinatorialComplex:
     The cell seeded at node s with offset pattern k collects every s+k' with
     k' <= k coordinatewise, wrapping each coordinate modulo its period; its
     rank is the number of ones in k.  Skeleton sizes are C(l, r) * prod(p_j).
+    Nodes are numbered row-major.  While any caller holds the torus of some
+    periods, every call with those periods returns that same object.
     """
     if not isinstance(params, TorusParams):
         params = TorusParams(tuple(params))
+    cc = _TORI.get(params.periods)
+    if cc is None:
+        cc = _build_torus(params)
+        _TORI[params.periods] = cc
+    return cc
+
+
+def _build_torus(params: TorusParams) -> CombinatorialComplex:
     ps = params.periods
-    ell = len(ps)
-    cells: list[tuple[Verts, int]] = []
-    offsets = list(product((0, 1), repeat=ell))
-    for s in product(*(range(p) for p in ps)):
-        for k in offsets:
-            rank = sum(k)
-            if rank == 0:
-                continue
-            members = set()
-            for kp in product(*(range(x + 1) for x in k)):
-                shifted = tuple((s[j] + kp[j]) % ps[j] for j in range(ell))
-                members.add(_flatten(shifted, ps))
-            cells.append((tuple(sorted(members)), rank))
-    return build_cc(cells, params.num_nodes)
+    coords = np.unravel_index(np.arange(params.num_nodes), ps)
+    rows_by_rank: list[list[np.ndarray]] = [[] for _ in ps]
+    for k in product((0, 1), repeat=len(ps)):
+        if any(k):
+            members = [
+                np.ravel_multi_index(tuple((c + d) % p for c, d, p in zip(coords, kp, ps)), ps)
+                for kp in product(*(range(x + 1) for x in k))
+            ]
+            rows_by_rank[sum(k) - 1].append(np.column_stack(members))
+    return from_uniform_rows(params.num_nodes, [np.vstack(rows) for rows in rows_by_rank])
 
 
 def _rho_cyl(s: tuple[int, int], h: int, p: int) -> tuple[int, int] | None:

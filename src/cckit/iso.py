@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CombinatorialComplex, Verts, build_cc, natural_specs
-from .covering import CellMap
+from .complex import CombinatorialComplex, Verts, build_cc, incidence_up, natural_specs
+from .covering import CellMap, first_spec_failure
 from .errors import MapNotWellDefined
 from .refinement import CellColors
 
@@ -43,29 +43,27 @@ def check_isomorphism(m: CellMap) -> str | None:
     """Verify a cell map is an isomorphism; returns the first violation or None.
 
     Checks bijectivity per rank, rank preservation (structural in CellMap),
-    and containment preservation in both directions across all rank pairs.
+    and containment preservation in both directions across all rank pairs:
+    for a bijection, mapping every containment list onto its image's list is
+    exactly the local bijectivity that covering maps check for incidence-up.
     """
     src, tgt = m.source, m.target
     if src.dimension != tgt.dimension:
         return f"dimension {src.dimension} != {tgt.dimension}"
     for r in range(src.dimension + 1):
-        n_s, n_t = len(src.skeletons[r]), len(tgt.skeletons[r])
+        n_s, n_t = src.skeleton_size(r), tgt.skeleton_size(r)
         if n_s != n_t:
             return f"skeleton {r} sizes differ: {n_s} != {n_t}"
-        if len(set(m.assignment[r])) != n_s:
+        if np.bincount(m.images[r], minlength=n_t).max(initial=1) > 1:
             return f"not injective on skeleton {r}"
     for r_sub in range(src.dimension + 1):
         for r_sup in range(src.dimension + 1):
-            fwd_s = src.contains_lists(r_sub, r_sup)
-            fwd_t = tgt.contains_lists(r_sub, r_sup)
-            for i, sups in enumerate(fwd_s):
-                img = sorted(m.assignment[r_sup][j] for j in sups)
-                expected = list(fwd_t[m.assignment[r_sub][i]])
-                if img != expected:
-                    return (
-                        f"containment not preserved at rank-{r_sub} cell "
-                        f"{src.skeletons[r_sub][i]} into rank {r_sup}"
-                    )
+            i = first_spec_failure(m, incidence_up(r_sub, r_sup))
+            if i is not None:
+                return (
+                    f"containment not preserved at rank-{r_sub} cell "
+                    f"{src.skeletons[r_sub][i]} into rank {r_sup}"
+                )
     return None
 
 

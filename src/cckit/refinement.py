@@ -20,21 +20,25 @@ refines with the same kernel, :class:`CellColors`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .complex import (
     CombinatorialComplex,
+    Csr,
     NeighborhoodKind,
     NeighborhoodSpec,
     adjacency,
     co_adjacency,
+    incidence_up,
     natural_specs,
+    padded_rows,
+    row_lengths,
 )
 from .errors import MarkingUnsupported, PoolWithoutScl, RankOutOfRange
-from .invariants import INFINITE, shortest_paths
+from .invariants import shortest_paths
 
 Hist = tuple[tuple[int, int], ...]
 
@@ -137,19 +141,16 @@ def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     return np.split(ids, np.cumsum(sizes)[:-1]), len(renumber)
 
 
-def padded_gather(
-    lists_per_cc: Sequence[Sequence[Sequence[int]]], shifts: Sequence[int] | None = None
-) -> list[np.ndarray]:
-    """Neighbor lists as (n, w) index matrices, one per complex, with one
+def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
+    """Neighbor CSRs as (n, w) index matrices, one per complex, with one
     joint width w.  Short rows are padded with -1, which reads a sentinel the
     caller appends last; shifts offset each complex's indices."""
-    lengths = [np.fromiter(map(len, lists), np.int64, len(lists)) for lists in lists_per_cc]
-    width = max((int(n.max()) for n in lengths if len(n)), default=0)
+    width = max((int(row_lengths(indptr).max(initial=0)) for indptr, _ in csrs), default=0)
     out = []
-    for ci, (lists, n) in enumerate(zip(lists_per_cc, lengths)):
-        mat = np.full((len(lists), width), -1, dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(lists), np.int64, int(n.sum()))
-        mat[np.arange(width) < n[:, None]] = flat + (shifts[ci] if shifts else 0)
+    for ci, csr in enumerate(csrs):
+        mat = padded_rows(csr, width)
+        if shifts:
+            mat[mat >= 0] += shifts[ci]
         out.append(mat)
     return out
 
@@ -166,7 +167,7 @@ class CellColors:
         self.ccs = list(ccs)
         self.ell = ell
         m = len(self.ccs)
-        sizes = [len(cc.cells(r)) for r in range(ell + 1) for cc in self.ccs]
+        sizes = [cc.skeleton_size(r) for r in range(ell + 1) for cc in self.ccs]
         self.starts = list(accumulate(sizes, initial=0))
         self.owner = np.tile(np.arange(m), ell + 1).repeat(sizes)
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
@@ -218,7 +219,7 @@ class CellColors:
             mats = [
                 np.vstack(
                     padded_gather(
-                        [cc.neighbor_lists(s) for cc in self.ccs],
+                        [cc.neighbor_csr(s) for cc in self.ccs],
                         [self.starts[s.target_rank * m + ci] for ci in range(m)],
                     )
                 )
@@ -329,30 +330,25 @@ class _JointState(CellColors):
 
 
 def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) -> np.ndarray:
-    n1, n2 = len(cc.cells(r1)), len(cc.cells(r2))
+    n1, n2 = cc.skeleton_size(r1), cc.skeleton_size(r2)
     if marking == "binary":
+        indptr, sups = cc.neighbor_csr(incidence_up(r1, r2))
         mark = np.zeros((n1, n2), dtype=np.int64)
-        for i, sups in enumerate(cc.contains_lists(r1, r2)):
-            mark[i, list(sups)] = 1
+        mark[np.repeat(np.arange(n1), row_lengths(indptr)), sups] = 1
         return mark
     if marking == "distance":
         if r1 != 0:
             raise MarkingUnsupported(
                 f"distance marking needs r1 = 0 (a node metric), got r1 = {r1}"
             )
-        dist = shortest_paths(cc, adjacency(0, 1))
-        d = np.array(
-            [[-1 if x == INFINITE else int(x) for x in row] for row in dist],
-            dtype=np.int64,
-        )
-        mark = np.empty((n1, n2), dtype=np.int64)
-        for j, verts in enumerate(cc.skeletons[r2]):
-            cols = d[:, list(verts)]
-            # min over finite distances when any exists; -1 only if all unreachable
-            has_finite = (cols >= 0).any(axis=1)
-            finite = np.where(cols == -1, np.iinfo(np.int64).max, cols).min(axis=1)
-            mark[:, j] = np.where(has_finite, finite, -1)
-        return mark
+        if n2 == 0:
+            return np.zeros((n1, 0), dtype=np.int64)
+        # distance to the nearest vertex of each r2-cell: one gather of the
+        # node metric over the padded vertex rows, whose -1 pads read inf
+        dist = np.array(shortest_paths(cc, adjacency(0, 1)), dtype=np.float64)
+        dist = np.column_stack((dist, np.full(n1, np.inf)))
+        nearest = dist[:, padded_rows(cc.skeleton_arrays(r2))].min(axis=2)
+        return np.where(np.isinf(nearest), -1, nearest).astype(np.int64)
     raise MarkingUnsupported(f"unknown marking {marking!r}")
 
 
@@ -368,7 +364,7 @@ def _build_gathers(ccs, r1: int, r2: int, ell: int):
         specs.append(("y", co_adjacency(r2, r)))
     specs.append(("bx", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_UP, r1, r2)))
     specs.append(("by", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_DOWN, r2, r1)))
-    per_spec = [padded_gather([cc.neighbor_lists(spec) for cc in ccs]) for _, spec in specs]
+    per_spec = [padded_gather([cc.neighbor_csr(spec) for cc in ccs]) for _, spec in specs]
     return [
         [(slot, mats[ci]) for (slot, _), mats in zip(specs, per_spec) if mats[ci].shape[1]]
         for ci in range(len(ccs))

@@ -7,7 +7,7 @@ neighborhood / rank / cycle machinery, so tests cross two separate routes.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from cckit.complex import (
     CombinatorialComplex,
@@ -21,7 +21,8 @@ from cckit.complex import (
     incidence_up,
     natural_specs,
 )
-from cckit.refinement import HompBlock, SclBlock, _marking_matrix
+from cckit.invariants import INFINITE, shortest_paths
+from cckit.refinement import HompBlock, SclBlock
 
 
 def brute_neighborhood(
@@ -211,6 +212,30 @@ def random_graph(rng, num_nodes: int, edge_prob: float) -> SimpleGraph:
     return SimpleGraph.from_edges(num_nodes, edges)
 
 
+def brute_first_failure(m):
+    """First (rank, cell index, spec) whose neighborhood does not map
+    bijectively, straight from the definition via brute_neighborhood.
+
+    Cells in skeleton order, specs in natural_specs order for each cell;
+    None when every neighborhood maps bijectively.
+    """
+    src, tgt = m.source, m.target
+    for rank in range(src.dimension + 1):
+        specs = [s for s in natural_specs(src.dimension) if s.r1 == rank]
+        for i, verts in enumerate(src.skeletons[rank]):
+            img_verts = tgt.skeletons[rank][m.assignment[rank][i]]
+            for spec in specs:
+                nbrs = brute_neighborhood(src, spec, verts, rank)
+                image_cells = {
+                    (tgt.skeletons[r][m.assignment[r][src.cell_position(v, r)]], r)
+                    for v, r in nbrs
+                }
+                expected = brute_neighborhood(tgt, spec, img_verts, rank)
+                if len(image_cells) != len(nbrs) or image_cells != expected:
+                    return rank, i, spec
+    return None
+
+
 def brute_is_covering(m) -> bool:
     """Covering check straight from the definition, via brute_neighborhood.
 
@@ -223,26 +248,41 @@ def brute_is_covering(m) -> bool:
     for r in range(tgt.dimension + 1):
         if set(m.assignment[r]) != set(range(len(tgt.skeletons[r]))):
             return False
-    specs = []
-    for kind in NeighborhoodKind:
-        for r1 in range(src.dimension + 1):
-            for r2 in range(src.dimension + 1):
-                specs.append(NeighborhoodSpec(kind, r1, r2))
-    for rank in range(src.dimension + 1):
-        for i, verts in enumerate(src.skeletons[rank]):
-            img_verts = tgt.skeletons[rank][m.assignment[rank][i]]
-            for spec in specs:
-                if spec.r1 != rank:
-                    continue
-                nbrs = brute_neighborhood(src, spec, verts, rank)
-                image_cells = {
-                    (tgt.skeletons[r][m.assignment[r][src.cell_position(v, r)]], r)
-                    for v, r in nbrs
-                }
-                expected = brute_neighborhood(tgt, spec, img_verts, rank)
-                if len(image_cells) != len(nbrs) or image_cells != expected:
-                    return False
-    return True
+    return brute_first_failure(m) is None
+
+
+def reference_torus(periods: tuple[int, ...]) -> CombinatorialComplex:
+    """Torus cell by cell: the cell seeded at s with 0/1 offset pattern k holds
+    every s + k' with k' <= k, wrapped per coordinate, flattened row-major."""
+    cells = []
+    for s in product(*(range(p) for p in periods)):
+        for k in product((0, 1), repeat=len(periods)):
+            if any(k):
+                members = set()
+                for kp in product(*(range(x + 1) for x in k)):
+                    idx = 0
+                    for c, d, p in zip(s, kp, periods):
+                        idx = idx * p + (c + d) % p
+                    members.add(idx)
+                cells.append((tuple(sorted(members)), sum(k)))
+    n = 1
+    for p in periods:
+        n *= p
+    return build_cc(cells, n)
+
+
+def reference_marking(cc, r1: int, r2: int, marking: str) -> list[list[int]]:
+    """Pair markings cell by cell: containment (binary), or the distance from
+    each node to the nearest vertex of each r2-cell, -1 when none is reachable."""
+    if marking == "binary":
+        ups = cc.contains_lists(r1, r2)
+        return [[int(y in ups[x]) for y in range(len(cc.cells(r2)))] for x in range(len(ups))]
+    dist = shortest_paths(cc, adjacency(0, 1))
+    mark = []
+    for row in dist:
+        nearest = [min(row[v] for v in verts) for verts in cc.cells(r2)]
+        mark.append([-1 if d == INFINITE else int(d) for d in nearest])
+    return mark
 
 
 class ReferenceRefinement:
@@ -308,7 +348,7 @@ class ReferenceRefinement:
         sigs = []
         for ci, cc in enumerate(self.ccs):
             c1, c2 = self.colors[ci][block.r1], self.colors[ci][block.r2]
-            mark = _marking_matrix(cc, block.r1, block.r2, block.marking).tolist()
+            mark = reference_marking(cc, block.r1, block.r2, block.marking)
             sigs.append([
                 [(c1[x], c2[y], mark[x][y]) for y in range(len(c2))] for x in range(len(c1))
             ])

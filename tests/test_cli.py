@@ -245,3 +245,72 @@ class TestDatasetCmds:
         lines = [json.loads(l) for l in out_file.read_text().splitlines()]
         assert "error" in lines[0]
         assert lines[1]["cross_diameter_012"] == 0
+
+
+class TestHostileInputs:
+    """Malformed inputs end in one `error:` line and exit 2, never a traceback."""
+
+    def assert_error_line(self, code, err):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def cover_doc(self, assignment):
+        cover, to_cyl, _ = strip_covers(3, 4)
+        return {
+            "source": json.loads(encode_json(cover)),
+            "target": json.loads(encode_json(to_cyl.target)),
+            "assignment": assignment,
+        }
+
+    def test_gen_torus_non_integer_period(self, capsys):
+        code, _, err = run(capsys, "gen", "torus", "--periods", "3,x")
+        self.assert_error_line(code, err)
+        assert "--periods" in err
+
+    def test_missing_complex_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "invariants", str(tmp_path / "missing.json"))
+        self.assert_error_line(code, err)
+        assert "cannot read" in err
+
+    def test_unreadable_complex_file(self, capsys, tmp_path):
+        # a directory cannot be read as a file, whoever runs the test
+        code, _, err = run(capsys, "distinguish", str(tmp_path), str(tmp_path))
+        self.assert_error_line(code, err)
+
+    def test_non_utf8_complex_file(self, capsys, tmp_path):
+        path = tmp_path / "cc.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "invariants", str(path))
+        self.assert_error_line(code, err)
+
+    def test_missing_cover_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify-cover", str(tmp_path / "missing.json"))
+        self.assert_error_line(code, err)
+        assert "cannot read" in err
+
+    def test_unreadable_cover_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "check-iso", str(tmp_path))
+        self.assert_error_line(code, err)
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        missing_dir = tmp_path / "missing" / "pairs.jsonl"
+        code, _, err = run(capsys, "gen-torus-dataset", "18", "18", "3", "-o", str(missing_dir))
+        self.assert_error_line(code, err)
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_cover_assignment_not_integer(self, capsys, tmp_path, bad):
+        _, to_cyl, _ = strip_covers(3, 4)
+        rows = [list(row) for row in to_cyl.assignment]
+        rows[1][0] = bad
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(self.cover_doc(rows)))
+        code, _, err = run(capsys, "verify-cover", str(path))
+        self.assert_error_line(code, err)
+        assert "assignment" in err
+
+    def test_cover_assignment_not_rows(self, capsys, tmp_path):
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(self.cover_doc(7)))
+        code, _, err = run(capsys, "verify-cover", str(path))
+        self.assert_error_line(code, err)

@@ -1,12 +1,14 @@
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cckit.complex import (
     Cell,
+    NeighborhoodKind,
     SimpleGraph,
     adjacency,
     augmented_hasse_graph,
@@ -63,8 +65,17 @@ class TestBuild:
         assert cc.skeleton_sizes() == (3, 3, 1)
 
     def test_rank_violation(self):
-        with pytest.raises(RankViolation):
+        message = "rank-2 cell (0, 1) is contained in rank-1 cell (0, 1, 2)"
+        with pytest.raises(RankViolation, match=re.escape(message)):
             build_cc([((0, 1), 2), ((0, 1, 2), 1)], 3)
+
+    def test_first_rank_violation_reported(self):
+        # four violations; the first by (lower rank, higher rank, cell,
+        # containing cell) is reported
+        cells = [((2, 3), 1), ((0, 1, 2), 1), ((0, 1), 2), ((2,), 3), ((1,), 2)]
+        message = "rank-2 cell (0, 1) is contained in rank-1 cell (0, 1, 2)"
+        with pytest.raises(RankViolation, match=re.escape(message)):
+            build_cc(cells, 4)
 
     def test_duplicate_cell(self):
         with pytest.raises(DuplicateCell):
@@ -84,7 +95,7 @@ class TestBuild:
         assert cc.skeleton_sizes() == (2, 1, 1)
 
     def test_rank0_must_be_singleton(self):
-        with pytest.raises(RankViolation):
+        with pytest.raises(RankViolation, match=re.escape("rank-0 cell (0, 1) is not a singleton")):
             build_cc([((0, 1), 0)], 2)
 
     def test_singletons_added(self):
@@ -143,15 +154,60 @@ class TestNeighborhood:
     def test_matches_brute_force_on_lifted_graphs(self, g):
         from cckit.lifting import triangular_lift
 
-        cc = triangular_lift(g)
-        for spec in natural_specs(cc.dimension):
-            for r in range(cc.dimension + 1):
-                for verts in cc.skeletons[r]:
-                    got = {
-                        (c.vertices, c.rank)
-                        for c in neighborhood(cc, spec, Cell(verts, r))
-                    }
-                    assert got == brute_neighborhood(cc, spec, verts, r)
+        assert_matches_brute_force(triangular_lift(g))
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs())
+    def test_matches_brute_force_on_pooled_graphs(self, g):
+        # pooled 2-cells may repeat an edge's vertex set at rank 2
+        from cckit.lifting import mog_pool
+
+        assume(g.edges)
+        assert_matches_brute_force(mog_pool(g))
+
+    def test_matches_brute_force_on_fixed_pooled_complexes(self):
+        from cckit.generators import mog_example_pair
+        from cckit.lifting import mog_pool
+
+        assert_matches_brute_force(build_cc([((0, 1), 1), ((0, 1), 2), ((1, 2), 1)], 3))
+        assert_matches_brute_force(example_two_dim_complex())
+        for g in mog_example_pair():
+            assert_matches_brute_force(mog_pool(g))
+
+    @pytest.mark.parametrize("periods", [(3,), (5,), (3, 3), (3, 4), (4, 5)])
+    def test_matches_brute_force_on_tori(self, periods):
+        assert_matches_brute_force(torus(periods))
+
+    def test_matches_brute_force_on_three_torus(self):
+        # every cell of a rank looks alike on a torus: a few per rank suffice
+        assert_matches_brute_force(torus((3, 3, 4)), cells_per_rank=3)
+
+    @pytest.mark.parametrize("params", [(3, 3), (3, 4), (4, 3)])
+    def test_matches_brute_force_on_strips(self, params):
+        from cckit.generators import cylinder, moebius
+
+        assert_matches_brute_force(cylinder(params))
+        assert_matches_brute_force(moebius(params))
+
+
+def assert_matches_brute_force(cc, cells_per_rank=None):
+    """CSR arrays, neighbor lists and the containment lists all agree with
+    the set-comprehension definitions, cell by cell."""
+    for spec in natural_specs(cc.dimension):
+        indptr, indices = cc.neighbor_csr(spec)
+        lists = cc.neighbor_lists(spec)
+        assert len(indptr) == len(lists) + 1 == len(cc.cells(spec.r1)) + 1
+        assert indptr[0] == 0 and indptr[-1] == len(indices)
+        if spec.kind is NeighborhoodKind.INCIDENCE_UP:
+            assert cc.contains_lists(spec.r1, spec.r2) == lists
+        if spec.kind is NeighborhoodKind.INCIDENCE_DOWN:
+            assert cc.contained_lists(spec.r1, spec.r2) == lists
+        for i, verts in enumerate(cc.cells(spec.r1)[:cells_per_rank]):
+            row = tuple(indices[indptr[i] : indptr[i + 1]].tolist())
+            expected = tuple(
+                sorted(cc.cell_position(v, r) for v, r in brute_neighborhood(cc, spec, verts, spec.r1))
+            )
+            assert row == lists[i] == expected, (spec, verts)
 
 
 class TestMatrices:
@@ -307,7 +363,8 @@ class TestJson:
 
     def test_decode_rank_violation(self):
         doc = {"dimension": 2, "num_nodes": 3, "cells": [[], [[0, 1, 2]], [[0, 1]]]}
-        with pytest.raises(RankViolation):
+        message = "rank-2 cell (0, 1) is contained in rank-1 cell (0, 1, 2)"
+        with pytest.raises(RankViolation, match=re.escape(message)):
             decode_json(json.dumps(doc))
 
     def test_decode_omitted_rank0(self):
@@ -318,6 +375,10 @@ class TestJson:
         with pytest.raises(ParseError) as err:
             decode_json(b'{"dimension": 1,')
         assert "line" in str(err.value)
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ParseError):
+            decode_json(b"\xff{}")
 
     def test_non_increasing_cell_rejected(self):
         doc = {"dimension": 1, "num_nodes": 2, "cells": [[], [[1, 0]]]}

@@ -202,3 +202,31 @@ class TestAgainstBruteForce:
             assert fast == brute
             if expected is not None:
                 assert fast == expected
+
+    def test_first_violation_matches_definition(self):
+        """The reported cell and spec are the first failing ones in
+        skeleton-then-spec order, also when a later cell fails on degree."""
+        import random
+
+        from cckit.lifting import triangular_lift
+        from helpers import brute_first_failure, random_graph
+
+        rng = random.Random(11)
+        failing = 0
+        for _ in range(60):
+            cc = triangular_lift(random_graph(rng, rng.randint(3, 6), 0.6))
+            rows = []
+            for r in range(cc.dimension + 1):
+                row = list(range(len(cc.cells(r))))
+                rng.shuffle(row)
+                rows.append(tuple(row))
+            m = CellMap(cc, cc, tuple(rows))
+            violation = verify_covering(m)
+            first = brute_first_failure(m)
+            assert (violation is None) == (first is None)
+            if first is not None:
+                rank, i, spec = first
+                reported = (violation.cell_rank, violation.cell, violation.spec)
+                assert reported == (rank, cc.skeletons[rank][i], spec)
+                failing += 1
+        assert failing >= 30

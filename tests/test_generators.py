@@ -17,7 +17,7 @@ from cckit.generators import (
 from cckit.invariants import diameter
 from cckit.complex import adjacency, graph_as_cc
 
-from helpers import graph_automorphisms
+from helpers import graph_automorphisms, reference_torus
 
 
 def prod(xs):
@@ -51,6 +51,28 @@ class TestTorus:
 
         for p, q in [(3, 4), (3, 5), (4, 5)]:
             assert cc_isomorphic(torus((p, q)), torus((q, p))).isomorphic is True
+
+    @pytest.mark.parametrize("periods", [(3,), (7,), (3, 3), (4, 7), (6, 5), (3, 4, 5)])
+    def test_matches_cell_by_cell_reference(self, periods):
+        assert torus(periods) == reference_torus(periods)
+
+    def test_shared_while_held(self):
+        import gc
+
+        from cckit import generators
+        from cckit.generators import TorusParams
+
+        held = torus((7, 11))
+        assert torus((7, 11)) is held
+        assert torus(TorusParams((7, 11))) is held
+        del held
+        gc.collect()
+        assert (7, 11) not in generators._TORI
+
+    @pytest.mark.parametrize("periods", [(3.0, 4), (3, True), ("3", 4)])
+    def test_non_integer_periods(self, periods):
+        with pytest.raises(BadParams):
+            torus(periods)
 
     def test_revalidates(self):
         cc = torus((3, 4))

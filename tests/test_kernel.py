@@ -117,6 +117,7 @@ class TestInternRows:
 
 class TestPaddedGather:
     def test_joint_width_and_shift(self):
-        a, b = padded_gather([[(0, 2), ()], [(1,)]], [0, 10])
+        csrs = [(np.array([0, 2, 2]), np.array([0, 2])), (np.array([0, 1]), np.array([1]))]
+        a, b = padded_gather(csrs, [0, 10])
         assert a.tolist() == [[0, 2], [-1, -1]]
         assert b.tolist() == [[11, -1]]
