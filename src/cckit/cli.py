@@ -175,7 +175,13 @@ def _cmd_pool(args) -> int:
     if args.eta is None or args.eps is None:
         cc = mog_pool(g)  # automatically fine cover
     else:
-        cc = mog_pool(g, MogParams(Fraction(args.eta), Fraction(args.eps)))
+        try:
+            params = MogParams(Fraction(args.eta), Fraction(args.eps))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(
+                f"bad --eta {args.eta!r} or --eps {args.eps!r}; expected rationals such as 1/12"
+            ) from None
+        cc = mog_pool(g, params)
     sys.stdout.write(encode_json(cc).decode() + "\n")
     return 0
 
@@ -322,13 +328,21 @@ def _cmd_run_benchmark(args) -> int:
     records = bench.read_dataset(_read_input(args.dataset).splitlines())
     pairs = [(left, right) for left, right, _ in records]
     engines = [_parse_engine(name, None) for name in args.engines.split(",")]
-    reports = bench.run_benchmark(
-        pairs, engines, progress=lambda s: print(s, file=sys.stderr)
-    )
+    names = [engine.name for engine in engines]
     expectations = {}
     for item in args.expect or []:
         name, _, value = item.partition("=")
-        expectations[name] = int(value)
+        try:
+            expectations[name] = int(value)
+        except ValueError:
+            raise ParseError(f"bad --expect {item!r}; expected ENGINE=N") from None
+        if name not in names:  # reports carry these names, e.g. smcn:default
+            raise BadParams(
+                f"--expect names engine {name!r}, which does not run; engines: {', '.join(names)}"
+            )
+    reports = bench.run_benchmark(
+        pairs, engines, progress=lambda s: print(s, file=sys.stderr)
+    )
     status = 0
     for rep in reports:
         finite_rounds = [r for r in rep.rounds if r is not None]

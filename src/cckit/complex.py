@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,15 +130,6 @@ class SimpleGraph:
         canon = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return SimpleGraph(num_nodes, canon)
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def sorted_edges(self) -> list[Verts]:
         return sorted(self.edges)
 
@@ -194,7 +185,7 @@ def row_lengths(indptr: np.ndarray) -> np.ndarray:
     return indptr[1:] - indptr[:-1]
 
 
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
+def row_ids(indptr: np.ndarray) -> np.ndarray:
     """The row of every entry of a CSR."""
     return np.repeat(np.arange(len(indptr) - 1), row_lengths(indptr))
 
@@ -227,13 +218,13 @@ def _expand(csr: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _transpose(csr: Csr, n_cols: int) -> Csr:
     indptr, indices = csr
     order = np.argsort(indices, kind="stable")
-    return _csr(indices[order], _row_ids(indptr)[order], n_cols)
+    return _csr(indices[order], row_ids(indptr)[order], n_cols)
 
 
 def _pairs_within(groups: Csr, n: int) -> Csr:
     """The relation on 0..n-1 joining distinct members of a common group."""
     indptr, members = groups
-    pos, b = _expand(groups, _row_ids(indptr))
+    pos, b = _expand(groups, row_ids(indptr))
     a = members[pos]
     keys, _ = _runs((a * n + b)[a != b])
     rows = keys // n
@@ -403,7 +394,7 @@ class CombinatorialComplex:
         n_sup = self.skeleton_size(r_sup)
         # every (x, y) with y holding some vertex of x, once per shared vertex
         pos, y = _expand(self.neighbor_csr(incidence_up(0, r_sup)), sub_verts)
-        x = _row_ids(sub_ptr)[pos]
+        x = row_ids(sub_ptr)[pos]
         keys, shared = _runs(x * n_sup + y)
         rows = keys // n_sup
         inside = shared == row_lengths(sub_ptr)[rows]
@@ -515,7 +506,7 @@ def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
             if not len(low) or not len(high) or high.min() >= low.max():
                 continue
             indptr, sups = cc.neighbor_csr(incidence_up(r_high, r_low))
-            subs = _row_ids(indptr)
+            subs = row_ids(indptr)
             strict = np.flatnonzero(high[subs] < low[sups])
             if strict.size:
                 i, j = subs[strict[0]], sups[strict[0]]
@@ -560,12 +551,22 @@ def augmented_hasse_graph(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> S
     """Graph on skeleton r1 with edges given by a (co)adjacency function."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"augmented Hasse graph needs (co)adjacency, got {spec}")
-    n = cc.skeleton_size(spec.r1)
-    edges = set()
-    for i, nbrs in enumerate(cc.neighbor_lists(spec)):
-        for j in nbrs:
-            edges.add((min(i, j), max(i, j)))
-    return SimpleGraph(n, frozenset(edges))
+    indptr, nbrs = cc.neighbor_csr(spec)
+    rows = row_ids(indptr)
+    once = rows < nbrs  # the relation is symmetric: keep each edge once
+    return SimpleGraph(len(indptr) - 1, frozenset(zip(rows[once].tolist(), nbrs[once].tolist())))
+
+
+def hasse_edges(cc: CombinatorialComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Codimension-1 inclusions as (lower, upper) cell ids, numbering all
+    cells rank by rank."""
+    offsets = np.cumsum((0,) + cc.skeleton_sizes())
+    lower, upper = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for r in range(1, cc.dimension + 1):
+        indptr, subs = cc.neighbor_csr(incidence_down(r, r - 1))
+        lower.append(offsets[r - 1] + subs)
+        upper.append(offsets[r] + row_ids(indptr))
+    return np.concatenate(lower), np.concatenate(upper)
 
 
 def hasse_graph(cc: CombinatorialComplex) -> tuple[SimpleGraph, tuple[int, ...]]:
@@ -573,19 +574,10 @@ def hasse_graph(cc: CombinatorialComplex) -> tuple[SimpleGraph, tuple[int, ...]]
 
     Node order concatenates the skeletons rank by rank.
     """
-    offsets = []
-    total = 0
-    for r in range(cc.dimension + 1):
-        offsets.append(total)
-        total += len(cc.skeletons[r])
-    edges = set()
-    for r in range(1, cc.dimension + 1):
-        down = cc.contained_lists(r, r - 1)
-        for i, subs in enumerate(down):
-            for j in subs:
-                edges.add((offsets[r - 1] + j, offsets[r] + i))
-    ranks = tuple(r for r in range(cc.dimension + 1) for _ in cc.skeletons[r])
-    return SimpleGraph(total, frozenset(edges)), ranks
+    lower, upper = hasse_edges(cc)
+    sizes = cc.skeleton_sizes()
+    ranks = tuple(np.repeat(np.arange(len(sizes)), sizes).tolist())
+    return SimpleGraph(len(ranks), frozenset(zip(lower.tolist(), upper.tolist()))), ranks
 
 
 def disjoint_union(a: CombinatorialComplex, b: CombinatorialComplex) -> CombinatorialComplex:
@@ -693,70 +685,69 @@ def parse_edge_list(text: str) -> SimpleGraph:
 def parse_edge_list_blocks(text: str) -> list["SimpleGraph | ParseError"]:
     """Lenient block-wise parse: a bad block yields a ParseError entry and the
     scan resumes at the next block (the 'n m' header frames each block)."""
-    tokens: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            tokens.append((lineno, line))
-    out: list[SimpleGraph | ParseError] = []
-    pos = 0
-    while pos < len(tokens):
-        lineno, header = tokens[pos]
-        parts = header.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-            out.append(ParseError(f"line {lineno}: expected header 'n m', got {header!r}"))
-            break  # cannot resync without a frame length
-        n, m = int(parts[0]), int(parts[1])
-        if m < 0 or pos + 1 + m > len(tokens):
-            out.append(ParseError(f"line {lineno}: header 'n m' = {n} {m} inconsistent with input"))
-            break
-        block = "\n".join([header] + [t[1] for t in tokens[pos + 1 : pos + 1 + m]])
-        try:
-            out.append(parse_edge_list(block))
-        except ParseError as exc:
-            out.append(exc)
-        pos += 1 + m
-    return out
+    return list(_edge_list_blocks(text))
 
 
 def parse_edge_list_stream(text: str) -> list[SimpleGraph]:
-    """Parse one or more concatenated edge-list blocks."""
-    tokens: list[tuple[int, list[int]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            nums = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected integers, got {line!r}") from None
-        tokens.append((lineno, nums))
-
-    graphs: list[SimpleGraph] = []
-    pos = 0
-    while pos < len(tokens):
-        lineno, header = tokens[pos]
-        if len(header) != 2:
-            raise ParseError(f"line {lineno}: expected header 'n m', got {header}")
-        n, m = header
-        if n < 0 or m < 0 or pos + 1 + m > len(tokens):
-            raise ParseError(f"line {lineno}: header 'n m' = {n} {m} inconsistent with input")
-        edges = []
-        for lineno2, pair in tokens[pos + 1 : pos + 1 + m]:
-            if len(pair) != 2:
-                raise ParseError(f"line {lineno2}: expected edge 'u v', got {pair}")
-            u, v = pair
-            if u == v:
-                raise ParseError(f"line {lineno2}: self-loop {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"line {lineno2}: edge {u} {v} outside 0..{n - 1}")
-            edges.append((u, v))
-        try:
-            g = SimpleGraph.from_edges(n, edges)
-        except (OutOfRangeNode, ParseError) as exc:
-            raise ParseError(str(exc)) from exc
-        if len(g.edges) != m:
-            raise ParseError(f"line {lineno}: duplicate edges in block")
-        graphs.append(g)
-        pos += 1 + m
+    """Parse one or more concatenated edge-list blocks; raises the first error."""
+    graphs = []
+    for item in _edge_list_blocks(text):
+        if isinstance(item, ParseError):
+            raise item
+        graphs.append(item)
     return graphs
+
+
+def _edge_list_blocks(text: str) -> Iterator["SimpleGraph | ParseError"]:
+    """A graph or a ParseError per framed block, in order.
+
+    Each block is an 'n m' header and m edge lines; blank lines and '#'
+    comments are skipped.  An error inside a block keeps the frame, so the
+    scan resumes at the next header; a header that is not two integers, or
+    claims more lines than remain, ends the scan.
+    """
+    lines = [
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and not tokens[0].startswith("#")
+    ]
+    pos = 0
+    while pos < len(lines):
+        lineno, header = lines[pos]
+        try:
+            n, m = _int_row(lineno, header, "header 'n m'")
+            if m < 0 or pos + 1 + m > len(lines):
+                raise ParseError(f"line {lineno}: header 'n m' = {n} {m} inconsistent with input")
+        except ParseError as exc:
+            yield exc
+            return
+        block, pos = lines[pos + 1 : pos + 1 + m], pos + 1 + m
+        try:
+            yield _edge_block(lineno, n, block)
+        except ParseError as exc:
+            yield exc
+
+
+def _int_row(lineno: int, tokens: list[str], what: str) -> tuple[int, int]:
+    try:
+        a, b = (int(tok) for tok in tokens)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected {what}, got {' '.join(tokens)!r}") from None
+    return a, b
+
+
+def _edge_block(lineno: int, n: int, lines: list[tuple[int, list[str]]]) -> SimpleGraph:
+    if n < 0:
+        raise ParseError(f"line {lineno}: header 'n m' = {n} {len(lines)} inconsistent with input")
+    edges = []
+    for edge_lineno, tokens in lines:
+        u, v = _int_row(edge_lineno, tokens, "edge 'u v'")
+        if u == v:
+            raise ParseError(f"line {edge_lineno}: self-loop {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {edge_lineno}: edge {u} {v} outside 0..{n - 1}")
+        edges.append((u, v))
+    g = SimpleGraph.from_edges(n, edges)
+    if len(g.edges) != len(lines):
+        raise ParseError(f"line {lineno}: duplicate edges in block")
+    return g

@@ -1,9 +1,12 @@
 """Topological and metric invariants of a complex.
 
-Distances are plain ints with ``math.inf`` as the distinguished unreachable
-value, so infinities propagate through max/min arithmetic.  Homology is
-computed over GF(2): unsigned boundary matrices need no orientation data and
-the chain condition (boundary of boundary vanishes) stays checkable.
+Every distance comes from one all-sources BFS kernel (:func:`bfs_distances`,
+int64 with -1 for an unreachable node) and every component split from one
+labeling kernel (:func:`component_labels`).  At the public boundary distances
+are plain ints with ``math.inf`` as the distinguished unreachable value, so
+infinities propagate through max/min arithmetic.  Homology is computed over
+GF(2): unsigned boundary matrices need no orientation data and the chain
+condition (boundary of boundary vanishes) stays checkable.
 """
 
 from __future__ import annotations
@@ -12,18 +15,22 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .complex import (
     CombinatorialComplex,
+    Csr,
     NeighborhoodSpec,
     SimpleGraph,
     SparseBinaryMatrix,
-    augmented_hasse_graph,
-    hasse_graph,
+    hasse_edges,
     incidence_down,
     incidence_up,
+    padded_rows,
+    row_ids,
+    row_lengths,
 )
 from .errors import (
     CellWithoutFaces,
@@ -37,61 +44,78 @@ INFINITE = math.inf
 Distance = int | float
 
 
-def graph_components(g: SimpleGraph) -> list[int]:
-    """Component label per node, labels numbered by first appearance."""
-    labels = [-1] * g.num_nodes
-    adj = g.adjacency_lists()
-    comp = 0
-    for start in range(g.num_nodes):
-        if labels[start] != -1:
-            continue
-        labels[start] = comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if labels[v] == -1:
-                    labels[v] = comp
-                    queue.append(v)
-        comp += 1
-    return labels
+def bfs_distances(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hop distances between all nodes of the graph with edges (u[i], v[i]),
+    -1 where unreachable.  One frontier row per source advances at once, so
+    every temporary is n x n."""
+    adj = np.zeros((num_nodes, num_nodes), dtype=np.float32)
+    adj[u, v] = adj[v, u] = 1
+    dist = np.full((num_nodes, num_nodes), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(num_nodes, dtype=np.float32)
+    d = 0
+    while True:
+        reached = (frontier @ adj > 0) & (dist < 0)
+        if not reached.any():
+            return dist
+        d += 1
+        dist[reached] = d
+        frontier = reached.astype(np.float32)
+
+
+def component_labels(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component label per node of the graph with edges (u[i], v[i]),
+    numbered by first appearance.
+
+    Min-label propagation: every root adopts the smallest root across its
+    edges, then pointer jumping flattens the forest.  Pointers only decrease,
+    so each component ends with its smallest node as its one root.
+    """
+    label = np.arange(num_nodes)
+    while True:
+        while True:  # pointer jumping: every node points at its root
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+    # roots are the smallest nodes, so ascending roots is first-appearance order
+    return (np.cumsum(label == np.arange(num_nodes)) - 1)[label]
+
+
+def graph_edges(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints of a graph's edges as two int64 arrays."""
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
+    return ends[0::2], ends[1::2]
 
 
 def connected_components(cc: CombinatorialComplex) -> tuple[int, list[list[int]]]:
     """Component count of the Hasse graph plus a label per cell, per rank."""
-    g, _ranks = hasse_graph(cc)
-    labels = graph_components(g)
-    count = max(labels) + 1 if labels else 0
-    per_rank: list[list[int]] = []
-    pos = 0
-    for r in range(cc.dimension + 1):
-        n = len(cc.skeletons[r])
-        per_rank.append(labels[pos : pos + n])
-        pos += n
-    return count, per_rank
+    labels = component_labels(cc.num_cells(), *hasse_edges(cc))
+    bounds = np.cumsum((0,) + cc.skeleton_sizes()).tolist()
+    per_rank = [labels[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    return int(labels.max()) + 1, per_rank
 
 
-def graph_bfs(adj: list[list[int]], source: int) -> list[Distance]:
-    dist: list[Distance] = [INFINITE] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] == INFINITE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+def _metric(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> np.ndarray:
+    """Distances on skeleton r1 under a (co)adjacency, -1 where unreachable."""
+    indptr, nbrs = cc.neighbor_csr(spec)
+    return bfs_distances(len(indptr) - 1, row_ids(indptr), nbrs)
 
 
 def shortest_paths(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> list[list[Distance]]:
     """All-pairs BFS metric on the augmented Hasse graph of a (co)adjacency."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"shortest paths need a (co)adjacency spec, got {spec}")
-    g = augmented_hasse_graph(cc, spec)
-    adj = g.adjacency_lists()
-    return [graph_bfs(adj, s) for s in range(g.num_nodes)]
+    dist = _metric(cc, spec)
+    out = dist.astype(object)
+    out[dist < 0] = INFINITE
+    return out.tolist()
 
 
 def diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> Distance:
@@ -100,8 +124,20 @@ def diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> Distance:
         raise WrongKind(f"diameter needs a (co)adjacency spec, got {spec}")
     if not cc.cells(spec.r1):
         raise EmptySkeleton(f"skeleton {spec.r1} is empty")
-    dist = shortest_paths(cc, spec)
-    return max(max(row) for row in dist)
+    dist = _metric(cc, spec)
+    return INFINITE if (dist < 0).any() else int(dist.max())
+
+
+def nearest_face_distances(dist: np.ndarray, faces: Csr) -> np.ndarray:
+    """Distance from every source to the nearest face of every cell, by one
+    gather of the metric ``dist`` over the padded face rows; -1 marks an
+    unreachable node in ``dist`` and a cell with no reachable face here."""
+    n = len(dist)
+    far = np.where(dist < 0, n, dist)  # n exceeds every finite distance
+    far = np.column_stack((far, np.full(n, n)))  # the -1 pads read column n
+    nearest = far[:, padded_rows(faces)].min(axis=2)
+    nearest[nearest == n] = -1
+    return nearest
 
 
 def cross_diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec, k: int) -> Distance:
@@ -112,20 +148,14 @@ def cross_diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec, k: int) -> 
         raise EmptySkeleton(f"skeleton {spec.r1} is empty")
     if not cc.cells(k):
         raise EmptySkeleton(f"skeleton {k} is empty")
-    faces = cc.contained_lists(k, spec.r1)
-    for y, fs in enumerate(faces):
-        if not fs:
-            raise CellWithoutFaces(
-                f"rank-{k} cell {cc.skeletons[k][y]} has no rank-{spec.r1} faces"
-            )
-    dist = shortest_paths(cc, spec)
-    best: Distance = 0
-    for row in dist:
-        for fs in faces:
-            d = min(row[x] for x in fs)
-            if d > best:
-                best = d
-    return best
+    faces = cc.neighbor_csr(incidence_down(k, spec.r1))
+    bare = np.flatnonzero(row_lengths(faces[0]) == 0)
+    if bare.size:
+        raise CellWithoutFaces(
+            f"rank-{k} cell {cc.skeletons[k][bare[0]]} has no rank-{spec.r1} faces"
+        )
+    nearest = nearest_face_distances(_metric(cc, spec), faces)
+    return INFINITE if (nearest < 0).any() else int(nearest.max())
 
 
 def euler_characteristic(cc: CombinatorialComplex) -> int:
@@ -342,12 +372,9 @@ def boundary_edge_graph(cc: CombinatorialComplex) -> SimpleGraph:
 
 def cycle_lengths(g: SimpleGraph) -> list[int] | None:
     """Component sizes when the graph is a disjoint union of cycles, else None."""
-    adj = g.adjacency_lists()
-    active = [v for v in range(g.num_nodes) if adj[v]]
-    if any(len(adj[v]) != 2 for v in active):
+    u, v = graph_edges(g)
+    degree = np.bincount(np.concatenate((u, v)), minlength=g.num_nodes)
+    if ((degree != 0) & (degree != 2)).any():
         return None
-    labels = graph_components(g)
-    sizes: dict[int, int] = {}
-    for v in active:
-        sizes[labels[v]] = sizes.get(labels[v], 0) + 1
-    return sorted(sizes.values())
+    sizes = np.bincount(component_labels(g.num_nodes, u, v)[degree == 2])
+    return sorted(sizes[sizes > 0].tolist())

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CombinatorialComplex, Verts, build_cc, incidence_up, natural_specs
+from .complex import CombinatorialComplex, Verts, build_cc, incidence_up, natural_specs, row_ids
 from .covering import CellMap, first_spec_failure
 from .errors import MapNotWellDefined
+from .invariants import component_labels
 from .refinement import CellColors
 
 DEFAULT_BUDGET = 200_000
@@ -147,29 +148,11 @@ class _Search:
 
 def node_components(cc: CombinatorialComplex) -> list[int]:
     """Node labels under cells-share-a-vertex connectivity."""
-    parent = list(range(cc.num_nodes))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for r in range(1, cc.dimension + 1):
-        for verts in cc.skeletons[r]:
-            root = find(verts[0])
-            for v in verts[1:]:
-                rv = find(v)
-                if rv != root:
-                    parent[rv] = root
-    labels = [find(v) for v in range(cc.num_nodes)]
-    relabel: dict[int, int] = {}
-    out = []
-    for lbl in labels:
-        if lbl not in relabel:
-            relabel[lbl] = len(relabel)
-        out.append(relabel[lbl])
-    return out
+    # join every vertex to its cell's first vertex; rank 0 adds only self-loops
+    skeletons = [cc.skeleton_arrays(r) for r in range(cc.dimension + 1)]
+    firsts = np.concatenate([verts[indptr[:-1]][row_ids(indptr)] for indptr, verts in skeletons])
+    members = np.concatenate([verts for _, verts in skeletons])
+    return component_labels(cc.num_nodes, firsts, members).tolist()
 
 
 @dataclass(frozen=True)

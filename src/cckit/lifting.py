@@ -9,9 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
+import numpy as np
+
 from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc
 from .errors import BadParams, DegenerateCover
-from .invariants import graph_bfs, graph_components
+from .invariants import bfs_distances, component_labels, graph_edges
 
 Rational = Fraction | int
 
@@ -107,17 +109,10 @@ def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParam
 def avg_spd_lens(g: SimpleGraph) -> list[Fraction]:
     """Average shortest-path distance per node, exact; disconnected graphs
     average over the node's own component."""
-    adj = g.adjacency_lists()
-    comp = graph_components(g)
-    comp_sizes: dict[int, int] = {}
-    for c in comp:
-        comp_sizes[c] = comp_sizes.get(c, 0) + 1
-    values = []
-    for v in range(g.num_nodes):
-        dist = graph_bfs(adj, v)
-        total = sum(int(d) for d in dist if d != float("inf"))
-        values.append(Fraction(total, comp_sizes[comp[v]]))
-    return values
+    dist = bfs_distances(g.num_nodes, *graph_edges(g))
+    totals = np.where(dist < 0, 0, dist).sum(axis=1).tolist()
+    sizes = (dist >= 0).sum(axis=1).tolist()  # a node reaches its whole component
+    return [Fraction(t, c) for t, c in zip(totals, sizes)]
 
 
 def fine_cover_params(g: SimpleGraph) -> MogParams:
@@ -150,40 +145,26 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     lens = avg_spd_lens(g)
     eta, eps = params.eta, params.eps
 
-    # integer interval indices that can contain at least one lens value
-    index_set: set[int] = set()
-    for v in set(lens):
-        lo = (v - eps) / eta  # i > lo
-        hi = v / eta          # i < hi
-        i_min = floor(lo) + 1
-        i_max = ceil(hi) - 1
-        for i in range(i_min, i_max + 1):
-            if eta * i < v < eta * i + eps:
-                index_set.add(i)
+    # interval i = (eta*i, eta*i + eps) holds x exactly when (x - eps)/eta < i < x/eta
+    intervals: dict[int, list[int]] = {}
+    for node, x in enumerate(lens):
+        for i in range(floor((x - eps) / eta) + 1, ceil(x / eta)):
+            intervals.setdefault(i, []).append(node)
 
-    adj = g.adjacency_lists()
-    pooled: set[Verts] = set()
-    for i in sorted(index_set):
-        lo_v, hi_v = eta * i, eta * i + eps
-        members = [v for v in range(g.num_nodes) if lo_v < lens[v] < hi_v]
-        if not members:
-            continue
-        member_set = set(members)
-        seen: set[int] = set()
-        for start in members:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in member_set and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            if len(comp) > 1:
-                pooled.add(tuple(sorted(comp)))
+    # the preimages as one disjoint graph: node v of the k-th interval is
+    # k * n + v, and an edge stays in every interval holding both its ends
+    n = g.num_nodes
+    members = np.zeros((len(intervals), n), dtype=bool)
+    for row, nodes in zip(members, intervals.values()):
+        row[nodes] = True
+    u, v = graph_edges(g)
+    k, e = np.nonzero(members[:, u] & members[:, v])
+    labels = component_labels(members.size, k * n + u[e], k * n + v[e])
+    groups: dict[int, list[int]] = {}
+    flat = np.flatnonzero(members)  # ascending, so each group lists its nodes in order
+    for node, comp in zip(flat.tolist(), labels[flat].tolist()):
+        groups.setdefault(comp, []).append(node % n)
+    pooled = {tuple(group) for group in groups.values() if len(group) > 1}
 
     cells: list[tuple[Verts, int]] = [(e, 1) for e in g.sorted_edges()]
     cells.extend((verts, 2) for verts in sorted(pooled))

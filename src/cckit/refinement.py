@@ -35,10 +35,11 @@ from .complex import (
     incidence_up,
     natural_specs,
     padded_rows,
+    row_ids,
     row_lengths,
 )
 from .errors import MarkingUnsupported, PoolWithoutScl, RankOutOfRange
-from .invariants import shortest_paths
+from .invariants import nearest_face_distances, shortest_paths
 
 Hist = tuple[tuple[int, int], ...]
 
@@ -334,7 +335,7 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
     if marking == "binary":
         indptr, sups = cc.neighbor_csr(incidence_up(r1, r2))
         mark = np.zeros((n1, n2), dtype=np.int64)
-        mark[np.repeat(np.arange(n1), row_lengths(indptr)), sups] = 1
+        mark[row_ids(indptr), sups] = 1
         return mark
     if marking == "distance":
         if r1 != 0:
@@ -343,12 +344,10 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
             )
         if n2 == 0:
             return np.zeros((n1, 0), dtype=np.int64)
-        # distance to the nearest vertex of each r2-cell: one gather of the
-        # node metric over the padded vertex rows, whose -1 pads read inf
+        # distance from each node to the nearest vertex of each r2-cell
         dist = np.array(shortest_paths(cc, adjacency(0, 1)), dtype=np.float64)
-        dist = np.column_stack((dist, np.full(n1, np.inf)))
-        nearest = dist[:, padded_rows(cc.skeleton_arrays(r2))].min(axis=2)
-        return np.where(np.isinf(nearest), -1, nearest).astype(np.int64)
+        dist[np.isinf(dist)] = -1
+        return nearest_face_distances(dist.astype(np.int64), cc.skeleton_arrays(r2))
     raise MarkingUnsupported(f"unknown marking {marking!r}")
 
 

@@ -21,7 +21,7 @@ from cckit.complex import (
     incidence_up,
     natural_specs,
 )
-from cckit.invariants import INFINITE, shortest_paths
+from cckit.invariants import INFINITE
 from cckit.refinement import HompBlock, SclBlock
 
 
@@ -164,6 +164,17 @@ def brute_graph_distances(g: SimpleGraph, source: int) -> list[float]:
     return dist
 
 
+def brute_component_labels(g: SimpleGraph) -> list[int]:
+    """Component label per node, numbered by first appearance: the smallest
+    node each node reaches, per the BFS oracle."""
+    smallest = [
+        next(w for w, d in enumerate(brute_graph_distances(g, v)) if d != float("inf"))
+        for v in range(g.num_nodes)
+    ]
+    numbering: dict[int, int] = {}
+    return [numbering.setdefault(s, len(numbering)) for s in smallest]
+
+
 def graph_automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
     """All node permutations preserving the edge set (tiny graphs only)."""
     edges = g.edges
@@ -210,6 +221,15 @@ def random_graph(rng, num_nodes: int, edge_prob: float) -> SimpleGraph:
         if rng.random() < edge_prob
     ]
     return SimpleGraph.from_edges(num_nodes, edges)
+
+
+def random_split_graph(rng, max_nodes: int, edge_prob: float = 0.5) -> SimpleGraph:
+    """Two random graphs side by side (the second may be empty), so the
+    result is often disconnected and may hold isolated nodes."""
+    a = random_graph(rng, rng.randint(1, max_nodes), edge_prob)
+    b = random_graph(rng, rng.randint(0, max_nodes), edge_prob)
+    shifted = [(u + a.num_nodes, v + a.num_nodes) for u, v in b.edges]
+    return SimpleGraph.from_edges(a.num_nodes + b.num_nodes, [*a.edges, *shifted])
 
 
 def brute_first_failure(m):
@@ -273,11 +293,15 @@ def reference_torus(periods: tuple[int, ...]) -> CombinatorialComplex:
 
 def reference_marking(cc, r1: int, r2: int, marking: str) -> list[list[int]]:
     """Pair markings cell by cell: containment (binary), or the distance from
-    each node to the nearest vertex of each r2-cell, -1 when none is reachable."""
+    each node to the nearest vertex of each r2-cell, -1 when none is reachable,
+    on the graph joining the nodes of each rank-1 cell."""
     if marking == "binary":
         ups = cc.contains_lists(r1, r2)
         return [[int(y in ups[x]) for y in range(len(cc.cells(r2)))] for x in range(len(ups))]
-    dist = shortest_paths(cc, adjacency(0, 1))
+    node_graph = SimpleGraph.from_edges(
+        cc.num_nodes, [pair for verts in cc.cells(1) for pair in combinations(verts, 2)]
+    )
+    dist = [brute_graph_distances(node_graph, v) for v in range(cc.num_nodes)]
     mark = []
     for row in dist:
         nearest = [min(row[v] for v in verts) for verts in cc.cells(r2)]

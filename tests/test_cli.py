@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cckit import bench
 from cckit.cli import main
 from cckit.complex import decode_json, encode_json, parse_edge_list
 from cckit.covering import strip_covers
@@ -18,6 +19,15 @@ def run(capsys, *argv):
 def cyl_file(tmp_path):
     path = tmp_path / "cyl.json"
     path.write_bytes(encode_json(cylinder((3, 4))))
+    return str(path)
+
+
+@pytest.fixture()
+def dataset_file(tmp_path):
+    """The one torus pair on 18 nodes."""
+    path = tmp_path / "pairs.jsonl"
+    with open(path, "w") as fp:
+        bench.write_dataset(bench.gen_torus_dataset(bench.TorusDatasetSpec(18, 18, 3)), fp)
     return str(path)
 
 
@@ -314,3 +324,27 @@ class TestHostileInputs:
         path.write_text(json.dumps(self.cover_doc(7)))
         code, _, err = run(capsys, "verify-cover", str(path))
         self.assert_error_line(code, err)
+
+    @pytest.mark.parametrize("eta", ["abc", "1/0"])
+    def test_pool_eta_not_rational(self, capsys, tmp_path, eta):
+        path = tmp_path / "path.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        code, _, err = run(capsys, "pool", "--eta", eta, "--eps", "1/2", "-i", str(path))
+        self.assert_error_line(code, err)
+        assert "--eta" in err
+
+    @pytest.mark.parametrize("expect", ["homp=x", "nonsense"])
+    def test_expect_not_engine_count(self, capsys, dataset_file, expect):
+        code, _, err = run(
+            capsys, "run-benchmark", "--dataset", dataset_file, "--engines", "homp", "--expect", expect
+        )
+        self.assert_error_line(code, err)
+        assert "--expect" in err
+
+    def test_expect_names_engine_that_does_not_run(self, capsys, dataset_file):
+        # the smcn engine reports itself as smcn:default, so smcn=0 matches nothing
+        code, _, err = run(
+            capsys, "run-benchmark", "--dataset", dataset_file, "--engines", "smcn", "--expect", "smcn=0"
+        )
+        self.assert_error_line(code, err)
+        assert "smcn:default" in err

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cckit.complex import (
+    SimpleGraph,
     adjacency,
     build_cc,
     co_adjacency,
@@ -34,10 +36,18 @@ from cckit.invariants import (
     orientability_2d,
     shortest_paths,
 )
-from cckit.lifting import mog_pool, triangular_lift
+from cckit.iso import node_components
+from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 from cckit.generators import mog_example_pair
 
-from helpers import brute_betti, brute_graph_distances, random_graph, relabel_complex
+from helpers import (
+    brute_betti,
+    brute_component_labels,
+    brute_graph_distances,
+    random_graph,
+    random_split_graph,
+    relabel_complex,
+)
 
 FILLED_TRIANGLE = build_cc([((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 2)], 3)
 
@@ -50,6 +60,11 @@ def graphs(max_nodes=8, edge_prob=0.5):
         return random_graph(random.Random(seed), n, edge_prob)
 
     return build()
+
+
+def split_graphs(max_nodes=5):
+    """Random graphs, often disconnected: see helpers.random_split_graph."""
+    return st.integers(0, 10**6).map(lambda seed: random_split_graph(random.Random(seed), max_nodes))
 
 
 class TestComponents:
@@ -72,10 +87,30 @@ class TestComponents:
         for r in range(cc.dimension + 1):
             assert len(labels[r]) == len(cc.skeletons[r])
 
+    @settings(max_examples=40, deadline=None)
+    @given(split_graphs())
+    def test_matches_brute_force(self, g):
+        for cc in (graph_as_cc(g), cyclic_lift(g, 8), mog_pool(g)):
+            cells = [(set(verts), r) for r, sk in enumerate(cc.skeletons) for verts in sk]
+            hasse = SimpleGraph.from_edges(len(cells), [
+                (i, j)
+                for i, (x, rx) in enumerate(cells)
+                for j, (y, ry) in enumerate(cells)
+                if ry == rx + 1 and x <= y
+            ])
+            expected = brute_component_labels(hasse)
+            count, labels = connected_components(cc)
+            assert [c for per_rank in labels for c in per_rank] == expected
+            assert count == max(expected) + 1
+            sharing = SimpleGraph.from_edges(cc.num_nodes, [
+                pair for sk in cc.skeletons[1:] for verts in sk for pair in combinations(verts, 2)
+            ])
+            assert node_components(cc) == brute_component_labels(sharing)
+
 
 class TestShortestPaths:
     @settings(max_examples=30, deadline=None)
-    @given(graphs())
+    @given(split_graphs(max_nodes=8))
     def test_matches_bfs_oracle(self, g):
         cc = graph_as_cc(g)
         if cc.dimension == 0:
@@ -140,21 +175,18 @@ class TestCrossDiameter:
             cross_diameter(build_cc([((0, 1, 2), 2), ((3, 4), 1)], 5), adjacency(1, 2), 2)
 
     @settings(max_examples=40, deadline=None)
-    @given(graphs(max_nodes=8))
+    @given(split_graphs(max_nodes=8))
     def test_matches_brute_force_max_min(self, g):
-        from cckit.lifting import cyclic_lift
-
-        cc = cyclic_lift(g, 8)
-        if cc.dimension < 2:
-            return
-        got = cross_diameter(cc, adjacency(0, 1), 2)
         dists = [brute_graph_distances(g, v) for v in range(g.num_nodes)]
-        expected = max(
-            min(dists[x][v] for v in face)
-            for x in range(g.num_nodes)
-            for face in cc.skeletons[2]
-        )
-        assert got == expected
+        for cc in (cyclic_lift(g, 8), mog_pool(g)):
+            if cc.dimension < 2:
+                continue
+            expected = max(
+                min(dists[x][v] for v in face)
+                for x in range(g.num_nodes)
+                for face in cc.skeletons[2]
+            )
+            assert cross_diameter(cc, adjacency(0, 1), 2) == expected
 
 
 class TestEuler:

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from cckit.complex import disjoint_union, disjoint_union_all, graph_as_cc
 from cckit.generators import cylinder, moebius, mog_example_pair, star_graph, torus
-from cckit.lifting import mog_pool, triangular_lift
-from cckit.refinement import Engine, intern_rows, padded_gather, run_diagram
+from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
+from cckit.refinement import Engine, _marking_matrix, intern_rows, padded_gather, run_diagram
 
-from helpers import random_graph, reference_diagram
+from helpers import random_graph, reference_diagram, reference_marking
 
 
 def graphs(max_nodes=8, edge_prob=0.45):
@@ -97,6 +97,17 @@ def test_graph_partitions(engine, g, h):
     if engine == "smcn":  # its pair block needs edges
         assume(all(cc.dimension >= 1 for cc in ccs))
     assert_kernel_matches_reference(ccs, ENGINES[engine]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_distance_marking(g):
+    # cyclic lifts and pools give rank-2 cells of several widths, so the
+    # marking's gather over padded vertex rows meets its pads
+    for cc in (cyclic_lift(g, 8), mog_pool(g)):
+        for r2 in range(cc.dimension + 1):
+            mark = _marking_matrix(cc, 0, r2, "distance")
+            assert mark.tolist() == reference_marking(cc, 0, r2, "distance")
 
 
 class TestInternRows:

@@ -21,7 +21,7 @@ from cckit.lifting import (
 )
 from cckit.refinement import Engine, distinguish
 
-from helpers import brute_induced_cycles, random_graph
+from helpers import brute_graph_distances, brute_induced_cycles, random_graph, random_split_graph
 
 
 def graphs(max_nodes=8, edge_prob=0.5):
@@ -111,6 +111,16 @@ class TestLens:
             assert len({lens[v] for v in (0, 1, 4, 5)}) == 1
             assert len({lens[v] for v in (2, 3)}) == 1
             assert lens[0] != lens[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_brute_force(self, seed):
+        g = random_split_graph(random.Random(seed), 6)
+        expected = []
+        for v in range(g.num_nodes):
+            reached = [d for d in brute_graph_distances(g, v) if d != INFINITE]
+            expected.append(Fraction(sum(reached), len(reached)))
+        assert avg_spd_lens(g) == expected
 
     def test_disconnected_uses_component(self):
         g = SimpleGraph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
