@@ -107,15 +107,20 @@ def _distance_histogram(cc: CombinatorialComplex) -> tuple[tuple[str | int, int]
 
 
 def _pair_labels(
-    lp: TorusUnion, rp: TorusUnion, left: CombinatorialComplex, right: CombinatorialComplex
+    lp: TorusUnion,
+    rp: TorusUnion,
+    left: CombinatorialComplex,
+    right: CombinatorialComplex,
+    bettis: dict[TorusUnion, tuple[int, ...]],
 ) -> tuple[dict, ...]:
-    """Invariants separating the pair; recomputed from the complexes where cheap."""
+    """Invariants separating the pair; recomputed from the complexes where
+    cheap.  Betti numbers come from ``bettis``, one entry per union."""
     labels = []
     if len(lp) != len(rp):
         labels.append(
             {"kind": "components", "left": len(lp), "right": len(rp)}
         )
-    bl, br = tuple(betti_gf2(left)), tuple(betti_gf2(right))
+    bl, br = bettis[lp], bettis[rp]
     if bl != br:
         labels.append({"kind": "betti", "left": list(bl), "right": list(br)})
     dl, dr = _component_diameters(lp), _component_diameters(rp)
@@ -139,10 +144,12 @@ def gen_torus_dataset(spec: TorusDatasetSpec) -> list[LabeledPair]:
     """
     by_nodes = enumerate_torus_unions(spec)
     complexes: dict[TorusUnion, CombinatorialComplex] = {}
+    bettis: dict[TorusUnion, tuple[int, ...]] = {}
 
     def get(params: TorusUnion) -> CombinatorialComplex:
         if params not in complexes:
             complexes[params] = build_union(params)
+            bettis[params] = tuple(betti_gf2(complexes[params]))
         return complexes[params]
 
     pairs: list[LabeledPair] = []
@@ -153,7 +160,7 @@ def gen_torus_dataset(spec: TorusDatasetSpec) -> list[LabeledPair]:
                 left, right = get(lp), get(rp)
                 cert = torus_union_certificate(list(lp), list(rp))
                 assert cert is not None  # equal node counts by construction
-                labels = _pair_labels(lp, rp, left, right)
+                labels = _pair_labels(lp, rp, left, right, bettis)
                 if not labels:
                     raise CCError(
                         f"pair {lp} vs {rp} separated by no labeled invariant"

@@ -7,7 +7,9 @@ vertex set may appear at several ranks (pooling constructions need this).
 
 Complexes are immutable after construction; all queries are pure reads.
 Neighborhood structures are cached lazily on first use -- concurrent readers
-may duplicate that work but always observe identical results.
+may duplicate that work but always observe identical results.  The refinement
+traces that :func:`cckit.refinement.distinguish` keeps on a complex are the
+exception: calls that share a complex must not run concurrently.
 """
 
 from __future__ import annotations
@@ -271,6 +273,7 @@ class CombinatorialComplex:
         "_index",
         "_csr_cache",
         "_lists_cache",
+        "_traces",
         "__weakref__",
     )
 
@@ -287,6 +290,8 @@ class CombinatorialComplex:
         self._index: dict[tuple[Verts, int], int] | None = None
         self._csr_cache: dict[NeighborhoodSpec, Csr] = {}
         self._lists_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
+        # refinement traces by stages tuple; see cckit.refinement.distinguish
+        self._traces: dict = {}
 
     # -- basic queries -------------------------------------------------------
 

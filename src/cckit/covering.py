@@ -77,8 +77,8 @@ def cell_map_from_node_map(
 
     Vectorized per rank: the padded vertex rows go through the node map, are
     sorted and de-duplicated within each row, then matched against the target
-    rows by joint interning (target rows are distinct, so target row j gets
-    id j and an image row with any other id is no target cell).
+    rows by joint interning: an image row is target row j when it gets the id
+    of row j, and no target cell when its id is no target row's.
     """
     node_image = np.asarray(node_image, dtype=np.int64)
     if node_image.shape != (source.num_nodes,):
@@ -101,15 +101,18 @@ def cell_map_from_node_map(
         img = np.sort(img, axis=1)
         img[img == pad] = -1
         targets = padded_rows(target.skeleton_arrays(r))
-        (_, ids), _ = intern_rows([targets, img])
-        unmatched = np.flatnonzero(ids >= len(targets))
+        (target_ids, ids), k = intern_rows([targets, img])
+        cell_of = np.full(k, -1, dtype=np.int64)
+        cell_of[target_ids] = np.arange(len(targets))
+        images = cell_of[ids]
+        unmatched = np.flatnonzero(images < 0)
         if unmatched.size:
             i = unmatched[0]
             raise MapNotWellDefined(
                 f"image {tuple(int(v) for v in img[i] if v >= 0)} of rank-{r} cell "
                 f"{tuple(int(v) for v in rows[i] if v >= 0)} is not a target cell"
             )
-        assignment.append(ids)
+        assignment.append(images)
     return CellMap(source, target, tuple(assignment))
 
 

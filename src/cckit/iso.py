@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CombinatorialComplex, Verts, build_cc, incidence_up, natural_specs, row_ids
+# build_cc stays reachable as iso.build_cc: perfbench/tracing.py wraps that name
+from .complex import (  # noqa: F401
+    CombinatorialComplex,
+    build_cc,
+    incidence_up,
+    natural_specs,
+    row_ids,
+    row_lengths,
+)
 from .covering import CellMap, first_spec_failure
 from .errors import MapNotWellDefined
 from .invariants import component_labels
@@ -133,7 +141,7 @@ class _Search:
             if check_isomorphism(candidate) is None:
                 return candidate
             return None
-        # smallest non-singleton class; ids run by rank, then by first cell
+        # smallest non-singleton class, the lowest id (sorted-row order) on ties
         split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
         members = colors == split
         x = np.flatnonzero(members & in_a)[0]
@@ -148,11 +156,15 @@ class _Search:
 
 def node_components(cc: CombinatorialComplex) -> list[int]:
     """Node labels under cells-share-a-vertex connectivity."""
+    return _node_labels(cc).tolist()
+
+
+def _node_labels(cc: CombinatorialComplex) -> np.ndarray:
     # join every vertex to its cell's first vertex; rank 0 adds only self-loops
     skeletons = [cc.skeleton_arrays(r) for r in range(cc.dimension + 1)]
     firsts = np.concatenate([verts[indptr[:-1]][row_ids(indptr)] for indptr, verts in skeletons])
     members = np.concatenate([verts for _, verts in skeletons])
-    return component_labels(cc.num_nodes, firsts, members).tolist()
+    return component_labels(cc.num_nodes, firsts, members)
 
 
 @dataclass(frozen=True)
@@ -163,28 +175,46 @@ class _Component:
 
 
 def split_components(cc: CombinatorialComplex) -> list[_Component]:
-    labels = node_components(cc)
-    count = max(labels) + 1
+    """The node-connectivity components, as complexes sliced from the parent's
+    skeleton arrays.
+
+    A cell belongs to the component of its first vertex.  Stable sorts by
+    component keep each component's cells in parent order, and the vertex
+    renumbering preserves order within a component, so every slice is already
+    canonical and needs no re-validation.  Ranks past a component's top
+    non-empty rank are dropped from its complex.
+    """
+    labels = _node_labels(cc)
+    count = int(labels.max()) + 1
     if count == 1:
-        ident = tuple(
-            tuple(range(len(cc.skeletons[r]))) for r in range(cc.dimension + 1)
-        )
+        ident = tuple(tuple(range(cc.skeleton_size(r))) for r in range(cc.dimension + 1))
         return [_Component(cc, tuple(range(cc.num_nodes)), ident)]
+    nodes = np.argsort(labels, kind="stable")  # grouped by component, ascending within
+    node_starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=count))))
+    local = np.empty(cc.num_nodes, dtype=np.int64)
+    local[nodes] = np.arange(cc.num_nodes) - node_starts[labels[nodes]]
+    ranks = []  # per rank: parent cells by component, their indptr and local vertices
+    for r in range(cc.dimension + 1):
+        indptr, verts = cc.skeleton_arrays(r)
+        lengths = row_lengths(indptr)
+        comp = labels[verts[indptr[:-1]]]
+        cells = np.argsort(comp, kind="stable")
+        flat = local[verts[np.argsort(np.repeat(comp, lengths), kind="stable")]]
+        ptr = np.concatenate(([0], np.cumsum(lengths[cells])))
+        starts = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=count))))
+        ranks.append((cells, ptr, flat, starts))
     comps = []
-    for comp_id in range(count):
-        nodes = tuple(v for v in range(cc.num_nodes) if labels[v] == comp_id)
-        local = {v: i for i, v in enumerate(nodes)}
-        raw: list[tuple[Verts, int]] = []
-        parent_idx: list[list[int]] = [[] for _ in range(cc.dimension + 1)]
-        for r in range(cc.dimension + 1):
-            for i, verts in enumerate(cc.skeletons[r]):
-                if labels[verts[0]] == comp_id:
-                    raw.append((tuple(local[v] for v in verts), r))
-                    parent_idx[r].append(i)
-        sub = build_cc([c for c in raw if c[1] > 0], len(nodes))
-        # build_cc re-sorts, but relabeling preserves vertex order, so the
-        # local skeleton order matches the parent's restriction
-        comps.append(_Component(sub, nodes, tuple(tuple(p) for p in parent_idx)))
+    for c in range(count):
+        skeletons, parents = [], []
+        for cells, ptr, flat, starts in ranks:
+            lo, hi = starts[c], starts[c + 1]
+            skeletons.append((ptr[lo : hi + 1] - ptr[lo], flat[ptr[lo] : ptr[hi]]))
+            parents.append(tuple(cells[lo:hi].tolist()))
+        while len(skeletons[-1][0]) == 1:  # no cells at the top rank
+            skeletons.pop()
+        sub = CombinatorialComplex(int(node_starts[c + 1] - node_starts[c]), tuple(skeletons))
+        members = tuple(nodes[node_starts[c] : node_starts[c + 1]].tolist())
+        comps.append(_Component(sub, members, tuple(parents)))
     return comps
 
 

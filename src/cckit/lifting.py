@@ -122,7 +122,11 @@ def fine_cover_params(g: SimpleGraph) -> MogParams:
     lens values: eta < eps guarantees the intervals cover every value, and
     eps < gap keeps distinct values in distinct intervals.
     """
-    values = sorted(set(avg_spd_lens(g)))
+    return _fine_params(avg_spd_lens(g))
+
+
+def _fine_params(lens: list[Fraction]) -> MogParams:
+    values = sorted(set(lens))
     if len(values) >= 2:
         gap = min(b - a for a, b in zip(values, values[1:]))
     else:
@@ -140,9 +144,9 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     """
     if g.num_nodes == 0:
         raise BadParams("pooling needs a non-empty graph")
-    if params is None:
-        params = fine_cover_params(g)
     lens = avg_spd_lens(g)
+    if params is None:
+        params = _fine_params(lens)
     eta, eps = params.eta, params.eps
 
     # interval i = (eta*i, eta*i + eps) holds x exactly when (x - eps)/eta < i < x/eta

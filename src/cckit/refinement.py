@@ -5,10 +5,13 @@ Weisfeiler-Leman style refinement, and every update is one operation: a row
 per cell holding its old color and one sorted neighbor-color multiset per
 configured neighborhood function, numbered jointly across the complexes being
 compared (:func:`intern_rows`).  Equal ids mean equal rows, so the color
-histograms of different complexes are directly comparable.  Cell rounds gather
-neighbor colors through padded index matrices (:func:`padded_gather`); pair
-rounds and pooling build their rows over the pair space and intern them the
-same way.
+histograms of different complexes are directly comparable.  Ids follow the
+sorted order of the distinct rows, so they are canonical: a complex refined
+alone numbers the same rows the same way, which lets :func:`distinguish`
+refine each complex once and compare per-tick tables across its partners.
+Cell rounds gather neighbor colors through padded index matrices
+(:func:`padded_gather`); pair rounds and pooling build their rows over the
+pair space and intern them the same way.
 
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
@@ -20,6 +23,7 @@ refines with the same kernel, :class:`CellColors`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -120,10 +124,21 @@ def _hist(colors: np.ndarray) -> Hist:
 def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     """Number the rows of 2-D int blocks jointly: ids per block, class count.
 
-    Narrower blocks are padded with -1 on the right.  Ids follow the first
-    occurrence of each distinct row over the blocks in order.  Exact and
-    hash-free: a stable lexsort over the columns, then adjacent rows compared.
+    Narrower blocks are padded with -1 on the right.  Ids are canonical: the
+    distinct rows are numbered in lexicographic order, so a row's id depends
+    only on the set of distinct rows, not on where the rows occur.  Exact and
+    hash-free: a lexsort over the columns, then adjacent rows compared.
     """
+    ids, k, _ = _intern(blocks, tabulate=False)
+    return ids, k
+
+
+def _intern(
+    blocks: Sequence[np.ndarray], tabulate: bool
+) -> tuple[list[np.ndarray], int, tuple[bytes, bytes] | None]:
+    """intern_rows, plus the table of the rows when asked: the distinct rows
+    in id order and their counts, as bytes (compact copies that compare
+    exactly; the two lengths fix the row width)."""
     sizes = [len(b) for b in blocks]
     rows = np.full((sum(sizes), max(b.shape[1] for b in blocks)), -1, dtype=np.int64)
     pos = 0
@@ -134,12 +149,14 @@ def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     ordered = rows[order]
     leader = np.ones(len(rows), dtype=bool)
     leader[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    # the sort is stable, so each group's leader is its earliest row
-    renumber = np.empty(int(leader.sum()), dtype=np.int64)
-    renumber[np.argsort(order[leader])] = np.arange(len(renumber))
     ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = renumber[np.cumsum(leader) - 1]
-    return np.split(ids, np.cumsum(sizes)[:-1]), len(renumber)
+    ids[order] = np.cumsum(leader) - 1
+    starts = np.flatnonzero(leader)
+    table = None
+    if tabulate:
+        counts = row_lengths(np.append(starts, len(rows)))
+        table = (ordered[starts].tobytes(), counts.tobytes())
+    return np.split(ids, np.cumsum(sizes)[:-1]), len(starts), table
 
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
@@ -161,7 +178,8 @@ class CellColors:
 
     All cells sit in one array, rank by rank and within a rank complex by
     complex.  Initial colors are the ranks; every row starts with the old
-    color, so each color stays inside one rank.
+    color, so each color stays inside one rank.  With ``tabulate`` set, every
+    update keeps the table of the rows it interned in ``table``.
     """
 
     def __init__(self, ccs: Sequence[CombinatorialComplex], ell: int):
@@ -174,6 +192,8 @@ class CellColors:
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
         self.classes = len(np.unique(self.colors))
         self._gathers: dict[tuple[NeighborhoodSpec, ...], list] = {}
+        self.tabulate = False
+        self.table: tuple | None = None
 
     def span(self, ci: int, r: int) -> slice:
         """Positions of the rank-r cells of complex ci."""
@@ -193,10 +213,16 @@ class CellColors:
     def recolor(self, blocks: Sequence[np.ndarray]) -> bool:
         """New colors from the rows of blocks given in cell order; True when
         the partition got finer."""
-        ids, k = intern_rows(blocks)
+        ids, k = self.intern(blocks)
         changed = k > self.classes
         self.colors, self.classes = np.concatenate(ids), k
         return changed
+
+    def intern(self, blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+        """intern_rows, keeping the rows' table when tabulating."""
+        ids, k, table = _intern(blocks, self.tabulate)
+        self.table = table
+        return ids, k
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
         """One simultaneous update; returns False once the partition is stable."""
@@ -263,6 +289,16 @@ class _JointState(CellColors):
         """Comparable view per complex."""
         return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
 
+    def compact(self) -> None:
+        """Shrink a paused run: forget the gather matrices (the next round
+        rebuilds what it needs) and hold pair colors in the smallest integer
+        type that fits them (rounds widen them again)."""
+        self._gathers.clear()
+        for ps in self.pair_states:
+            ps.gathers = None
+            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
+            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
+
     # -- pair refinement --------------------------------------------------------
 
     def seed_pairs(self, block: SclBlock) -> _PairState:
@@ -273,14 +309,16 @@ class _JointState(CellColors):
             mark = _marking_matrix(cc, r1, r2, block.marking)
             marks.append(mark)
             rows.append(np.column_stack((c1.repeat(len(c2)), np.tile(c2, len(c1)), mark.ravel())))
-        ids, num_colors = intern_rows(rows)
+        ids, num_colors = self.intern(rows)
         mats = [i.reshape(mark.shape) for i, mark in zip(ids, marks)]
-        state = _PairState(r1, r2, mats, num_colors, _build_gathers(self.ccs, r1, r2, self.ell))
+        state = _PairState(r1, r2, mats, num_colors, None)
         self.pair_states.append(state)
         return state
 
     def scl_round(self, state: _PairState) -> bool:
         """One pair-space update; exact multiset encoding via padded sorting."""
+        if state.gathers is None:  # built on the first round: many runs end at the seed
+            state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
         blocks_per_cc = []
         for ci, cc in enumerate(self.ccs):
             C = state.mats[ci]
@@ -307,7 +345,7 @@ class _JointState(CellColors):
                     parts.append(np.broadcast_to(g[None, :, :], (n1, n2, g.shape[1])))
             sig = np.concatenate(parts, axis=2)
             blocks_per_cc.append(sig.reshape(n1 * n2, sig.shape[2]))
-        ids, num_colors = intern_rows(blocks_per_cc)
+        ids, num_colors = self.intern(blocks_per_cc)
         state.mats = [i.reshape(C.shape) for i, C in zip(ids, state.mats)]
         changed = num_colors > state.num_colors
         state.num_colors = num_colors
@@ -393,6 +431,12 @@ def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
                 raise RankOutOfRange("block rounds must be >= 1 or None")
 
 
+@lru_cache(maxsize=None)
+def _natural_specs(ell: int) -> tuple[NeighborhoodSpec, ...]:
+    """One shared tuple per dimension: every paused run keeps its specs."""
+    return tuple(natural_specs(ell))
+
+
 def run_diagram(
     ccs: Sequence[CombinatorialComplex],
     stages: Sequence[Stage],
@@ -409,9 +453,7 @@ def run_diagram(
     yield tick, state.snapshot(), state
     for st in stages:
         if isinstance(st, HompBlock):
-            specs = tuple(st.specs) if st.specs is not None else tuple(
-                natural_specs(state.ell)
-            )
+            specs = tuple(st.specs) if st.specs is not None else _natural_specs(state.ell)
             rounds = st.rounds if st.rounds is not None else total_cells + 1
             for k in range(rounds):
                 changed = state.cell_round(specs)
@@ -565,7 +607,10 @@ def distinguish(
     """Compare two complexes; report the earliest separating round.
 
     For refinement engines, "indistinguishable" certifies only the engine's
-    power; the oracle decides exact isomorphism.
+    power; the oracle decides exact isomorphism.  A complex compared under the
+    same stages for the second time gets a trace (:class:`_Trace`), so each
+    complex is refined once however many partners it meets; first comparisons
+    and pairs of unequal dimension run the two complexes jointly.
     """
     if engine.stages is None:
         from .iso import cc_isomorphic
@@ -574,7 +619,91 @@ def distinguish(
         if res.isomorphic is None:
             return Verdict(distinguished=False, round=None, engine="oracle:unknown")
         return Verdict(distinguished=not res.isomorphic, round=None, engine="oracle")
-    for tick, snaps, _state in run_diagram([a, b], engine.stages):
+    stages = engine.stages
+    _validate_stages([a, b], stages, max(a.dimension, b.dimension))
+    traces = _admitted_traces(a, b, stages)
+    if traces is not None:
+        return _compare_traces(a, b, stages, traces, engine.name)
+    for tick, snaps, _state in run_diagram([a, b], stages):
         if snaps[0] != snaps[1]:
             return Verdict(distinguished=True, round=tick, engine=engine.name)
     return Verdict(distinguished=False, round=None, engine=engine.name)
+
+
+class _Trace:
+    """One complex's run of one diagram, advanced tick by tick on demand.
+
+    ``tables[t]`` describes tick t: the skeleton sizes at tick 0, then the
+    table of the rows the tick's update interned (the cells, or the live pair
+    block): the distinct rows in id order and their counts.  Run alone,
+    a complex's ids are canonical (:func:`intern_rows`), so while two
+    complexes' tables agree their ids name the same rows and their next rows
+    are the same function of them.  Their tables at a tick then agree exactly
+    when the updated rows agree as multisets, which is when the snapshots of
+    their joint run agree; a larger neighborhood in one complex already
+    widens its rows.  Stopping rules (``rounds=None``) count classes, which
+    the tables fix, so both runs end at the same tick as long as they agree.
+    """
+
+    __slots__ = ("tables", "_run", "_state")
+
+    def __init__(self, cc: CombinatorialComplex, stages: tuple[Stage, ...]):
+        # through the module attribute, so a wrapped run_diagram sees the run
+        self._run = run_diagram([cc], stages)
+        self._state = next(self._run)[2]
+        self._state.tabulate = True
+        self.tables: list[tuple] = [cc.skeleton_sizes()]
+
+    def table(self, tick: int) -> tuple | None:
+        """The table of a tick; None once the diagram has ended before it."""
+        while len(self.tables) <= tick and self._run is not None:
+            step = next(self._run, None)
+            if step is None:
+                self._run = self._state = None  # the diagram ended: release its state
+            else:
+                self.tables.append(step[2].table)
+        return self.tables[tick] if tick < len(self.tables) else None
+
+    def suspend(self) -> None:
+        """Between comparisons, keep the colors in compact form: most traces
+        are never advanced again."""
+        if self._state is not None:
+            self._state.compact()
+
+
+def _admitted_traces(a, b, stages) -> tuple[_Trace, _Trace] | None:
+    """Both complexes' traces of the stages, once either complex has been
+    compared under them before and the dimensions agree; otherwise None, and
+    both complexes are marked as compared.  A complex compared once (every
+    pair of a one-to-one workload) thus never pays for a trace."""
+    try:
+        seen = stages in a._traces or stages in b._traces
+    except TypeError:  # unhashable stages (a spec list in a block) are not cached
+        return None
+    if not seen or a.dimension != b.dimension:
+        a._traces.setdefault(stages, None)
+        b._traces.setdefault(stages, None)
+        return None
+    for cc in (a, b):
+        if cc._traces.get(stages) is None:
+            cc._traces[stages] = _Trace(cc, stages)
+    return a._traces[stages], b._traces[stages]
+
+
+def _compare_traces(a, b, stages, traces: tuple[_Trace, _Trace], name: str) -> Verdict:
+    """The verdict of the joint run, from the first tick whose tables differ."""
+    ta, tb = traces
+    try:
+        tick = 0
+        while (x := ta.table(tick)) == (y := tb.table(tick)) and x is not None:
+            tick += 1
+    except BaseException:
+        # a run that raised is finished: drop both, so the next call raises again
+        a._traces.pop(stages, None)
+        b._traces.pop(stages, None)
+        raise
+    ta.suspend()
+    tb.suspend()
+    if x == y:  # both diagrams ended
+        return Verdict(distinguished=False, round=None, engine=name)
+    return Verdict(distinguished=True, round=tick, engine=name)

@@ -111,10 +111,17 @@ def test_distance_marking(g):
 
 
 class TestInternRows:
-    def test_joint_first_occurrence_ids(self):
+    def test_joint_sorted_order_ids(self):
+        # distinct rows numbered in lexicographic order; the pad -1 sorts first
         ids, k = intern_rows([np.array([[1, 2], [0, 5], [1, 2]]), np.array([[0], [1]])])
-        assert [i.tolist() for i in ids] == [[0, 1, 0], [2, 3]]
+        assert [i.tolist() for i in ids] == [[3, 1, 3], [0, 2]]
         assert k == 4
+
+    def test_ids_ignore_row_order_and_blocks(self):
+        rows = np.array([[4, 1], [0, 2], [4, 1], [3, 3]])
+        (whole,), _ = intern_rows([rows])
+        shuffled, _ = intern_rows([rows[[3, 1]], rows[[2, 0]]])
+        assert np.concatenate(shuffled).tolist() == whole[[3, 1, 2, 0]].tolist()
 
     def test_padding_does_not_merge_widths(self):
         # [7] padded to [7, -1] must differ from [7, 0]
