@@ -152,14 +152,6 @@ class SparseBinaryMatrix:
     def transpose(self) -> "SparseBinaryMatrix":
         return SparseBinaryMatrix(self.cols, self.rows, frozenset((j, i) for i, j in self.entries))
 
-    def to_dense(self):
-        import numpy as np
-
-        m = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, j in self.entries:
-            m[i, j] = 1
-        return m
-
 
 Csr = tuple[np.ndarray, np.ndarray]  # (indptr, indices), int64, read-only
 
@@ -544,12 +536,9 @@ def neighborhood(cc: CombinatorialComplex, spec: NeighborhoodSpec, x: Cell) -> s
 
 def neighborhood_matrix(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> SparseBinaryMatrix:
     """Matrix form of a neighborhood function, rows indexed by skeleton r1."""
-    n_rows = cc.skeleton_size(spec.r1)
-    n_cols = cc.skeleton_size(spec.target_rank)
-    entries = frozenset(
-        (i, j) for i, nbrs in enumerate(cc.neighbor_lists(spec)) for j in nbrs
-    )
-    return SparseBinaryMatrix(n_rows, n_cols, entries)
+    indptr, indices = cc.neighbor_csr(spec)
+    entries = frozenset(zip(row_ids(indptr).tolist(), indices.tolist()))
+    return SparseBinaryMatrix(len(indptr) - 1, cc.skeleton_size(spec.target_rank), entries)
 
 
 def augmented_hasse_graph(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> SimpleGraph:

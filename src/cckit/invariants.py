@@ -4,15 +4,21 @@ Every distance comes from one all-sources BFS kernel (:func:`bfs_distances`,
 int64 with -1 for an unreachable node) and every component split from one
 labeling kernel (:func:`component_labels`).  At the public boundary distances
 are plain ints with ``math.inf`` as the distinguished unreachable value, so
-infinities propagate through max/min arithmetic.  Homology is computed over
-GF(2): unsigned boundary matrices need no orientation data and the chain
-condition (boundary of boundary vanishes) stays checkable.
+infinities propagate through max/min arithmetic.
+
+Homology is computed over GF(2): unsigned boundaries need no orientation
+data and the chain condition (boundary of boundary vanishes) stays
+checkable.  The boundary d_r is the CSR ``incidence_down(r, r-1)``; the chain
+check counts the (r+1)-cell/(r-1)-face pairs it reaches through d_{r+1} and
+d_r, and the ranks come from a column reduction with clearing (Chen &
+Kerber, "Persistent homology computation with a twist", 2011).
+Orientability is the 2-colouring of a double cover of the (face, edge)
+incidences, read off :func:`component_labels`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -25,9 +31,13 @@ from .complex import (
     NeighborhoodSpec,
     SimpleGraph,
     SparseBinaryMatrix,
+    _csr,
+    _expand,
+    _runs,
     hasse_edges,
     incidence_down,
     incidence_up,
+    neighborhood_matrix,
     padded_rows,
     row_ids,
     row_lengths,
@@ -171,46 +181,27 @@ class BoundaryData:
     violation: tuple[int, int, int] | None  # (r, row in X_{r+1}, col in X_{r-1})
 
 
+def _chain_violation(cc: CombinatorialComplex) -> tuple[int, int, int] | None:
+    """The first (r, x, z) in row-major order where d_{r+1} d_r is nonzero:
+    the r-faces of (r+1)-cell x whose own faces include z number oddly."""
+    for r in range(1, cc.dimension):
+        indptr, faces = cc.neighbor_csr(incidence_down(r + 1, r))
+        pos, z = _expand(cc.neighbor_csr(incidence_down(r, r - 1)), faces)
+        n = cc.skeleton_size(r - 1)
+        keys, counts = _runs(row_ids(indptr)[pos] * n + z)
+        odd = keys[counts % 2 == 1]
+        if odd.size:
+            return r, int(odd[0] // n), int(odd[0] % n)
+    return None
+
+
 def boundary_matrices(cc: CombinatorialComplex) -> BoundaryData:
     """Unsigned boundary operators; reports whether they compose to zero."""
-    mats = []
-    for r in range(1, cc.dimension + 1):
-        down = cc.neighbor_lists(incidence_down(r, r - 1))
-        entries = frozenset((i, j) for i, subs in enumerate(down) for j in subs)
-        mats.append(SparseBinaryMatrix(len(cc.cells(r)), len(cc.cells(r - 1)), entries))
-    violation = None
-    for r in range(1, cc.dimension):
-        hi, lo = mats[r].to_dense(), mats[r - 1].to_dense()
-        comp = (hi.astype(np.int64) @ lo.astype(np.int64)) % 2
-        nz = np.argwhere(comp)
-        if len(nz):
-            violation = (r, int(nz[0][0]), int(nz[0][1]))
-            break
-    return BoundaryData(tuple(mats), violation is None, violation)
-
-
-def gf2_rank(m: np.ndarray) -> int:
-    """Gaussian elimination over GF(2) on a uint8 copy."""
-    a = (m % 2).astype(np.uint8).copy()
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for row in range(rank, rows):
-            if a[row, col]:
-                pivot = row
-                break
-        if pivot == -1:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        mask = a[:, col].copy()
-        mask[rank] = 0
-        a[mask == 1] ^= a[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    mats = tuple(
+        neighborhood_matrix(cc, incidence_down(r, r - 1)) for r in range(1, cc.dimension + 1)
+    )
+    violation = _chain_violation(cc)
+    return BoundaryData(mats, violation is None, violation)
 
 
 @dataclass(frozen=True)
@@ -222,20 +213,42 @@ class BettiVector:
 
 
 def betti_gf2(cc: CombinatorialComplex) -> BettiVector:
-    """Mod-2 Betti numbers b_r = dim ker d_r - rank d_{r+1}."""
-    data = boundary_matrices(cc)
-    if not data.is_chain_complex:
-        raise NotAChainComplex(
-            f"boundary composition nonzero at {data.violation}"
-        )
-    sizes = cc.skeleton_sizes()
+    """Mod-2 Betti numbers b_r = dim ker d_r - rank d_{r+1}.
+
+    Each rank of d_r comes from reducing the boundaries of the r-cells in
+    index order, every boundary a Python-int bitset over the (r-1)-cells with
+    pivots keyed by the highest bit.  Going from the top rank down, an r-cell
+    that is the pivot of a reduced boundary of d_{r+1} is skipped (clearing):
+    that boundary is a cycle with highest bit r-cell i, so the boundary of i
+    is a sum of earlier boundaries and would reduce to zero.
+    """
+    violation = _chain_violation(cc)
+    if violation is not None:
+        raise NotAChainComplex(f"boundary composition nonzero at {violation}")
     ranks = [0] * (cc.dimension + 2)  # ranks[r] = rank of d_r; d_0 and d_{l+1} are zero
-    for r in range(1, cc.dimension + 1):
-        ranks[r] = gf2_rank(data.matrices[r - 1].to_dense())
-    b = tuple(
-        (sizes[r] - ranks[r]) - ranks[r + 1] for r in range(cc.dimension + 1)
+    cleared: set[int] = set()
+    for r in range(cc.dimension, 0, -1):
+        indptr, faces = cc.neighbor_csr(incidence_down(r, r - 1))
+        flat, bounds = faces.tolist(), indptr.tolist()
+        pivots: dict[int, int] = {}
+        for i in range(len(bounds) - 1):
+            if i in cleared:
+                continue
+            row = 0
+            for j in flat[bounds[i] : bounds[i + 1]]:
+                row |= 1 << j
+            while row:
+                low = row.bit_length() - 1
+                if low not in pivots:
+                    pivots[low] = row
+                    break
+                row ^= pivots[low]
+        ranks[r] = len(pivots)
+        cleared = set(pivots)
+    sizes = cc.skeleton_sizes()
+    return BettiVector(
+        tuple((sizes[r] - ranks[r]) - ranks[r + 1] for r in range(cc.dimension + 1))
     )
-    return BettiVector(b)
 
 
 class Orientability(Enum):
@@ -247,127 +260,109 @@ class Orientability(Enum):
 @dataclass(frozen=True)
 class OrientabilityVerdict:
     verdict: Orientability
-    # NON_ORIENTABLE: sequence of 2-cell indices forming the odd flip cycle;
-    # NOT_A_SURFACE: (rank, index) of the offending cell.
+    # NON_ORIENTABLE: 2-cell indices of a closed walk, each sharing an edge with
+    # the next and the last with the first, that carries an orientation back
+    # reversed; NOT_A_SURFACE: (rank, index) of the offending cell.
     witness: tuple | None = None
-
-
-def _face_boundary_cycle(cc: CombinatorialComplex, face: int) -> list[int] | None:
-    """Vertices of a 2-cell's boundary in cyclic order, or None if not a polygon."""
-    verts = cc.skeletons[2][face]
-    edge_idx = cc.neighbor_lists(incidence_down(2, 1))[face]
-    edges = [cc.skeletons[1][e] for e in edge_idx]
-    if len(edges) != len(verts):
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        if u not in adj or v not in adj:
-            return None
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        return None
-    start = verts[0]
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-        if len(cycle) > len(verts):
-            return None
-    if len(cycle) != len(verts):
-        return None
-    return cycle
 
 
 def orientability_2d(cc: CombinatorialComplex) -> OrientabilityVerdict:
     """Decide if boundary-cycle directions of 2-cells can be made consistent.
 
     Requires every 1-cell to lie in at most two 2-cells and every 2-cell's
-    1-faces to form one cycle through its 0-faces; two faces sharing an edge
-    must traverse it in opposite directions.  Propagates orientations across
-    face adjacency and reports the first contradiction cycle.
+    1-faces to be vertex pairs forming one cycle through its 0-faces; two
+    faces sharing an edge must traverse it in opposite directions.  The
+    unknowns are the directions of the (face, edge) incidences, and each
+    constraint is a parity between two of them, so the complex is orientable
+    exactly when no incidence meets its own reversal in the double cover that
+    holds two copies (one per direction) of every incidence.
     """
     if cc.dimension < 2:
         raise DimensionTooLow(f"dimension {cc.dimension} < 2")
-    up = cc.neighbor_lists(incidence_up(1, 2))
-    for e, faces in enumerate(up):
-        if len(faces) > 2:
-            return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (1, e))
-    n_faces = len(cc.cells(2))
-    cycles: list[list[int]] = []
-    for f in range(n_faces):
-        cyc = _face_boundary_cycle(cc, f)
-        if cyc is None:
-            return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (2, f))
-        cycles.append(cyc)
+    up_ptr, _ = cc.neighbor_csr(incidence_up(1, 2))
+    crowded = np.flatnonzero(row_lengths(up_ptr) > 2)
+    if crowded.size:
+        return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (1, int(crowded[0])))
 
-    # direction of each boundary edge under the face's reference cycle
-    def edge_dir(f: int, u: int, v: int) -> bool:
-        """True when the reference cycle of f traverses u -> v."""
-        cyc = cycles[f]
-        i = cyc.index(u)
-        return cyc[(i + 1) % len(cyc)] == v
+    # slots are the (face, vertex) entries of the rank-2 skeleton; every pair
+    # 1-face hits the slots of its two ends, the smaller end first
+    face_ptr, face_verts = cc.skeleton_arrays(2)
+    edge_ptr, edge_verts = cc.skeleton_arrays(1)
+    down_ptr, down = cc.neighbor_csr(incidence_down(2, 1))
+    inc_face, slot_face = row_ids(down_ptr), row_ids(face_ptr)
+    is_pair = row_lengths(edge_ptr)[down] == 2
+    ends = edge_ptr[down[is_pair], None] + np.arange(2)
+    hit_keys = inc_face[is_pair, None] * cc.num_nodes + edge_verts[ends]
+    slots = np.searchsorted(slot_face * cc.num_nodes + face_verts, hit_keys)
+    hits = np.bincount(slots.ravel(), minlength=len(face_verts))
+    loops = component_labels(len(face_verts), slots[:, 0], slots[:, 1])
+    # with pair 1-faces only and two hits per slot, the 1-face count equals
+    # the vertex count, and one component makes the 1-faces one cycle
+    bad = np.zeros(len(face_ptr) - 1, dtype=bool)
+    bad[inc_face[~is_pair]] = True
+    bad[slot_face[hits != 2]] = True
+    bad[slot_face[loops != loops[face_ptr[:-1]][slot_face]]] = True
+    if bad.any():
+        return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (2, int(bad.argmax())))
 
-    # flip[f] in {0,1}; constraint per shared edge: faces must disagree in direction
-    flip = [-1] * n_faces
-    parent: list[tuple[int, int] | None] = [None] * n_faces
-    for root in range(n_faces):
-        if flip[root] != -1:
-            continue
-        flip[root] = 0
-        queue = deque([root])
-        while queue:
-            f = queue.popleft()
-            for e in cc.neighbor_lists(incidence_down(2, 1))[f]:
-                faces = up[e]
-                if len(faces) != 2:
-                    continue
-                g = faces[0] if faces[1] == f else faces[1]
-                if g == f:
-                    continue
-                u, v = cc.skeletons[1][e]
-                same_dir = edge_dir(f, u, v) == edge_dir(g, u, v)
-                needed = flip[f] ^ (1 if same_dir else 0)
-                if flip[g] == -1:
-                    flip[g] = needed
-                    parent[g] = (f, e)
-                    queue.append(g)
-                elif flip[g] != needed:
-                    witness = _flip_cycle(parent, f, g)
-                    return OrientabilityVerdict(
-                        Orientability.NON_ORIENTABLE, tuple(witness)
-                    )
-    return OrientabilityVerdict(Orientability.ORIENTABLE)
+    # copy c of incidence k is cover node k + c * m, c the direction in which
+    # the face runs along the edge (1 from the smaller end); at a slot the two
+    # incidences differ by 1 xor [slot is the smaller end of one] xor
+    # [... of the other], and the two incidences of a shared edge differ by 1
+    m = len(down)
+    at_slot = np.argsort(slots.ravel(), kind="stable").reshape(-1, 2)  # hit 2k + end
+    smaller = at_slot % 2 == 0
+    by_edge = np.argsort(down, kind="stable")
+    shared = by_edge[row_lengths(up_ptr)[down[by_edge]] == 2].reshape(-1, 2)
+    a = np.concatenate((at_slot[:, 0] // 2, shared[:, 0]))
+    b = np.concatenate((at_slot[:, 1] // 2, shared[:, 1]))
+    flip = np.concatenate((1 ^ smaller[:, 0] ^ smaller[:, 1], np.ones(len(shared), dtype=np.int64)))
+    u = np.concatenate((a, a + m))
+    v = np.concatenate((b + flip * m, b + (1 - flip) * m))
+    labels = component_labels(2 * m, u, v)
+    twisted = np.flatnonzero(labels[:m] == labels[m:])
+    if not twisted.size:
+        return OrientabilityVerdict(Orientability.ORIENTABLE)
+    start = int(twisted[0])
+    path = _shortest_path(u, v, 2 * m, start, start + m)
+    faces = inc_face[path % m]
+    walk = faces[np.append(True, faces[1:] != faces[:-1])][:-1]  # ends where it began
+    return OrientabilityVerdict(Orientability.NON_ORIENTABLE, tuple(walk.tolist()))
 
 
-def _flip_cycle(parent: list, f: int, g: int) -> list[int]:
-    """Face path from f and g back to their common ancestor, as one cycle."""
-    anc_f = [f]
-    while parent[anc_f[-1]] is not None:
-        anc_f.append(parent[anc_f[-1]][0])
-    anc_g = [g]
-    seen = set(anc_f)
-    while anc_g[-1] not in seen and parent[anc_g[-1]] is not None:
-        anc_g.append(parent[anc_g[-1]][0])
-    join = anc_g[-1]
-    path_f = anc_f[: anc_f.index(join) + 1]
-    return path_f + anc_g[-2::-1]
+def _shortest_path(u: np.ndarray, v: np.ndarray, n: int, start: int, goal: int) -> np.ndarray:
+    """Nodes of a shortest path from start to goal in the graph with edges
+    (u[i], v[i]), by breadth-first search; goal must be reachable."""
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(src, kind="stable")
+    arcs = _csr(src[order], dst[order], n)
+    parent = np.full(n, -1)
+    parent[start] = start
+    frontier = np.array([start])
+    while parent[goal] < 0:
+        pos, nxt = _expand(arcs, frontier)
+        fresh = parent[nxt] < 0
+        parent[nxt[fresh]] = frontier[pos[fresh]]
+        frontier = np.unique(nxt[fresh])
+    path = [goal]
+    while path[-1] != start:
+        path.append(int(parent[path[-1]]))
+    return np.array(path[::-1])
 
 
 def boundary_edge_graph(cc: CombinatorialComplex) -> SimpleGraph:
     """Graph of the 1-cells lying in exactly one 2-cell, on the original nodes."""
     if cc.dimension < 2:
         raise DimensionTooLow(f"dimension {cc.dimension} < 2")
-    up = cc.neighbor_lists(incidence_up(1, 2))
-    edges = [
-        cc.skeletons[1][e] for e, faces in enumerate(up) if len(faces) == 1
-    ]
-    return SimpleGraph.from_edges(cc.num_nodes, edges)
+    indptr, verts = cc.skeleton_arrays(1)
+    boundary = row_lengths(cc.neighbor_csr(incidence_up(1, 2))[0]) == 1
+    not_pair = np.flatnonzero(boundary & (row_lengths(indptr) != 2))
+    if not_pair.size:
+        raise WrongKind(
+            f"boundary rank-1 cell {cc.skeletons[1][not_pair[0]]} is not a vertex pair"
+        )
+    starts = indptr[:-1][boundary]
+    return SimpleGraph(cc.num_nodes, frozenset(zip(verts[starts].tolist(), verts[starts + 1].tolist())))
 
 
 def cycle_lengths(g: SimpleGraph) -> list[int] | None:

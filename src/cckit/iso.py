@@ -171,7 +171,7 @@ def _node_labels(cc: CombinatorialComplex) -> np.ndarray:
 class _Component:
     complex: CombinatorialComplex
     nodes: tuple[int, ...]                      # parent node ids, sorted
-    cell_parent: tuple[tuple[int, ...], ...]    # per rank, local -> parent index
+    cell_parent: tuple[np.ndarray, ...]         # per rank, local -> parent index
 
 
 def split_components(cc: CombinatorialComplex) -> list[_Component]:
@@ -187,7 +187,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
     labels = _node_labels(cc)
     count = int(labels.max()) + 1
     if count == 1:
-        ident = tuple(tuple(range(cc.skeleton_size(r))) for r in range(cc.dimension + 1))
+        ident = tuple(np.arange(cc.skeleton_size(r)) for r in range(cc.dimension + 1))
         return [_Component(cc, tuple(range(cc.num_nodes)), ident)]
     nodes = np.argsort(labels, kind="stable")  # grouped by component, ascending within
     node_starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=count))))
@@ -209,7 +209,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
         for cells, ptr, flat, starts in ranks:
             lo, hi = starts[c], starts[c + 1]
             skeletons.append((ptr[lo : hi + 1] - ptr[lo], flat[ptr[lo] : ptr[hi]]))
-            parents.append(tuple(cells[lo:hi].tolist()))
+            parents.append(cells[lo:hi])
         while len(skeletons[-1][0]) == 1:  # no cells at the top rank
             skeletons.pop()
         sub = CombinatorialComplex(int(node_starts[c + 1] - node_starts[c]), tuple(skeletons))
@@ -293,11 +293,10 @@ def _match_components(comps_a, comps_b, counter):
 
 
 def _assemble_witness(a, b, comps_a, comps_b, matching) -> CellMap:
-    assignment = [[0] * len(a.skeletons[r]) for r in range(a.dimension + 1)]
+    images = [np.zeros(a.skeleton_size(r), dtype=np.int64) for r in range(a.dimension + 1)]
     for i, j, w in matching:
-        ca, cb = comps_a[i], comps_b[j]
-        for r in range(a.dimension + 1):
-            row = w.assignment[r] if r < len(w.assignment) else ()
-            for local_i, local_j in enumerate(row):
-                assignment[r][ca.cell_parent[r][local_i]] = cb.cell_parent[r][local_j]
-    return CellMap(a, b, tuple(tuple(row) for row in assignment))
+        parent_a, parent_b = comps_a[i].cell_parent, comps_b[j].cell_parent
+        # a component's map stops at its own top rank, above which it has no cells
+        for r, row in enumerate(w.images):
+            images[r][parent_a[r]] = parent_b[r][row]
+    return CellMap(a, b, tuple(images))

@@ -21,7 +21,7 @@ from cckit.complex import (
     incidence_up,
     natural_specs,
 )
-from cckit.invariants import INFINITE
+from cckit.invariants import INFINITE, Orientability, OrientabilityVerdict
 from cckit.refinement import HompBlock, SclBlock
 
 
@@ -124,22 +124,134 @@ def gf2_rank_lists(rows: list[list[int]]) -> int:
     return rank
 
 
+def brute_boundary_rows(cc: CombinatorialComplex, r: int) -> list[list[int]]:
+    """d_r as dense 0/1 rows: entry (i, j) is 1 when rank-r cell i contains
+    rank-(r-1) cell j."""
+    lower = [set(sub) for sub in cc.skeletons[r - 1]]
+    return [[int(sub <= set(verts)) for sub in lower] for verts in cc.skeletons[r]]
+
+
 def brute_betti(cc: CombinatorialComplex) -> tuple[int, ...]:
     """Betti numbers from independently built boundary matrices."""
     sizes = cc.skeleton_sizes()
     ranks = [0] * (cc.dimension + 2)
     for r in range(1, cc.dimension + 1):
-        lower = {v: i for i, v in enumerate(cc.skeletons[r - 1])}
-        rows = []
-        for verts in cc.skeletons[r]:
-            vset = set(verts)
-            row = [0] * sizes[r - 1]
-            for sub, j in lower.items():
-                if set(sub) <= vset:
-                    row[j] = 1
-            rows.append(row)
+        rows = brute_boundary_rows(cc, r)
         ranks[r] = gf2_rank_lists(rows) if rows else 0
     return tuple((sizes[r] - ranks[r]) - ranks[r + 1] for r in range(cc.dimension + 1))
+
+
+def brute_chain_violation(cc: CombinatorialComplex) -> tuple[int, int, int] | None:
+    """The first (r, row, col) in row-major order where the dense product
+    d_{r+1} d_r is odd, or None for a chain complex."""
+    for r in range(1, cc.dimension):
+        hi, lo = brute_boundary_rows(cc, r + 1), brute_boundary_rows(cc, r)
+        for x, row in enumerate(hi):
+            for z in range(len(cc.skeletons[r - 1])):
+                if sum(row[y] * lo[y][z] for y in range(len(lo))) % 2:
+                    return r, x, z
+    return None
+
+
+def reference_face_cycles(cc: CombinatorialComplex) -> list[list[int] | None]:
+    """Vertices of every 2-cell in boundary-cycle order, walked face by face;
+    None where the 1-faces are not vertex pairs forming one cycle through
+    the face's vertices."""
+    cycles = []
+    for verts in cc.skeletons[2]:
+        edges = [e for e in cc.skeletons[1] if set(e) <= set(verts)]
+        if len(edges) != len(verts) or any(len(e) != 2 for e in edges):
+            cycles.append(None)
+            continue
+        adj: dict[int, list[int]] = {v: [] for v in verts}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        if any(len(nbrs) != 2 for nbrs in adj.values()):
+            cycles.append(None)
+            continue
+        cycle, prev = [verts[0]], None
+        while True:
+            a, b = adj[cycle[-1]]
+            nxt = b if a == prev else a
+            if nxt == verts[0]:
+                break
+            prev = cycle[-1]
+            cycle.append(nxt)
+        cycles.append(cycle if len(cycle) == len(verts) else None)
+    return cycles
+
+
+def _traverses(cycle: list[int], u: int, v: int) -> bool:
+    """True when the cyclic vertex order steps from u to v."""
+    return cycle[(cycle.index(u) + 1) % len(cycle)] == v
+
+
+def reference_orientability(cc: CombinatorialComplex) -> OrientabilityVerdict:
+    """Orientability by propagating flips face by face across shared edges.
+
+    NOT_A_SURFACE witnesses are the library's: the first 1-cell in more than
+    two faces, else the first face without a boundary cycle.  A
+    NON_ORIENTABLE verdict carries no witness here.
+    """
+    faces = [set(verts) for verts in cc.skeletons[2]]
+    faces_of = [[f for f, verts in enumerate(faces) if set(e) <= verts] for e in cc.skeletons[1]]
+    for e, around in enumerate(faces_of):
+        if len(around) > 2:
+            return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (1, e))
+    cycles = reference_face_cycles(cc)
+    for f, cycle in enumerate(cycles):
+        if cycle is None:
+            return OrientabilityVerdict(Orientability.NOT_A_SURFACE, (2, f))
+    flip: list[int | None] = [None] * len(faces)
+    for root in range(len(faces)):
+        if flip[root] is not None:
+            continue
+        flip[root] = 0
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for e, around in enumerate(faces_of):
+                if len(around) != 2 or f not in around:
+                    continue
+                g = around[0] if around[1] == f else around[1]
+                u, v = cc.skeletons[1][e]
+                needed = flip[f] ^ (_traverses(cycles[f], u, v) == _traverses(cycles[g], u, v))
+                if flip[g] is None:
+                    flip[g] = needed
+                    stack.append(g)
+                elif flip[g] != needed:
+                    return OrientabilityVerdict(Orientability.NON_ORIENTABLE)
+    return OrientabilityVerdict(Orientability.ORIENTABLE)
+
+
+def reverses_orientation(cc: CombinatorialComplex, cycles, walk: tuple[int, ...]) -> bool:
+    """Whether a closed face walk, each face sharing an edge with the next and
+    the last with the first, carries an orientation back reversed.
+
+    Crossing edge (u, v) from face f to face g keeps the reference cycles'
+    orientations compatible exactly when the two cycles traverse (u, v) in
+    opposite directions; where consecutive faces share several edges, any of
+    them may be the one crossed.
+    """
+    parities = {0}
+    for f, g in zip(walk, walk[1:] + walk[:1]):
+        both = set(cc.skeletons[2][f]) & set(cc.skeletons[2][g])
+        shared = [e for e in cc.skeletons[1] if set(e) <= both]
+        if f == g or not shared:
+            return False
+        steps = {int(_traverses(cycles[f], u, v) == _traverses(cycles[g], u, v)) for u, v in shared}
+        parities = {p ^ q for p in parities for q in steps}
+    return 1 in parities
+
+
+def brute_boundary_edges(cc: CombinatorialComplex) -> set[tuple[int, ...]]:
+    """The 1-cells lying in exactly one 2-cell."""
+    return {
+        e
+        for e in cc.skeletons[1]
+        if sum(set(e) <= set(verts) for verts in cc.skeletons[2]) == 1
+    }
 
 
 def brute_graph_distances(g: SimpleGraph, source: int) -> list[float]:

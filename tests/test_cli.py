@@ -293,6 +293,20 @@ class TestHostileInputs:
         code, _, err = run(capsys, "invariants", str(path))
         self.assert_error_line(code, err)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dimension": 2, "num_nodes": 4, "cells": [None, [[0, 1], [0, 1, 3], [1, 2], [2, 3]], [[0, 1, 2, 3]]]},
+            {"dimension": 2, "num_nodes": 3, "cells": [None, [[0, 1, 2]], [[0, 1, 2]]]},
+        ],
+    )
+    def test_boundary_cell_not_vertex_pair(self, capsys, tmp_path, doc):
+        path = tmp_path / "cc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "invariants", str(path))
+        self.assert_error_line(code, err)
+        assert "not a vertex pair" in err
+
     def test_missing_cover_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-cover", str(tmp_path / "missing.json"))
         self.assert_error_line(code, err)

@@ -42,14 +42,25 @@ from cckit.generators import mog_example_pair
 
 from helpers import (
     brute_betti,
+    brute_boundary_edges,
+    brute_boundary_rows,
+    brute_chain_violation,
     brute_component_labels,
     brute_graph_distances,
     random_graph,
     random_split_graph,
+    reference_face_cycles,
+    reference_orientability,
     relabel_complex,
+    reverses_orientation,
 )
 
 FILLED_TRIANGLE = build_cc([((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 2)], 3)
+
+# a 2-cell whose 1-faces include the non-pair (0, 1, 3), alone in that face
+NON_PAIR_FACE = build_cc(
+    [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 1, 3), 1), ((0, 1, 2, 3), 2)], 4
+)
 
 
 def graphs(max_nodes=8, edge_prob=0.5):
@@ -60,6 +71,53 @@ def graphs(max_nodes=8, edge_prob=0.5):
         return random_graph(random.Random(seed), n, edge_prob)
 
     return build()
+
+
+def extra_cell_complexes():
+    """Cyclic lifts of random graphs plus rank-2 cells over arbitrary vertex
+    subsets and, at times, the whole vertex set at rank 3: most of them
+    violate the chain condition somewhere."""
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        g = random_graph(rng, rng.randint(3, 7), 0.5)
+        n = g.num_nodes
+        cells = {(verts, r) for r, sk in enumerate(cyclic_lift(g, 6).skeletons) if r for verts in sk}
+        for _ in range(rng.randint(1, 4)):
+            cells.add((tuple(sorted(rng.sample(range(n), rng.randint(2, n)))), 2))
+        if rng.random() < 0.4:
+            cells.add((tuple(range(n)), 3))
+        return build_cc(sorted(cells), n)
+
+    return build()
+
+
+def surface_corpus():
+    """Strips, tori, relabelings, lifts, pools, strip/torus unions and
+    complexes whose 1-faces or 2-skeleton break the surface conditions."""
+    rng = random.Random(7)
+    strips = [f((h, p)) for h in range(3, 7) for p in range(3, 9) for f in (cylinder, moebius)]
+    tori = [torus(periods) for periods in [(3, 3), (3, 4), (4, 5), (3, 3, 3)]]
+    relabeled = [
+        relabel_complex(cc, rng.sample(range(cc.num_nodes), cc.num_nodes))
+        for cc in strips[::5] + tori
+    ]
+    unions = [disjoint_union(a, b) for a in strips[:4] for b in tori[:2]]
+    unions.append(disjoint_union(moebius((3, 4)), moebius((3, 5))))
+    lifts = []
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(3, 9), 0.5)
+        lifts += [c for c in (triangular_lift(g), cyclic_lift(g, 8), mog_pool(g)) if c.dimension >= 2]
+    odd = [
+        NON_PAIR_FACE,
+        build_cc([((0, 1, 2), 1), ((0, 1, 2), 2)], 3),
+        # a square whose pair 1-faces form its cycle, plus the 1-cell (0, 1, 2)
+        build_cc([((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 3), 1), ((0, 1, 2), 1),
+                  ((0, 1, 2, 3), 2)], 4),
+        build_cc([((0, 1), 1), ((0, 1, 2), 3)], 3),  # no 2-cells at all
+    ]
+    return strips + tori + relabeled + unions + lifts + odd
 
 
 def split_graphs(max_nodes=5):
@@ -222,6 +280,22 @@ class TestBoundaries:
     def test_filled_triangle_chain(self):
         assert boundary_matrices(FILLED_TRIANGLE).is_chain_complex
 
+    @settings(max_examples=60, deadline=None)
+    @given(extra_cell_complexes())
+    def test_matches_dense_product(self, cc):
+        data = boundary_matrices(cc)
+        for r, mat in enumerate(data.matrices, start=1):
+            rows = brute_boundary_rows(cc, r)
+            assert (mat.rows, mat.cols) == (len(cc.cells(r)), len(cc.cells(r - 1)))
+            assert mat.entries == {(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        assert data.violation == brute_chain_violation(cc)
+        assert data.is_chain_complex == (data.violation is None)
+        if data.is_chain_complex:
+            assert tuple(betti_gf2(cc)) == brute_betti(cc)
+        else:
+            with pytest.raises(NotAChainComplex):
+                betti_gf2(cc)
+
     def test_mog_cell_breaks_chain(self):
         # a 2-cell with a single edge face has nonzero boundary-of-boundary
         cc = build_cc([((0, 1), 1), ((0, 1), 2)], 2)
@@ -249,8 +323,10 @@ class TestBetti:
     @settings(max_examples=25, deadline=None)
     @given(graphs())
     def test_oracle_agreement_on_lifts(self, g):
-        cc = triangular_lift(g)
-        assert tuple(betti_gf2(cc)) == brute_betti(cc)
+        # pools hold rank-2 cells of several widths
+        for cc in (triangular_lift(g), cyclic_lift(g, 8), mog_pool(g)):
+            if boundary_matrices(cc).is_chain_complex:
+                assert tuple(betti_gf2(cc)) == brute_betti(cc)
 
     @settings(max_examples=25, deadline=None)
     @given(graphs())
@@ -303,6 +379,25 @@ class TestOrientability:
                 verdicts.add(orientability_2d(relabel_complex(cc, perm)).verdict)
             assert len(verdicts) == 1
 
+    def test_matches_reference(self):
+        seen = set()
+        for cc in surface_corpus():
+            got, want = orientability_2d(cc), reference_orientability(cc)
+            assert got.verdict is want.verdict, cc
+            seen.add(got.verdict)
+            if got.verdict is Orientability.NON_ORIENTABLE:
+                walk = got.witness
+                assert len(walk) >= 2
+                assert reverses_orientation(cc, reference_face_cycles(cc), walk), (cc, walk)
+            else:
+                assert got.witness == want.witness, cc
+        assert seen == set(Orientability)
+
+    def test_non_pair_face_not_surface(self):
+        verdict = orientability_2d(NON_PAIR_FACE)
+        assert verdict.verdict is Orientability.NOT_A_SURFACE
+        assert verdict.witness == (2, 0)
+
     def test_moebius_witness_is_flip_cycle(self):
         cc = moebius((3, 4))
         v = orientability_2d(cc)
@@ -322,3 +417,16 @@ class TestBoundaryEdges:
 
     def test_torus_empty(self):
         assert boundary_edge_graph(torus((3, 3))).edges == frozenset()
+
+    def test_non_pair_boundary_cell(self):
+        with pytest.raises(WrongKind, match=r"\(0, 1, 3\) is not a vertex pair"):
+            boundary_edge_graph(NON_PAIR_FACE)
+
+    def test_matches_reference(self):
+        for cc in surface_corpus():
+            expected = brute_boundary_edges(cc)
+            if all(len(e) == 2 for e in expected):
+                assert boundary_edge_graph(cc).edges == expected, cc
+            else:
+                with pytest.raises(WrongKind):
+                    boundary_edge_graph(cc)
