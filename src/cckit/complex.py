@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -58,6 +59,9 @@ class NeighborhoodKind(Enum):
     INCIDENCE_DOWN = "BT"
 
 
+_KIND_ORDER = {kind: i for i, kind in enumerate(NeighborhoodKind)}
+
+
 @dataclass(frozen=True, order=True)
 class NeighborhoodSpec:
     """One of the natural neighborhood functions, fixed to a rank pair.
@@ -71,6 +75,16 @@ class NeighborhoodSpec:
     kind: NeighborhoodKind
     r1: int
     r2: int
+
+    def __post_init__(self) -> None:
+        # specs key every neighborhood cache: hash once, from ints alone, so
+        # the value is the same in every process.  The factory functions
+        # below return one shared spec per (kind, r1, r2), so cache lookups
+        # mostly meet the key itself and skip __eq__.
+        object.__setattr__(self, "_hash", hash((_KIND_ORDER[self.kind], self.r1, self.r2)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def target_rank(self) -> int:
@@ -87,30 +101,35 @@ class NeighborhoodSpec:
         return f"{self.kind.value}_{{{self.r1},{self.r2}}}"
 
 
+@lru_cache(maxsize=None)
 def adjacency(r1: int, r2: int) -> NeighborhoodSpec:
     return NeighborhoodSpec(NeighborhoodKind.ADJACENCY, r1, r2)
 
 
+@lru_cache(maxsize=None)
 def co_adjacency(r1: int, r2: int) -> NeighborhoodSpec:
     return NeighborhoodSpec(NeighborhoodKind.CO_ADJACENCY, r1, r2)
 
 
+@lru_cache(maxsize=None)
 def incidence_up(r1: int, r2: int) -> NeighborhoodSpec:
     return NeighborhoodSpec(NeighborhoodKind.INCIDENCE_UP, r1, r2)
 
 
+@lru_cache(maxsize=None)
 def incidence_down(r1: int, r2: int) -> NeighborhoodSpec:
     return NeighborhoodSpec(NeighborhoodKind.INCIDENCE_DOWN, r1, r2)
 
 
 def natural_specs(dimension: int) -> list[NeighborhoodSpec]:
     """All natural neighborhood functions over rank pairs 0..dimension."""
-    specs = []
-    for kind in NeighborhoodKind:
-        for r1 in range(dimension + 1):
-            for r2 in range(dimension + 1):
-                specs.append(NeighborhoodSpec(kind, r1, r2))
-    return specs
+    ranks = range(dimension + 1)
+    return [
+        make(r1, r2)
+        for make in (adjacency, co_adjacency, incidence_up, incidence_down)
+        for r1 in ranks
+        for r2 in ranks
+    ]
 
 
 @dataclass(frozen=True)
@@ -211,8 +230,14 @@ def _expand(csr: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _transpose(csr: Csr, n_cols: int) -> Csr:
     indptr, indices = csr
-    order = np.argsort(indices, kind="stable")
-    return _csr(indices[order], row_ids(indptr)[order], n_cols)
+    n_rows = len(indptr) - 1
+    return _from_keys(np.sort(indices * n_rows + row_ids(indptr)), n_rows, n_cols)
+
+
+def _from_keys(keys: np.ndarray, n: int, n_rows: int) -> Csr:
+    """CSR of the sorted packed keys row * n + col."""
+    rows = keys // n
+    return _csr(rows, keys - rows * n, n_rows)
 
 
 def _pairs_within(groups: Csr, n: int) -> Csr:
@@ -221,8 +246,7 @@ def _pairs_within(groups: Csr, n: int) -> Csr:
     pos, b = _expand(groups, row_ids(indptr))
     a = members[pos]
     keys, _ = _runs((a * n + b)[a != b])
-    rows = keys // n
-    return _csr(rows, keys - rows * n, n)
+    return _from_keys(keys, n, n)
 
 
 def _tuple_rows(csr: Csr) -> list[tuple[int, ...]]:
@@ -358,10 +382,14 @@ class CombinatorialComplex:
         """(indptr, indices) of every rank-r1 cell's neighborhood, sorted per row.
 
         Indices refer to the target skeleton (r1 for (co)adjacency, r2 for
-        incidence).  Everything derives from one containment relation per rank
-        pair: incidence-up is containment, incidence-down its transpose,
-        adjacency joins two r1-cells inside a common r2-cell and co-adjacency
-        two r1-cells over a common r2-cell.  Cached per spec.
+        incidence).  Everything derives from one count per rank pair a <= b:
+        the vertices each a-cell shares with each b-cell (:meth:`_fill_shared`).
+        A count equal to the a-cell's size is incidence-up from a to b, one
+        equal to the b-cell's size incidence-up from b to a, and for a = b any
+        count between distinct cells is co-adjacency over rank 0.
+        Incidence-down is the transpose of incidence-up, adjacency joins two
+        r1-cells inside a common r2-cell and co-adjacency two r1-cells over a
+        common r2-cell.  Cached per spec.
         """
         csr = self._csr_cache.get(spec)
         if csr is None:
@@ -375,27 +403,47 @@ class CombinatorialComplex:
         if n1 == 0 or not 0 <= r2 <= self.dimension:
             return _empty_csr(n1)
         if spec.kind is NeighborhoodKind.INCIDENCE_UP:
-            return self._containment(r1, r2)
+            self._fill_shared(min(r1, r2), max(r1, r2))
+            return self._csr_cache[spec]
         if spec.kind is NeighborhoodKind.INCIDENCE_DOWN:
             return _transpose(self.neighbor_csr(incidence_up(r2, r1)), n1)
         if spec.kind is NeighborhoodKind.ADJACENCY:
             return _pairs_within(self.neighbor_csr(incidence_down(r2, r1)), n1)
+        if r2 == 0:
+            self._fill_shared(r1, r1)
+            return self._csr_cache[spec]
         return _pairs_within(self.neighbor_csr(incidence_up(r2, r1)), n1)
 
-    def _containment(self, r_sub: int, r_sup: int) -> Csr:
-        """For each r_sub-cell x, the r_sup-cells y with x a subset of y."""
-        sup = self._cells[r_sup]
-        if r_sub == 0:  # node v is the rank-0 cell v: the cells holding each node
-            return _transpose(sup, self.num_nodes)
-        sub_ptr, sub_verts = self._cells[r_sub]
-        n_sup = self.skeleton_size(r_sup)
+    def _fill_shared(self, a: int, b: int) -> None:
+        """Cache incidence-up both ways between ranks a <= b (co-adjacency
+        over rank 0 when a = b), from one count of the vertices each a-cell x
+        shares with each b-cell y."""
+        ptr_b, verts_b = self._cells[b]
+        n_a, n_b = self.skeleton_size(a), self.skeleton_size(b)
+        cache = self._csr_cache
+        if a == 0:  # node v is the rank-0 cell v, inside every cell holding v
+            cache.setdefault(incidence_up(0, b), _transpose((ptr_b, verts_b), self.num_nodes))
+            if b == 0:
+                cache.setdefault(co_adjacency(0, 0), _empty_csr(n_a))
+            else:  # a b-cell lies inside node v only as the singleton {v}
+                single = np.flatnonzero(row_lengths(ptr_b) == 1)
+                cache.setdefault(incidence_up(b, 0), _csr(single, verts_b[ptr_b[single]], n_b))
+            return
+        ptr_a, verts_a = self._cells[a]
         # every (x, y) with y holding some vertex of x, once per shared vertex
-        pos, y = _expand(self.neighbor_csr(incidence_up(0, r_sup)), sub_verts)
-        x = row_ids(sub_ptr)[pos]
-        keys, shared = _runs(x * n_sup + y)
-        rows = keys // n_sup
-        inside = shared == row_lengths(sub_ptr)[rows]
-        return _csr(rows[inside], (keys - rows * n_sup)[inside], len(sub_ptr) - 1)
+        pos, y = _expand(self.neighbor_csr(incidence_up(0, b)), verts_a)
+        keys, shared = _runs(row_ids(ptr_a)[pos] * n_b + y)
+        x = keys // n_b
+        y = keys - x * n_b
+        inside = shared == row_lengths(ptr_a)[x]
+        cache.setdefault(incidence_up(a, b), _csr(x[inside], y[inside], n_a))
+        if a == b:
+            apart = x != y
+            cache.setdefault(co_adjacency(a, 0), _csr(x[apart], y[apart], n_a))
+        else:
+            holds = shared == row_lengths(ptr_b)[y]
+            down = _from_keys(np.sort(y[holds] * n_a + x[holds]), n_a, n_b)
+            cache.setdefault(incidence_up(b, a), down)
 
     def neighbor_lists(self, spec: NeighborhoodSpec) -> list[tuple[int, ...]]:
         """Neighborhood of every cell in skeleton r1, as sorted index tuples:

@@ -80,7 +80,12 @@ class CellWithoutFaces(CCError):
 
 
 class NotAChainComplex(CCError):
-    """Boundary composition is nonzero over GF(2)."""
+    """Boundary composition is nonzero over GF(2); ``violation`` is the first
+    (r, row in X_{r+1}, col in X_{r-1}) where d_{r+1} d_r is."""
+
+    def __init__(self, message: str, violation: tuple[int, int, int]):
+        super().__init__(message)
+        self.violation = violation
 
 
 class DimensionTooLow(CCError):

@@ -224,7 +224,7 @@ def betti_gf2(cc: CombinatorialComplex) -> BettiVector:
     """
     violation = _chain_violation(cc)
     if violation is not None:
-        raise NotAChainComplex(f"boundary composition nonzero at {violation}")
+        raise NotAChainComplex(f"boundary composition nonzero at {violation}", violation)
     ranks = [0] * (cc.dimension + 2)  # ranks[r] = rank of d_r; d_0 and d_{l+1} are zero
     cleared: set[int] = set()
     for r in range(cc.dimension, 0, -1):

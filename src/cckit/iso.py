@@ -4,7 +4,8 @@ Isomorphism means a rank-preserving bijection on cells that preserves
 vertex-set containment in both directions.  The decision procedure first
 splits both complexes into node-connectivity components (cells sharing a
 vertex; invariant under any containment-preserving bijection) and matches
-components, then decides each component pair by individualization-refinement:
+components, then decides each component pair (the identity map when the two
+have equal content, else by individualization-refinement):
 cells are partitioned by stable joint refinement colors over all natural
 neighborhoods, computed by the kernel of :mod:`cckit.refinement`
 (:class:`~cckit.refinement.CellColors`).  A cell of each complex in the
@@ -241,7 +242,7 @@ def cc_isomorphic(
 
     try:
         if len(comps_a) == 1:
-            witness = _Search(a, b, counter).run()
+            witness = _component_witness(a, b, counter)
             matching = None if witness is None else [(0, 0, witness)]
         else:
             matching = _match_components(comps_a, comps_b, counter)
@@ -256,6 +257,14 @@ def cc_isomorphic(
     return IsoResult(isomorphic=True, witness=witness, nodes_explored=counter.used)
 
 
+def _component_witness(a, b, counter: _Counter) -> CellMap | None:
+    """A witness for two connected complexes of equal skeleton sizes: the
+    identity when their content is equal, else the search's."""
+    if a == b:
+        return CellMap(a, b, tuple(np.arange(a.skeleton_size(r)) for r in range(a.dimension + 1)))
+    return _Search(a, b, counter).run()
+
+
 def _match_components(comps_a, comps_b, counter):
     """Backtracking multiset matching; component pair results are memoized."""
     memo: dict[tuple[int, int], CellMap | None] = {}
@@ -267,7 +276,7 @@ def _match_components(comps_a, comps_b, counter):
             if ca.dimension != cb.dimension or ca.skeleton_sizes() != cb.skeleton_sizes():
                 memo[key] = None
             else:
-                memo[key] = _Search(ca, cb, counter).run()
+                memo[key] = _component_witness(ca, cb, counter)
         return memo[key]
 
     used = [False] * len(comps_b)

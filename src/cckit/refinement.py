@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,35 +127,59 @@ def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     Narrower blocks are padded with -1 on the right.  Ids are canonical: the
     distinct rows are numbered in lexicographic order, so a row's id depends
     only on the set of distinct rows, not on where the rows occur.  Exact and
-    hash-free: a lexsort over the columns, then adjacent rows compared.
+    hash-free: one sort of byte keys, then adjacent keys compared.
     """
     ids, k, _ = _intern(blocks, tabulate=False)
     return ids, k
+
+
+def _key_dtype(span: int) -> np.dtype:
+    """The narrowest big-endian unsigned dtype holding 0..span."""
+    for size in (1, 2, 4):
+        if span < 1 << 8 * size:
+            return np.dtype(f">u{size}")
+    return np.dtype(">u8")
 
 
 def _intern(
     blocks: Sequence[np.ndarray], tabulate: bool
 ) -> tuple[list[np.ndarray], int, tuple[bytes, bytes] | None]:
     """intern_rows, plus the table of the rows when asked: the distinct rows
-    in id order and their counts, as bytes (compact copies that compare
-    exactly; the two lengths fix the row width)."""
+    in id order and their counts, as int64 bytes (compact copies that compare
+    exactly; the two lengths fix the row width).
+
+    Every value is shifted by the minimum (the -1 pad included) and stored
+    big-endian unsigned, so each row's bytes compare as the row does in
+    lexicographic order, and one row is one np.void sort key.
+    """
+    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
     sizes = [len(b) for b in blocks]
-    rows = np.full((sum(sizes), max(b.shape[1] for b in blocks)), -1, dtype=np.int64)
+    width = max(b.shape[1] for b in blocks)
+    filled = [b for b in blocks if b.size]
+    lo = min([-1] + [int(b.min()) for b in filled])
+    hi = max([-1] + [int(b.max()) for b in filled])
+    rows = np.full((sum(sizes), width), -1 - lo, dtype=_key_dtype(hi - lo))
     pos = 0
     for b in blocks:
-        rows[pos : pos + len(b), : b.shape[1]] = b
+        rows[pos : pos + len(b), : b.shape[1]] = b - lo
         pos += len(b)
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
     leader = np.ones(len(rows), dtype=bool)
-    leader[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if width:
+        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+        order = np.argsort(keys)
+        ordered = keys[order]
+        leader[1:] = ordered[1:] != ordered[:-1]
+    else:  # every row is the empty row
+        order = np.arange(len(rows))
+        leader[1:] = False
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(leader) - 1
     starts = np.flatnonzero(leader)
     table = None
     if tabulate:
         counts = row_lengths(np.append(starts, len(rows)))
-        table = (ordered[starts].tobytes(), counts.tobytes())
+        distinct = rows[order[starts]].astype(np.int64) + lo
+        table = (distinct.tobytes(), counts.tobytes())
     return np.split(ids, np.cumsum(sizes)[:-1]), len(starts), table
 
 
@@ -164,13 +188,9 @@ def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> l
     joint width w.  Short rows are padded with -1, which reads a sentinel the
     caller appends last; shifts offset each complex's indices."""
     width = max((int(row_lengths(indptr).max(initial=0)) for indptr, _ in csrs), default=0)
-    out = []
-    for ci, csr in enumerate(csrs):
-        mat = padded_rows(csr, width)
-        if shifts:
-            mat[mat >= 0] += shifts[ci]
-        out.append(mat)
-    return out
+    if shifts:
+        csrs = [(indptr, indices + shift) for (indptr, indices), shift in zip(csrs, shifts)]
+    return [padded_rows(csr, width) for csr in csrs]
 
 
 class CellColors:
@@ -191,7 +211,7 @@ class CellColors:
         self.owner = np.tile(np.arange(m), ell + 1).repeat(sizes)
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
         self.classes = len(np.unique(self.colors))
-        self._gathers: dict[tuple[NeighborhoodSpec, ...], list] = {}
+        self._gathers: dict[int, tuple[tuple[NeighborhoodSpec, ...], list]] = {}
         self.tabulate = False
         self.table: tuple | None = None
 
@@ -226,37 +246,40 @@ class CellColors:
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
         """One simultaneous update; returns False once the partition is stable."""
-        if specs not in self._gathers:
-            self._gathers[specs] = self._build(specs)
+        # gathers are keyed by the tuple's identity (the entry keeps the tuple
+        # alive): hashing it would hash every spec on every round
+        entry = self._gathers.get(id(specs))
+        if entry is None:
+            entry = self._gathers[id(specs)] = (specs, self._build(specs))
         # shift colors to 1.. (0 is the pad) and lift each spec's columns
         # into their own value range: one sort per row keeps the multisets apart
         ext = np.append(self.colors + 1, 0)
         base = int(ext.max()) + 1
         blocks = []
-        for r, (index, segment) in enumerate(self._gathers[specs]):
+        for r, (index, segment) in enumerate(entry[1]):
             old = self.colors[self.rank_span(r)]
             blocks.append(np.column_stack((old, np.sort(ext[index] + segment * base, axis=1))))
         return self.recolor(blocks)
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
-        """Per rank: the gather matrix over all complexes and each column's spec."""
+        """Per rank: the gather matrix over all complexes and each column's
+        spec, as the spec's position among that rank's specs.  A spec without
+        a neighbor in any complex adds no column.  Positions are kept, not
+        renumbered, so two complexes refined apart whose empty specs differ
+        never build equal rows from different neighborhoods."""
         m = len(self.ccs)
         out = []
         for r in range(self.ell + 1):
-            mats = [
-                np.vstack(
-                    padded_gather(
-                        [cc.neighbor_csr(s) for cc in self.ccs],
-                        [self.starts[s.target_rank * m + ci] for ci in range(m)],
-                    )
-                )
-                for s in specs
-                if s.r1 == r
-            ]
             n = len(self.colors[self.rank_span(r)])
-            index = np.hstack([np.empty((n, 0), dtype=np.int64), *mats])
-            segment = np.repeat(np.arange(len(mats)), [mat.shape[1] for mat in mats])
-            out.append((index, segment))
+            mats, segment = [np.empty((n, 0), dtype=np.int64)], []
+            for pos, s in enumerate(s for s in specs if s.r1 == r):
+                csrs = [cc.neighbor_csr(s) for cc in self.ccs]
+                if not any(indptr[-1] for indptr, _ in csrs):
+                    continue
+                shifts = [self.starts[s.target_rank * m + ci] for ci in range(m)]
+                mats.append(np.vstack(padded_gather(csrs, shifts)))
+                segment += [pos] * mats[-1].shape[1]
+            out.append((np.hstack(mats), np.array(segment, dtype=np.int64)))
         return out
 
 
@@ -288,6 +311,18 @@ class _JointState(CellColors):
     def snapshot(self) -> list[tuple]:
         """Comparable view per complex."""
         return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
+
+    def agree(self) -> bool:
+        """Whether two complexes' snapshots are equal, from class sizes alone:
+        every color stays inside one rank, so equal counts per color are equal
+        rank histograms, and likewise for every live pair coloring."""
+        counts = self.class_counts()
+        if not np.array_equal(counts[0], counts[1]):
+            return False
+        return all(
+            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
+            for ps in self.pair_states
+        )
 
     def compact(self) -> None:
         """Shrink a paused run: forget the gather matrices (the next round
@@ -440,17 +475,21 @@ def _natural_specs(ell: int) -> tuple[NeighborhoodSpec, ...]:
 def run_diagram(
     ccs: Sequence[CombinatorialComplex],
     stages: Sequence[Stage],
-) -> Iterator[tuple[int, list[tuple], _JointState]]:
-    """Execute stages jointly, yielding (round, comparable snapshots, state).
+) -> Iterator[tuple[int, Callable[[], list[tuple]], _JointState]]:
+    """Execute stages jointly, yielding (round, snapshot, state).
 
     Round 0 is the initial uniform coloring; every update (cell round, pair
-    seeding, pair round, pooling) advances the counter by one.
+    seeding, pair round, pooling) advances the counter by one.  The middle
+    element is the bound method ``state.snapshot``, not its value: building
+    the comparable views costs one histogram per rank and pair block, and
+    most consumers never read them (:meth:`_JointState.agree` compares the
+    same thing from class sizes).
     """
     state = _JointState(ccs)
     _validate_stages(ccs, stages, state.ell)
     total_cells = sum(cc.num_cells() for cc in ccs)
     tick = 0
-    yield tick, state.snapshot(), state
+    yield tick, state.snapshot, state
     for st in stages:
         if isinstance(st, HompBlock):
             specs = tuple(st.specs) if st.specs is not None else _natural_specs(state.ell)
@@ -458,7 +497,7 @@ def run_diagram(
             for k in range(rounds):
                 changed = state.cell_round(specs)
                 tick += 1
-                yield tick, state.snapshot(), state
+                yield tick, state.snapshot, state
                 if st.rounds is None and not changed:
                     break
             else:
@@ -467,13 +506,13 @@ def run_diagram(
         elif isinstance(st, SclBlock):
             pair = state.seed_pairs(st)
             tick += 1
-            yield tick, state.snapshot(), state
+            yield tick, state.snapshot, state
             pair_space = sum(m.size for m in pair.mats)
             rounds = st.rounds if st.rounds is not None else pair_space + 1
             for k in range(rounds):
                 changed = state.scl_round(pair)
                 tick += 1
-                yield tick, state.snapshot(), state
+                yield tick, state.snapshot, state
                 if st.rounds is None and not changed:
                     break
             else:
@@ -482,7 +521,7 @@ def run_diagram(
         else:
             state.pool()
             tick += 1
-            yield tick, state.snapshot(), state
+            yield tick, state.snapshot, state
 
 
 def _final_state(ccs, stages) -> _JointState:
@@ -624,8 +663,8 @@ def distinguish(
     traces = _admitted_traces(a, b, stages)
     if traces is not None:
         return _compare_traces(a, b, stages, traces, engine.name)
-    for tick, snaps, _state in run_diagram([a, b], stages):
-        if snaps[0] != snaps[1]:
+    for tick, _, state in run_diagram([a, b], stages):
+        if not state.agree():
             return Verdict(distinguished=True, round=tick, engine=engine.name)
     return Verdict(distinguished=False, round=None, engine=engine.name)
 

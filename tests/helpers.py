@@ -7,7 +7,10 @@ neighborhood / rank / cycle machinery, so tests cross two separate routes.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from cckit.complex import (
     CombinatorialComplex,
@@ -101,6 +104,76 @@ def brute_induced_cycles(g: SimpleGraph, max_len: int) -> set[tuple[int, ...]]:
             if len(seen) == size:
                 out.add(subset)
     return out
+
+
+def reference_chordless_cycles(g: SimpleGraph, max_len: int) -> list[tuple[int, ...]]:
+    """Chordless cycles by recursive DFS over Python sets: from each minimal
+    vertex, extend through larger vertices non-adjacent to the path interior,
+    record a cycle when the next vertex closes it with the second vertex
+    smaller than the last."""
+    adj = [set() for _ in range(g.num_nodes)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out: list[tuple[int, ...]] = []
+
+    def extend(path: list[int]) -> None:
+        s, last = path[0], path[-1]
+        interior = path[1:-1]
+        for w in sorted(adj[last]):
+            if w <= s or w in path:
+                continue
+            if any(w in adj[p] for p in interior):
+                continue
+            if w in adj[s]:
+                if path[1] < w:
+                    out.append(tuple(sorted(path + [w])))
+                continue
+            if len(path) + 1 < max_len:
+                extend(path + [w])
+
+    for s in range(g.num_nodes):
+        for v in sorted(adj[s]):
+            if v > s:
+                extend([s, v])
+    return sorted(set(out))
+
+
+def lifted_iso_graphs(count: int = 100, seed: int = 0) -> list[SimpleGraph]:
+    """The sparse molecule-like graphs of the benchmark's lifted_iso workload:
+    20-30 nodes, edge probability 2.6/(n-1), drawn from one seeded stream."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(20, 30)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 2.6 / (n - 1)]
+        out.append(SimpleGraph.from_edges(n, edges))
+    return out
+
+
+def reference_intern(blocks, tabulate: bool = False):
+    """Joint row numbering by lexsort over int64 rows padded with -1: ids per
+    block, the class count, and with tabulate the distinct rows in id order
+    and their counts as int64 bytes.  Rows of width 0 are all the empty row
+    (np.lexsort takes no empty key sequence)."""
+    sizes = [len(b) for b in blocks]
+    rows = np.full((sum(sizes), max(b.shape[1] for b in blocks)), -1, dtype=np.int64)
+    pos = 0
+    for b in blocks:
+        rows[pos : pos + len(b), : b.shape[1]] = b
+        pos += len(b)
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    leader = np.ones(len(rows), dtype=bool)
+    leader[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(leader) - 1
+    starts = np.flatnonzero(leader)
+    table = None
+    if tabulate:
+        counts = np.diff(np.append(starts, len(rows)))
+        table = (ordered[starts].tobytes(), counts.tobytes())
+    return np.split(ids, np.cumsum(sizes)[:-1]), len(starts), table
 
 
 def gf2_rank_lists(rows: list[list[int]]) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from cckit import bench
 from cckit.cli import main
-from cckit.complex import decode_json, encode_json, parse_edge_list
+from cckit.complex import build_cc, decode_json, encode_json, parse_edge_list
 from cckit.covering import strip_covers
 from cckit.generators import cylinder, moebius, torus
 
@@ -90,6 +90,17 @@ class TestInvariantsCmd:
         code, out, _ = run(capsys, "invariants", mob_file)
         assert code == 0
         assert "non-orientable" in out
+
+    def test_not_a_chain_complex(self, capsys, tmp_path):
+        # a 2-cell whose only face is one edge: d_1 d_2 is nonzero at (1, 0, 0)
+        path = tmp_path / "cc.json"
+        path.write_bytes(encode_json(build_cc([((0, 1), 1), ((0, 1), 2)], 2)))
+        code, out, _ = run(capsys, "invariants", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["betti_gf2"] is None
+        assert doc["chain_complex_violation"] == [1, 0, 0]
+        assert list(doc).index("chain_complex_violation") == list(doc).index("betti_gf2") + 1
 
 
 class TestDistinguishCmd:

@@ -53,6 +53,35 @@ def graphs(max_nodes=8, edge_prob=0.45):
     return build()
 
 
+def arbitrary_complexes():
+    """Cells over arbitrary vertex subsets at ranks 1-3, singletons included.
+
+    A cell's rank is a non-decreasing function of its size, so strict
+    inclusions never lower the rank and several land within one rank; one
+    vertex set then gets a second rank, where monotonicity allows.
+    """
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        n = rng.randint(1, 7)
+        cuts = sorted(rng.choices(range(1, n + 2), k=2))
+        cells = set()
+        for _ in range(rng.randint(0, 10)):
+            verts = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            cells.add((verts, 1 + (len(verts) >= cuts[0]) + (len(verts) >= cuts[1])))
+        if cells:
+            verts, rank = rng.choice(sorted(cells))
+            twin = (verts, rng.choice([r for r in (1, 2, 3) if r != rank]))
+            try:
+                return build_cc(sorted(cells | {twin}), n)
+            except RankViolation:
+                pass
+        return build_cc(sorted(cells), n)
+
+    return build()
+
+
 class TestBuild:
     def test_single_edge(self):
         cc = build_cc([((0, 1), 1)], 2)
@@ -173,6 +202,11 @@ class TestNeighborhood:
         assert_matches_brute_force(example_two_dim_complex())
         for g in mog_example_pair():
             assert_matches_brute_force(mog_pool(g))
+
+    @settings(max_examples=80, deadline=None)
+    @given(arbitrary_complexes())
+    def test_matches_brute_force_on_arbitrary_cells(self, cc):
+        assert_matches_brute_force(cc)
 
     @pytest.mark.parametrize("periods", [(3,), (5,), (3, 3), (3, 4), (4, 5)])
     def test_matches_brute_force_on_tori(self, periods):

@@ -90,6 +90,23 @@ class TestOracle:
         assert res.isomorphic is True
         assert check_isomorphism(res.witness) is None
 
+    def test_equal_components_take_identity(self):
+        # equal content needs no search, only the final check of the witness
+        parts = [torus((3, 3)), graph_as_cc(cycle_graph(5)), triangular_lift(star_graph(2, 3))]
+        a = disjoint_union(disjoint_union(parts[0], parts[1]), parts[2])
+        b = disjoint_union(disjoint_union(parts[0], parts[1]), parts[2])
+        res = cc_isomorphic(a, b)
+        assert res.isomorphic is True and res.nodes_explored == 0
+        assert res.witness.assignment == identity_map(a).assignment
+        # one component relabeled: only that pair is searched
+        perm = list(range(9))
+        random.Random(3).shuffle(perm)
+        c = disjoint_union(disjoint_union(relabel_complex(parts[0], perm), parts[1]), parts[2])
+        res = cc_isomorphic(a, c)
+        assert res.isomorphic is True and res.nodes_explored > 0
+        assert check_isomorphism(res.witness) is None
+        assert res.witness.assignment[0][9:] == tuple(range(9, a.num_nodes))
+
     def test_budget_unknown(self):
         res = cc_isomorphic(torus((4, 10)), torus((5, 8)), budget=2)
         assert res.isomorphic is None

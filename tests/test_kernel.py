@@ -13,12 +13,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import disjoint_union, disjoint_union_all, graph_as_cc
+from cckit.complex import disjoint_union, disjoint_union_all, graph_as_cc, natural_specs, row_lengths
 from cckit.generators import cylinder, moebius, mog_example_pair, star_graph, torus
 from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
-from cckit.refinement import Engine, _marking_matrix, intern_rows, padded_gather, run_diagram
+from cckit.refinement import (
+    CellColors,
+    Engine,
+    _intern,
+    _marking_matrix,
+    intern_rows,
+    padded_gather,
+    run_diagram,
+)
 
-from helpers import random_graph, reference_diagram, reference_marking
+from helpers import random_graph, reference_diagram, reference_intern, reference_marking
 
 
 def graphs(max_nodes=8, edge_prob=0.45):
@@ -27,6 +35,24 @@ def graphs(max_nodes=8, edge_prob=0.45):
         n = draw(st.integers(2, max_nodes))
         seed = draw(st.integers(0, 10**6))
         return random_graph(random.Random(seed), n, edge_prob)
+
+    return build()
+
+
+# values at the edges of the narrow key dtypes, negatives, and the int64 extremes
+EDGE_VALUES = [-(2**63), -70000, -300, -2, -1, 0, 1, 254, 255, 256, 65534, 65535, 65536, 2**32, 2**63 - 1]
+
+
+def int_blocks():
+    """2-D int64 blocks of 0-6 rows and 0-5 columns, values small, at dtype
+    boundaries or extreme; empty and zero-width blocks included."""
+
+    @st.composite
+    def build(draw):
+        rows, width = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+        values = st.one_of(st.integers(-3, 3), st.sampled_from(EDGE_VALUES))
+        flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+        return np.array(flat, dtype=np.int64).reshape(rows, width)
 
     return build()
 
@@ -131,6 +157,38 @@ class TestInternRows:
     def test_empty_block(self):
         ids, k = intern_rows([np.zeros((0, 3), dtype=np.int64)])
         assert k == 0 and ids[0].shape == (0,)
+
+    def test_zero_width_block_is_one_class(self):
+        ids, k = intern_rows([np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
+        assert k == 1 and [i.tolist() for i in ids] == [[0, 0, 0], [0, 0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(int_blocks(), min_size=1, max_size=4), st.booleans())
+    def test_matches_lexsort_reference(self, blocks, tabulate):
+        ids, k, table = _intern(blocks, tabulate)
+        ref_ids, ref_k, ref_table = reference_intern(blocks, tabulate)
+        assert k == ref_k
+        assert [i.tolist() for i in ids] == [i.tolist() for i in ref_ids]
+        assert table == ref_table
+
+
+class TestGathers:
+    def test_specs_without_neighbors_add_no_columns(self):
+        # in a cyclic lift no edge or 2-cell lies inside a lower-rank cell, so
+        # those incidence specs are empty; the other columns keep the
+        # positions of the specs they gather
+        ccs = [cyclic_lift(random_graph(random.Random(s), 10, 0.5), 8) for s in (1, 2)]
+        assert all(cc.dimension == 2 for cc in ccs)
+        kernel = CellColors(ccs, 2)
+        specs = tuple(natural_specs(2))
+        for r, (index, segment) in enumerate(kernel._build(specs)):
+            mine = [s for s in specs if s.r1 == r]
+            widths = [
+                max(int(row_lengths(cc.neighbor_csr(s)[0]).max(initial=0)) for cc in ccs)
+                for s in mine
+            ]
+            assert segment.tolist() == [p for p, w in enumerate(widths) for _ in range(w)]
+            assert index.shape == (kernel.rank_span(r).stop - kernel.rank_span(r).start, sum(widths))
 
 
 class TestPaddedGather:

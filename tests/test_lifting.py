@@ -21,7 +21,14 @@ from cckit.lifting import (
 )
 from cckit.refinement import Engine, distinguish
 
-from helpers import brute_graph_distances, brute_induced_cycles, random_graph, random_split_graph
+from helpers import (
+    brute_graph_distances,
+    brute_induced_cycles,
+    lifted_iso_graphs,
+    random_graph,
+    random_split_graph,
+    reference_chordless_cycles,
+)
 
 
 def graphs(max_nodes=8, edge_prob=0.5):
@@ -89,6 +96,26 @@ class TestCyclicLift:
     def test_bounded_matches_brute_force(self, g, max_len):
         got = set(chordless_cycles(g, max_len))
         assert got == brute_induced_cycles(g, max_len)
+
+    def test_matches_reference_on_benchmark_graphs(self):
+        for g in lifted_iso_graphs():
+            assert chordless_cycles(g, 18) == reference_chordless_cycles(g, 18)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_nodes=14, edge_prob=0.35), st.sampled_from([3, 4, 5, 8, 18]))
+    def test_matches_reference(self, g, max_len):
+        assert chordless_cycles(g, max_len) == reference_chordless_cycles(g, max_len)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        cases = [(g, 18) for g in lifted_iso_graphs(30)]
+        cases += [(random_graph(rng, rng.randint(3, 12), 0.4), bound) for bound in (3, 5, 8) for _ in range(30)]
+        for g, bound in cases:
+            nxg = nx.Graph(list(g.edges))
+            nxg.add_nodes_from(range(g.num_nodes))
+            expected = sorted(tuple(sorted(c)) for c in nx.chordless_cycles(nxg, length_bound=bound))
+            assert chordless_cycles(g, bound) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(graphs())

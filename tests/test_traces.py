@@ -11,7 +11,7 @@ import random
 import pytest
 
 from cckit import bench
-from cckit.complex import adjacency, disjoint_union, graph_as_cc
+from cckit.complex import SimpleGraph, adjacency, build_cc, disjoint_union, graph_as_cc
 from cckit.errors import CCError, MarkingUnsupported, RankOutOfRange
 from cckit.generators import cycle_graph, cylinder, moebius, star_graph, torus
 from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
@@ -24,7 +24,7 @@ from cckit.refinement import (
     run_diagram,
 )
 
-from helpers import random_graph, relabel_complex
+from helpers import lifted_iso_graphs, random_graph, relabel_complex
 
 ENGINES = {
     "homp": Engine.homp_full(),
@@ -39,9 +39,12 @@ ENGINES = {
 
 
 def joint_verdict(a, b, stages):
-    """(distinguished, round) of the joint run, or the error it raised."""
+    """(distinguished, round) of the joint run, or the error it raised; the
+    snapshots are compared directly, as the reference for the class-size
+    comparison distinguish makes."""
     try:
-        for tick, snaps, _ in run_diagram([a, b], stages):
+        for tick, _, state in run_diagram([a, b], stages):
+            snaps = state.snapshot()
             if snaps[0] != snaps[1]:
                 return True, tick
         return False, None
@@ -156,6 +159,50 @@ class TestDifferentialGate:
         for _ in range(3):
             assert verdict(x, x, ENGINES["smcn"]) == (False, None)
         assert has_trace(x, ENGINES["smcn"])
+
+
+def perturbed(g, rng):
+    """The graph with one edge moved to a non-edge (same edge count)."""
+    edges = sorted(g.edges)
+    n = g.num_nodes
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
+    edges[rng.randrange(len(edges))] = rng.choice(absent)
+    return SimpleGraph.from_edges(n, edges)
+
+
+def without_one_cell(cc, rng):
+    """The complex less one random cell of its top rank."""
+    top = cc.cells(cc.dimension)
+    drop = rng.randrange(len(top))
+    cells = [
+        (v, r)
+        for r in range(1, cc.dimension + 1)
+        for v in cc.cells(r)
+        if (r, v) != (cc.dimension, top[drop])
+    ]
+    return build_cc(cells, cc.num_nodes)
+
+
+class TestJointPath:
+    """A first comparison runs the pair jointly and compares class sizes;
+    verdicts and rounds must be those of comparing the snapshots."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_lifted_relabelings_and_perturbations(self, engine):
+        rng = random.Random(6)
+        pairs = []
+        for g in lifted_iso_graphs(16):
+            a = cyclic_lift(g, 18)
+            pairs += [(a, relabeled(a, rng)), (a, cyclic_lift(perturbed(g, rng), 18))]
+            if a.dimension == 2:
+                pairs.append((a, without_one_cell(a, rng)))
+        stages = ENGINES[engine].stages
+        outcomes = set()
+        for a, b in pairs:
+            got = verdict(fresh(a), fresh(b), ENGINES[engine])  # fresh: no trace is admitted
+            assert got == joint_verdict(a, b, stages)
+            outcomes.add(got[0] if isinstance(got, tuple) else got)
+        assert {True, False} <= outcomes
 
 
 class TestAdmission:
