@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .complex import (
     CombinatorialComplex,
@@ -23,7 +23,7 @@ from .complex import (
     disjoint_union_all,
     encode_json,
 )
-from .covering import CoverCertificate, torus_union_certificate
+from .covering import CoverCertificate, cover_periods, torus_union_certificate
 from .errors import BadParams, CCError, ParseError
 from .generators import TorusParams, torus
 from .invariants import (
@@ -182,17 +182,9 @@ def pair_to_json(pair: LabeledPair) -> dict:
             "params": [list(pq) for pq in pair.right_params],
             "cc": json.loads(encode_json(pair.right)),
         },
-        "cover_periods": list(_cover_periods(pair)),
+        "cover_periods": list(cover_periods(pair.left_params + pair.right_params)),
         "differing_invariants": [dict(d) for d in pair.differing_invariants],
     }
-
-
-def _cover_periods(pair: LabeledPair) -> tuple[int, int]:
-    from math import lcm
-
-    ps = [pq[0] for pq in pair.left_params + pair.right_params]
-    qs = [pq[1] for pq in pair.left_params + pair.right_params]
-    return (lcm(*ps), lcm(*qs))
 
 
 def write_dataset(pairs: Sequence[LabeledPair], fp) -> None:
@@ -246,20 +238,13 @@ class LabeledComplex:
 
 def label_lifted_graph(g: SimpleGraph, lift: CyclicLiftParams) -> LabeledComplex:
     cc = cyclic_lift(g, lift)
-    if cc.dimension < 2 or not cc.cells(2):
+    if cc.skeleton_size(2) == 0:
         cd: Distance | None = None
         b2 = 0
     else:
         cd = cross_diameter(cc, adjacency(0, 1), 2)
         b2 = tuple(betti_gf2(cc))[2]
     return LabeledComplex(cc, cd, b2)
-
-
-def label_lifted_graphs(
-    graphs: Iterable[SimpleGraph], lift: CyclicLiftParams
-) -> Iterator[LabeledComplex]:
-    for g in graphs:
-        yield label_lifted_graph(g, lift)
 
 
 def labeled_to_json(index: int, lc: LabeledComplex) -> dict:

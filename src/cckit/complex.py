@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -52,11 +52,19 @@ class Cell:
             raise RankViolation(f"negative rank {self.rank}")
 
 
+@total_ordering
 class NeighborhoodKind(Enum):
+    """Kinds order by declaration, which is the order natural_specs lists."""
+
     ADJACENCY = "A"
     CO_ADJACENCY = "coA"
     INCIDENCE_UP = "B"
     INCIDENCE_DOWN = "BT"
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, NeighborhoodKind):
+            return NotImplemented
+        return _KIND_ORDER[self] < _KIND_ORDER[other]
 
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(NeighborhoodKind)}
@@ -354,9 +362,6 @@ class CombinatorialComplex:
             return self._positions()[(verts, rank)]
         except KeyError:
             raise UnknownCell(f"no rank-{rank} cell {verts}") from None
-
-    def all_cells(self) -> list[Cell]:
-        return [Cell(v, r) for r, sk in enumerate(self.skeletons) for v in sk]
 
     def __eq__(self, other: object) -> bool:
         return (

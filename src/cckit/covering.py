@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     NotDivisible,
     PeriodTooSmall,
 )
-from .generators import StripParams, TorusParams, cylinder, moebius, torus
+from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
 from .refinement import intern_rows
 
 
@@ -63,9 +63,6 @@ class CellMap:
             row.flags.writeable = False
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "assignment", tuple(tuple(row.tolist()) for row in images))
-
-    def image_verts(self, rank: int, index: int) -> Verts:
-        return self.target.skeletons[rank][self.assignment[rank][index]]
 
 
 def cell_map_from_node_map(
@@ -227,7 +224,8 @@ def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> Cel
     for bp, sp in zip(big.periods, small.periods):
         if bp % sp != 0:
             raise NotDivisible(f"period {bp} not divisible by {sp}")
-    return _mod_map_onto(torus(big), big, small)
+    cover = torus(big)
+    return _mod_map_onto(cover, np.unravel_index(np.arange(cover.num_nodes), big.periods), small)
 
 
 def strip_covers(h: int, p: int) -> tuple[CombinatorialComplex, CellMap, CellMap]:
@@ -239,17 +237,11 @@ def strip_covers(h: int, p: int) -> tuple[CombinatorialComplex, CellMap, CellMap
     cyl = cylinder(params)
     moeb = moebius(params)
 
-    to_cyl_nodes = []
-    to_moeb_nodes = []
-    for i in range(h):
-        for j in range(2 * p):
-            to_cyl_nodes.append(i * p + (j % p))
-            if j < p:
-                to_moeb_nodes.append(i * p + j)
-            else:
-                to_moeb_nodes.append((h - 1 - i) * p + (j - p))
-    to_cyl = cell_map_from_node_map(cover, cyl, to_cyl_nodes)
-    to_moeb = cell_map_from_node_map(cover, moeb, to_moeb_nodes)
+    coords = np.unravel_index(np.arange(cover.num_nodes), (h, 2 * p))
+    to_cyl = cell_map_from_node_map(cover, cyl, grid_nodes(coords, (h, p), strip=True))
+    to_moeb = cell_map_from_node_map(
+        cover, moeb, grid_nodes(coords, (h, p), strip=True, twist=True)
+    )
     return cover, to_cyl, to_moeb
 
 
@@ -295,23 +287,21 @@ def torus_union_certificate(
     n_b = sum(p.num_nodes for p in b)
     if n_a != n_b:
         return None
-    big = TorusParams(
-        (
-            lcm(*(p.periods[0] for p in (*a, *b))),
-            lcm(*(p.periods[1] for p in (*a, *b))),
-        )
-    )
+    big = TorusParams(cover_periods(p.periods for p in (*a, *b)))
     cover = torus(big)
-    left = tuple(_mod_map_onto(cover, big, comp) for comp in a)
-    right = tuple(_mod_map_onto(cover, big, comp) for comp in b)
+    coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
+    left = tuple(_mod_map_onto(cover, coords, comp) for comp in a)
+    right = tuple(_mod_map_onto(cover, coords, comp) for comp in b)
     return CoverCertificate(cover, left, right, (n_a, n_b))
 
 
-def _mod_map_onto(
-    cover: CombinatorialComplex, big: TorusParams, small: TorusParams
-) -> CellMap:
-    """The coordinatewise mod map from the torus `cover` (periods `big`)."""
-    coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
-    wrapped = tuple(c % p for c, p in zip(coords, small.periods))
-    node_image = np.ravel_multi_index(wrapped, small.periods)
-    return cell_map_from_node_map(cover, torus(small), node_image)
+def cover_periods(components: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Coordinatewise lcm of the components' periods: the smallest torus
+    covering every component."""
+    return tuple(lcm(*ps) for ps in zip(*components))
+
+
+def _mod_map_onto(cover: CombinatorialComplex, coords, small: TorusParams) -> CellMap:
+    """The coordinatewise mod map from the torus `cover`, whose nodes have the
+    grid coordinates `coords`."""
+    return cell_map_from_node_map(cover, torus(small), grid_nodes(coords, small.periods))

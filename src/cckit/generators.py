@@ -1,8 +1,9 @@
 """Constructors for the complex and graph families used by the benchmarks.
 
 Product-style constructions flatten coordinate tuples to integer node ids in
-row-major order; covering maps (see :mod:`cckit.covering`) rely on that
-convention.
+row-major order.  The grid complexes (tori, cylinders, Moebius strips) and
+their covering maps (see :mod:`cckit.covering`) glue coordinates through one
+helper, :func:`grid_nodes`.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
-from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc, from_uniform_rows
+# build_cc stays reachable as generators.build_cc: perfbench/tracing.py wraps that name
+from .complex import CombinatorialComplex, SimpleGraph, build_cc, from_uniform_rows  # noqa: F401
 from .errors import BadParams, PeriodTooSmall
 
 
@@ -74,74 +77,68 @@ def torus(params: TorusParams | tuple[int, ...]) -> CombinatorialComplex:
         params = TorusParams(tuple(params))
     cc = _TORI.get(params.periods)
     if cc is None:
-        cc = _build_torus(params)
+        cc = _grid_complex(params.periods)
         _TORI[params.periods] = cc
     return cc
 
 
-def _build_torus(params: TorusParams) -> CombinatorialComplex:
-    ps = params.periods
-    coords = np.unravel_index(np.arange(params.num_nodes), ps)
-    rows_by_rank: list[list[np.ndarray]] = [[] for _ in ps]
-    for k in product((0, 1), repeat=len(ps)):
+def grid_nodes(
+    coords, shape: tuple[int, ...], strip: bool = False, twist: bool = False
+) -> np.ndarray:
+    """Row-major node ids of integer grid coordinates: the one gluing rule.
+
+    Every axis wraps modulo its length, except that a strip (cylinder or
+    Moebius, shape (h, p)) keeps its height axis open: a coordinate outside
+    0..h-1 there gets -1.  With `twist`, each crossing of the seam of the
+    periodic axis flips the height, i -> h-1-i.
+    """
+    if not strip:
+        return np.ravel_multi_index(tuple(coords), shape, mode="wrap")
+    (i, j), (h, p) = coords, shape
+    if twist:
+        i = np.where(j // p % 2 == 1, h - 1 - i, i)
+    return np.where((i >= 0) & (i < h), i * p + j % p, -1)
+
+
+def _grid_complex(
+    shape: tuple[int, ...], strip: bool = False, twist: bool = False
+) -> CombinatorialComplex:
+    """Cells spanned by 0/1 offset patterns from every node, glued by grid_nodes.
+
+    A strip's cells that leave the open axis are dropped.  The rows go to
+    from_uniform_rows unchecked: every cell is generated once, from its lowest
+    corner, and with every length >= 3 no two offsets of a cell glue to the
+    same node, so rows are distinct and free of repeats (rank monotonicity is
+    still checked there).
+    """
+    coords = np.unravel_index(np.arange(prod(shape)), shape)
+    rows_by_rank: list[list[np.ndarray]] = [[] for _ in shape]
+    for k in product((0, 1), repeat=len(shape)):
         if any(k):
-            members = [
-                np.ravel_multi_index(tuple((c + d) % p for c, d, p in zip(coords, kp, ps)), ps)
-                for kp in product(*(range(x + 1) for x in k))
-            ]
-            rows_by_rank[sum(k) - 1].append(np.column_stack(members))
-    return from_uniform_rows(params.num_nodes, [np.vstack(rows) for rows in rows_by_rank])
-
-
-def _rho_cyl(s: tuple[int, int], h: int, p: int) -> tuple[int, int] | None:
-    """Wrap the periodic coordinate; None when the height coordinate escapes."""
-    if not 0 <= s[0] < h:
-        return None
-    return (s[0], s[1] % p)
-
-
-def _rho_moeb(s: tuple[int, int], h: int, p: int) -> tuple[int, int] | None:
-    """Moebius gluing: crossing the seam flips the height coordinate."""
-    if not 0 <= s[0] < h:
-        return None
-    t = s[1] % (2 * p)
-    if t < p:
-        return (s[0], t)
-    return (h - 1 - s[0], t - p)
-
-
-def _strip(params: StripParams, rho) -> CombinatorialComplex:
-    h, p = params.height, params.perimeter
-    cells: list[tuple[Verts, int]] = []
-    for s in product(range(h), range(p)):
-        for k in ((0, 1), (1, 0), (1, 1)):
-            if rho((s[0] + k[0], s[1] + k[1]), h, p) is None:
-                continue
-            members = set()
-            for kp in product(range(k[0] + 1), range(k[1] + 1)):
-                img = rho((s[0] + kp[0], s[1] + kp[1]), h, p)
-                members.add(img[0] * p + img[1])
-            cells.append((tuple(sorted(members)), k[0] + k[1]))
-    return build_cc(cells, h * p)
+            rows = np.column_stack(
+                [
+                    grid_nodes([c + d for c, d in zip(coords, kp)], shape, strip, twist)
+                    for kp in product(*(range(x + 1) for x in k))
+                ]
+            )
+            if strip:
+                rows = rows[(rows >= 0).all(axis=1)]
+            rows_by_rank[sum(k) - 1].append(rows)
+    return from_uniform_rows(prod(shape), [np.vstack(rows) for rows in rows_by_rank])
 
 
 def cylinder(params: StripParams | tuple[int, int]) -> CombinatorialComplex:
     """Grid of h x p quads closed along the second coordinate."""
     if not isinstance(params, StripParams):
         params = StripParams(*params)
-    return _strip(params, _rho_cyl)
+    return _grid_complex((params.height, params.perimeter), strip=True)
 
 
 def moebius(params: StripParams | tuple[int, int]) -> CombinatorialComplex:
     """Same grid as the cylinder, glued with a height flip across the seam."""
     if not isinstance(params, StripParams):
         params = StripParams(*params)
-    return _strip(params, _rho_moeb)
-
-
-def strip_node(i: int, j: int, perimeter: int) -> int:
-    """Node id of grid coordinate (i, j) in cylinder/moebius complexes."""
-    return i * perimeter + j
+    return _grid_complex((params.height, params.perimeter), strip=True, twist=True)
 
 
 def cycle_graph(n: int) -> SimpleGraph:

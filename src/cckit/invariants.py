@@ -132,7 +132,7 @@ def diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> Distance:
     """Largest pairwise distance in skeleton r1; infinite if disconnected."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"diameter needs a (co)adjacency spec, got {spec}")
-    if not cc.cells(spec.r1):
+    if cc.skeleton_size(spec.r1) == 0:
         raise EmptySkeleton(f"skeleton {spec.r1} is empty")
     dist = _metric(cc, spec)
     return INFINITE if (dist < 0).any() else int(dist.max())
@@ -154,9 +154,9 @@ def cross_diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec, k: int) -> 
     """Worst distance from an r1-cell to the nearest r1-face of a k-cell."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"cross diameter needs a (co)adjacency spec, got {spec}")
-    if not cc.cells(spec.r1):
+    if cc.skeleton_size(spec.r1) == 0:
         raise EmptySkeleton(f"skeleton {spec.r1} is empty")
-    if not cc.cells(k):
+    if cc.skeleton_size(k) == 0:
         raise EmptySkeleton(f"skeleton {k} is empty")
     faces = cc.neighbor_csr(incidence_down(k, spec.r1))
     bare = np.flatnonzero(row_lengths(faces[0]) == 0)

@@ -476,6 +476,48 @@ def reference_torus(periods: tuple[int, ...]) -> CombinatorialComplex:
     return build_cc(cells, n)
 
 
+def reference_strip_node(i: int, j: int, h: int, p: int, twist: bool) -> int | None:
+    """Node id of strip coordinate (i, j): None off the height axis; the
+    perimeter wraps, and with `twist` crossing the seam flips the height."""
+    if not 0 <= i < h:
+        return None
+    t = j % (2 * p) if twist else j % p
+    if t < p:
+        return i * p + t
+    return (h - 1 - i) * p + (t - p)
+
+
+def reference_strip(h: int, p: int, twist: bool) -> CombinatorialComplex:
+    """Cylinder (or, with `twist`, Moebius strip) cell by cell: the cell seeded
+    at (i, j) with 0/1 offset pattern k holds every glued (i, j) + k' with
+    k' <= k, and is skipped when its far corner leaves the height axis."""
+    cells = []
+    for s in product(range(h), range(p)):
+        for k in ((0, 1), (1, 0), (1, 1)):
+            if reference_strip_node(s[0] + k[0], s[1] + k[1], h, p, twist) is None:
+                continue
+            members = {
+                reference_strip_node(s[0] + a, s[1] + b, h, p, twist)
+                for a, b in product(range(k[0] + 1), range(k[1] + 1))
+            }
+            cells.append((tuple(sorted(members)), sum(k)))
+    return build_cc(cells, h * p)
+
+
+def reference_strip_cover_nodes(h: int, p: int) -> tuple[list[int], list[int]]:
+    """Node maps from the (h, 2p) cylinder onto the (h, p) cylinder (wrap)
+    and the (h, p) Moebius strip (twist-wrap), node by node."""
+    to_cyl, to_moeb = [], []
+    for i in range(h):
+        for j in range(2 * p):
+            to_cyl.append(i * p + (j % p))
+            if j < p:
+                to_moeb.append(i * p + j)
+            else:
+                to_moeb.append((h - 1 - i) * p + (j - p))
+    return to_cyl, to_moeb
+
+
 def reference_marking(cc, r1: int, r2: int, marking: str) -> list[list[int]]:
     """Pair markings cell by cell: containment (binary), or the distance from
     each node to the nearest vertex of each r2-cell, -1 when none is reachable,

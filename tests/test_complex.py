@@ -132,6 +132,25 @@ class TestBuild:
         assert cc.skeletons[0] == ((0,), (1,), (2,), (3,))
 
 
+class TestSpecs:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_sorted_in_declaration_order(self, d):
+        specs = natural_specs(d)
+        assert sorted(specs) == specs
+        assert sorted(reversed(specs)) == specs
+
+    def test_equality_and_hash_by_fields(self):
+        from cckit.complex import _KIND_ORDER, NeighborhoodSpec
+
+        for spec in natural_specs(2):
+            twin = NeighborhoodSpec(spec.kind, spec.r1, spec.r2)
+            assert twin == spec and twin is not spec
+            assert hash(twin) == hash(spec) == hash((_KIND_ORDER[spec.kind], spec.r1, spec.r2))
+            assert not twin < spec and twin <= spec
+        assert len(set(natural_specs(2))) == 36
+        assert adjacency(0, 1) != co_adjacency(0, 1)
+
+
 class TestNeighborhood:
     def test_triangle_adjacency(self):
         cc = build_cc(FILLED_TRIANGLE, 3)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cckit.complex import graph_as_cc
@@ -18,6 +19,8 @@ from cckit.errors import (
 )
 from cckit.generators import cycle_graph, cylinder, torus
 from cckit.refinement import Engine, distinguish
+
+from helpers import reference_strip, reference_strip_cover_nodes
 
 
 def identity_map(cc) -> CellMap:
@@ -119,6 +122,32 @@ class TestStripCovers:
     def test_period_too_small(self):
         with pytest.raises(PeriodTooSmall):
             strip_covers(2, 4)
+
+    def test_node_maps_match_reference(self):
+        for h in range(3, 7):
+            for p in range(3, 8):
+                cover, to_cyl, to_moeb = strip_covers(h, p)
+                assert cover == reference_strip(h, 2 * p, False)
+                ref_cyl, ref_moeb = reference_strip_cover_nodes(h, p)
+                assert to_cyl.images[0].tolist() == ref_cyl, (h, p)
+                assert to_moeb.images[0].tolist() == ref_moeb, (h, p)
+
+
+class TestTorusCovers:
+    def test_grid_nodes_is_the_mod_map(self):
+        from cckit.generators import grid_nodes
+
+        coords = np.unravel_index(np.arange(torus((9, 12)).num_nodes), (9, 12))
+        m = torus_mod_cover((9, 12), (3, 4))
+        assert grid_nodes(coords, (3, 4)).tolist() == m.images[0].tolist()
+
+    def test_cover_periods(self):
+        from cckit.covering import cover_periods
+
+        assert cover_periods([(3, 12), (6, 6)]) == (6, 12)
+        assert cover_periods([(4, 6), (3, 4), (3, 12)]) == (12, 12)
+        cert = torus_union_certificate([(4, 6), (3, 4)], [(3, 12)])
+        assert cert.cover.num_nodes == 12 * 12
 
 
 class TestCertificates:

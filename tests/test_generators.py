@@ -1,6 +1,7 @@
 from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
 from cckit.complex import build_cc, natural_specs
@@ -17,7 +18,7 @@ from cckit.generators import (
 from cckit.invariants import diameter
 from cckit.complex import adjacency, graph_as_cc
 
-from helpers import graph_automorphisms, reference_torus
+from helpers import graph_automorphisms, reference_strip, reference_strip_node, reference_torus
 
 
 def prod(xs):
@@ -52,7 +53,9 @@ class TestTorus:
         for p, q in [(3, 4), (3, 5), (4, 5)]:
             assert cc_isomorphic(torus((p, q)), torus((q, p))).isomorphic is True
 
-    @pytest.mark.parametrize("periods", [(3,), (7,), (3, 3), (4, 7), (6, 5), (3, 4, 5)])
+    @pytest.mark.parametrize(
+        "periods", [(3,), (7,), (3, 3), (4, 7), (6, 5), (3, 4, 5), (3, 3, 4, 3), (4, 3, 5, 3)]
+    )
     def test_matches_cell_by_cell_reference(self, periods):
         assert torus(periods) == reference_torus(periods)
 
@@ -114,6 +117,26 @@ class TestStrips:
             cylinder((2, 4))
         with pytest.raises(PeriodTooSmall):
             moebius((4, 2))
+
+    @pytest.mark.parametrize("twist", [False, True])
+    def test_matches_cell_by_cell_reference(self, twist):
+        make = moebius if twist else cylinder
+        for h in range(3, 9):
+            for p in range(3, 11):
+                assert make((h, p)) == reference_strip(h, p, twist), (h, p)
+
+    @pytest.mark.parametrize("twist", [False, True])
+    def test_grid_nodes_glue_like_reference(self, twist):
+        from cckit.generators import grid_nodes
+
+        h, p = 4, 5
+        i, j = np.meshgrid(np.arange(-2, h + 2), np.arange(-3 * p, 3 * p), indexing="ij")
+        expected = [
+            -1 if (v := reference_strip_node(a, b, h, p, twist)) is None else v
+            for a, b in zip(i.ravel().tolist(), j.ravel().tolist())
+        ]
+        nodes = grid_nodes((i.ravel(), j.ravel()), (h, p), strip=True, twist=twist)
+        assert nodes.tolist() == expected
 
     def test_degree_histograms_match(self):
         # every natural neighborhood gives the same degree multiset on both strips

@@ -226,6 +226,15 @@ class TestCrossDiameter:
         cc = triangular_lift(star_graph(2, 6))
         assert cross_diameter(cc, adjacency(0, 1), 2) < INFINITE
 
+    def test_reads_arrays_only(self):
+        # the emptiness checks read skeleton sizes, so no tuple views are built
+        cc = cylinder((4, 5))
+        assert diameter(cc, adjacency(0, 1)) == 5
+        assert cross_diameter(cc, adjacency(0, 1), 2) == 4
+        assert cc._skeletons is None
+        with pytest.raises(EmptySkeleton, match="skeleton 3 is empty"):
+            cross_diameter(cc, adjacency(0, 1), 3)
+
     def test_cell_without_faces(self):
         cc = build_cc([((0, 1), 1), ((0, 1, 2), 2)], 3)
         # the 2-cell has no rank-1 faces other than (0,1)... use rank-1 query
