@@ -13,12 +13,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import disjoint_union, disjoint_union_all, graph_as_cc, natural_specs, row_lengths
+from cckit.complex import (
+    SimpleGraph,
+    disjoint_union,
+    disjoint_union_all,
+    graph_as_cc,
+    natural_specs,
+    row_lengths,
+)
 from cckit.generators import cylinder, moebius, mog_example_pair, star_graph, torus
 from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 from cckit.refinement import (
     CellColors,
     Engine,
+    HompBlock,
+    PoolStage,
+    SclBlock,
     _intern,
     _marking_matrix,
     intern_rows,
@@ -106,23 +116,59 @@ FIXTURES = {
     "star": star_pair,
     "mog": lambda: tuple(mog_pool(g) for g in mog_example_pair()),
 }
-ENGINES = {"homp": Engine.homp_full, "smcn": Engine.smcn}
+ENGINES = {
+    "homp": Engine.homp_full,
+    "smcn": Engine.smcn,
+    # pair blocks over every rank pair shape: r1 < r2 with either marking,
+    # r1 = r2 (both sides read the same neighborhoods; pooling takes rows
+    # and columns), and a block to stability followed by a second block
+    "scl_01_bin": lambda: Engine.scl(0, 1, "binary"),
+    "scl_02_dist": lambda: Engine.scl(0, 2, "distance"),
+    "scl_11_bin": lambda: Engine.scl(1, 1, "binary"),
+    "scl_22_bin": lambda: Engine.scl(2, 2, "binary"),
+    "scl_12_bin": lambda: Engine.scl(1, 2, "binary"),
+    "two_blocks": lambda: Engine.smcn(
+        (
+            HompBlock(None, 1),
+            SclBlock(0, 1, "binary", None),
+            SclBlock(1, 1, "binary", 2),
+            PoolStage(),
+            HompBlock(None, 1),
+        )
+    ),
+}
+
+
+def with_triangle(g):
+    """g with the triangle 0-1-2 added (and nodes, if it has fewer than three)."""
+    return SimpleGraph.from_edges(max(g.num_nodes, 3), [*g.edges, (0, 1), (1, 2), (0, 2)])
+
+
+def top_pair_rank(engine) -> int:
+    """The highest rank any pair block of the engine reads."""
+    return max((st.r2 for st in engine.stages if isinstance(st, SclBlock)), default=0)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 def test_fixture_partitions(fixture, engine):
-    assert_kernel_matches_reference(list(FIXTURES[fixture]()), ENGINES[engine]())
+    ccs, eng = list(FIXTURES[fixture]()), ENGINES[engine]()
+    if top_pair_rank(eng) > min(cc.dimension for cc in ccs):
+        pytest.skip("pair block beyond the fixture's dimension")
+    assert_kernel_matches_reference(ccs, eng)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @settings(max_examples=25, deadline=None)
 @given(graphs(), graphs())
 def test_graph_partitions(engine, g, h):
-    ccs = [triangular_lift(g), graph_as_cc(h)]
-    if engine == "smcn":  # its pair block needs edges
-        assume(all(cc.dimension >= 1 for cc in ccs))
-    assert_kernel_matches_reference(ccs, ENGINES[engine]())
+    eng = ENGINES[engine]()
+    if top_pair_rank(eng) < 2:
+        ccs = [triangular_lift(g), graph_as_cc(h)]
+    else:  # a block over 2-cells needs a triangle in both complexes
+        ccs = [triangular_lift(with_triangle(g)), triangular_lift(with_triangle(h))]
+    assume(top_pair_rank(eng) <= min(cc.dimension for cc in ccs))
+    assert_kernel_matches_reference(ccs, eng)
 
 
 @settings(max_examples=40, deadline=None)
