@@ -9,9 +9,11 @@ histograms of different complexes are directly comparable.  Ids follow the
 sorted order of the distinct rows, so they are canonical: a complex refined
 alone numbers the same rows the same way, which lets :func:`distinguish`
 refine each complex once and compare per-tick tables across its partners.
-Cell rounds gather neighbor colors through padded index matrices
-(:func:`padded_gather`); pair rounds and pooling build their rows over the
-pair space and intern them the same way.
+Cell rounds and pair rounds build their rows in one place: an index matrix
+gathers neighbor colors through padded neighbor rows (:func:`padded_gather`).
+A pair round is a cell round whose cells are the pairs (x, y) of
+X_{r1} x X_{r2}: it gathers the pairs with x or y swapped for a neighbor, by
+flat pair id.  Pair seeding and pooling intern their rows the same way.
 
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
@@ -32,10 +34,10 @@ import numpy as np
 from .complex import (
     CombinatorialComplex,
     Csr,
-    NeighborhoodKind,
     NeighborhoodSpec,
     adjacency,
     co_adjacency,
+    incidence_down,
     incidence_up,
     natural_specs,
     padded_rows,
@@ -185,12 +187,20 @@ def _intern(
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
     """Neighbor CSRs as (n, w) index matrices, one per complex, with one
-    joint width w.  Short rows are padded with -1, which reads a sentinel the
-    caller appends last; shifts offset each complex's indices."""
+    joint width w.  Short rows are padded with -1, which the caller's gather
+    maps onto a pad entry (a cell round appends one last); shifts offset each
+    complex's indices."""
     width = max((int(row_lengths(indptr).max(initial=0)) for indptr, _ in csrs), default=0)
     if shifts:
         csrs = [(indptr, indices + shift) for (indptr, indices), shift in zip(csrs, shifts)]
     return [padded_rows(csr, width) for csr in csrs]
+
+
+def _rows(old, ext: np.ndarray, index: np.ndarray, segment: np.ndarray, base: int) -> np.ndarray:
+    """Rows of one update: old colors, then the colors each index row reads
+    from ext, each column lifted into its segment's value range (base exceeds
+    every color): one sort per row keeps the neighborhoods' multisets apart."""
+    return np.column_stack((old, np.sort(ext[index] + segment * base, axis=1)))
 
 
 class CellColors:
@@ -251,14 +261,12 @@ class CellColors:
         entry = self._gathers.get(id(specs))
         if entry is None:
             entry = self._gathers[id(specs)] = (specs, self._build(specs))
-        # shift colors to 1.. (0 is the pad) and lift each spec's columns
-        # into their own value range: one sort per row keeps the multisets apart
-        ext = np.append(self.colors + 1, 0)
+        ext = np.append(self.colors + 1, 0)  # colors shifted to 1.., 0 is the pad
         base = int(ext.max()) + 1
-        blocks = []
-        for r, (index, segment) in enumerate(entry[1]):
-            old = self.colors[self.rank_span(r)]
-            blocks.append(np.column_stack((old, np.sort(ext[index] + segment * base, axis=1))))
+        blocks = [
+            _rows(self.colors[self.rank_span(r)], ext, index, segment, base)
+            for r, (index, segment) in enumerate(entry[1])
+        ]
         return self.recolor(blocks)
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
@@ -351,36 +359,17 @@ class _JointState(CellColors):
         return state
 
     def scl_round(self, state: _PairState) -> bool:
-        """One pair-space update; exact multiset encoding via padded sorting."""
+        """One pair-space update: a cell round whose cells are the pairs."""
         if state.gathers is None:  # built on the first round: many runs end at the seed
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
-        blocks_per_cc = []
-        for ci, cc in enumerate(self.ccs):
-            C = state.mats[ci]
-            n1, n2 = C.shape
-            parts = [C[:, :, None]]
-            row_ext = np.concatenate([C, np.full((1, n2), -1, dtype=np.int64)], axis=0)
-            col_ext = np.concatenate([C, np.full((n1, 1), -1, dtype=np.int64)], axis=1)
-            ct_ext = np.concatenate([C.T, np.full((n2, 1), -1, dtype=np.int64)], axis=1)
-            for slot, pad in state.gathers[ci]:
-                if slot == "x":  # multiset of C[x', y] over neighbors x' of x
-                    g = row_ext[pad]            # (n1, w, n2)
-                    g = np.sort(g, axis=1)
-                    parts.append(np.moveaxis(g, 1, 2))
-                elif slot == "y":  # multiset of C[x, y'] over neighbors y' of y
-                    g = col_ext[:, pad]         # (n1, n2, w)
-                    parts.append(np.sort(g, axis=2))
-                elif slot == "bx":  # per-x multiset of C[x, y'] over up-incidences
-                    g = np.take_along_axis(col_ext, pad, axis=1)  # (n1, w)
-                    g = np.sort(g, axis=1)
-                    parts.append(np.broadcast_to(g[:, None, :], (n1, n2, g.shape[1])))
-                else:  # "by": per-y multiset of C[x', y] over down-incidences
-                    g = np.take_along_axis(ct_ext, pad, axis=1)  # (n2, w)
-                    g = np.sort(g, axis=1)
-                    parts.append(np.broadcast_to(g[None, :, :], (n1, n2, g.shape[1])))
-            sig = np.concatenate(parts, axis=2)
-            blocks_per_cc.append(sig.reshape(n1 * n2, sig.shape[2]))
-        ids, num_colors = self.intern(blocks_per_cc)
+        indices, segment = state.gathers
+        # colors shifted to 1.. with a pad row and column of 0s, which the
+        # gathers' wrapped -1 pads read; every complex lifts by the same base
+        blocks = []
+        for C, index in zip(state.mats, indices):
+            ext = np.pad(C.astype(np.int64) + 1, ((0, 1), (0, 1))).ravel()
+            blocks.append(_rows(C.ravel(), ext, index, segment, state.num_colors + 1))
+        ids, num_colors = self.intern(blocks)
         state.mats = [i.reshape(C.shape) for i, C in zip(ids, state.mats)]
         changed = num_colors > state.num_colors
         state.num_colors = num_colors
@@ -425,22 +414,29 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
 
 
 def _build_gathers(ccs, r1: int, r2: int, ell: int):
-    """Padded neighbor-index matrices per complex, with joint widths per slot;
-    a -1 pad reads the sentinel row or column the pair round appends."""
-    specs: list[tuple[str, NeighborhoodSpec]] = []
-    for r in range(ell + 1):
-        specs.append(("x", adjacency(r1, r)))
-        specs.append(("x", co_adjacency(r1, r)))
-    for r in range(ell + 1):
-        specs.append(("y", adjacency(r2, r)))
-        specs.append(("y", co_adjacency(r2, r)))
-    specs.append(("bx", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_UP, r1, r2)))
-    specs.append(("by", NeighborhoodSpec(NeighborhoodKind.INCIDENCE_DOWN, r2, r1)))
-    per_spec = [padded_gather([cc.neighbor_csr(spec) for cc in ccs]) for _, spec in specs]
-    return [
-        [(slot, mats[ci]) for (slot, _), mats in zip(specs, per_spec) if mats[ci].shape[1]]
-        for ci in range(len(ccs))
-    ]
+    """Per complex, the flat ids of the pairs each pair (x, y) reads, as one
+    (n1 * n2, W) matrix into its colors padded to (n1 + 1) x (n2 + 1), and
+    each column's position in ``sides``; widths are joint across complexes.
+    A -1 pad wraps onto a pad entry: x' = -1 onto the pad row, y' = -1 onto
+    the pad column of the row before (of the last row when x = 0)."""
+    # (spec, keyed by x, swaps x): (x', y) for x' adjacent or co-adjacent to x,
+    # (x, y') likewise for y, (x, y') for y' containing x, (x', y) for x' inside y
+    sides = [(f(r1, r), True, True) for r in range(ell + 1) for f in (adjacency, co_adjacency)]
+    sides += [(f(r2, r), False, False) for r in range(ell + 1) for f in (adjacency, co_adjacency)]
+    sides += [(incidence_up(r1, r2), True, False), (incidence_down(r2, r1), False, True)]
+    per_side = [padded_gather([cc.neighbor_csr(spec) for cc in ccs]) for spec, _, _ in sides]
+    segment = np.repeat(np.arange(len(sides)), [mats[0].shape[1] for mats in per_side])
+    indices = []
+    for ci, cc in enumerate(ccs):
+        n1, n2 = cc.skeleton_size(r1), cc.skeleton_size(r2)
+        x, y = np.arange(n1)[:, None, None], np.arange(n2)[None, :, None]
+        parts = []
+        for (_, by_x, swap_x), mats in zip(sides, per_side):
+            nb = mats[ci][:, None, :] if by_x else mats[ci][None, :, :]
+            ids = nb * (n2 + 1) + y if swap_x else x * (n2 + 1) + nb
+            parts.append(np.broadcast_to(ids, (n1, n2, nb.shape[2])))
+        indices.append(np.concatenate(parts, axis=2).reshape(n1 * n2, len(segment)))
+    return indices, segment
 
 
 def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
