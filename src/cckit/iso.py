@@ -4,8 +4,10 @@ Isomorphism means a rank-preserving bijection on cells that preserves
 vertex-set containment in both directions.  The decision procedure first
 splits both complexes into node-connectivity components (cells sharing a
 vertex; invariant under any containment-preserving bijection) and matches
-components, then decides each component pair (the identity map when the two
-have equal content, else by individualization-refinement):
+them in one pass, each component of one complex to the first unused
+isomorphic component of the other (isomorphism is an equivalence relation,
+so no choice needs undoing).  It decides each component pair by the identity
+map when the two have equal content, else by individualization-refinement:
 cells are partitioned by stable joint refinement colors over all natural
 neighborhoods, computed by the kernel of :mod:`cckit.refinement`
 (:class:`~cckit.refinement.CellColors`).  A cell of each complex in the
@@ -241,11 +243,7 @@ def cc_isomorphic(
         return IsoResult(isomorphic=False)
 
     try:
-        if len(comps_a) == 1:
-            witness = _component_witness(a, b, counter)
-            matching = None if witness is None else [(0, 0, witness)]
-        else:
-            matching = _match_components(comps_a, comps_b, counter)
+        matching = _match_components(comps_a, comps_b, counter)
     except _Budget:
         return IsoResult(isomorphic=None, nodes_explored=counter.used)
     if matching is None:
@@ -266,39 +264,25 @@ def _component_witness(a, b, counter: _Counter) -> CellMap | None:
 
 
 def _match_components(comps_a, comps_b, counter):
-    """Backtracking multiset matching; component pair results are memoized."""
-    memo: dict[tuple[int, int], CellMap | None] = {}
-
-    def pair_witness(i: int, j: int) -> CellMap | None:
-        key = (i, j)
-        if key not in memo:
-            ca, cb = comps_a[i].complex, comps_b[j].complex
-            if ca.dimension != cb.dimension or ca.skeleton_sizes() != cb.skeleton_sizes():
-                memo[key] = None
-            else:
-                memo[key] = _component_witness(ca, cb, counter)
-        return memo[key]
-
-    used = [False] * len(comps_b)
+    """Each component of a matched to the first unused isomorphic component of
+    b.  Isomorphism is an equivalence relation, so no assignment ever needs
+    undoing: a matching exists exactly when this one pass completes."""
+    free = list(range(len(comps_b)))
     matching: list[tuple[int, int, CellMap]] = []
-
-    def assign(i: int) -> bool:
-        if i == len(comps_a):
-            return True
-        for j in range(len(comps_b)):
-            if used[j]:
+    for i, comp in enumerate(comps_a):
+        ca = comp.complex
+        for j in free:
+            cb = comps_b[j].complex
+            if ca.dimension != cb.dimension or ca.skeleton_sizes() != cb.skeleton_sizes():
                 continue
-            w = pair_witness(i, j)
-            if w is not None:
-                used[j] = True
-                matching.append((i, j, w))
-                if assign(i + 1):
-                    return True
-                matching.pop()
-                used[j] = False
-        return False
-
-    return matching if assign(0) else None
+            witness = _component_witness(ca, cb, counter)
+            if witness is not None:
+                free.remove(j)
+                matching.append((i, j, witness))
+                break
+        else:
+            return None
+    return matching
 
 
 def _assemble_witness(a, b, comps_a, comps_b, matching) -> CellMap:

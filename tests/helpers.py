@@ -25,6 +25,7 @@ from cckit.complex import (
     natural_specs,
 )
 from cckit.invariants import INFINITE, Orientability, OrientabilityVerdict
+from cckit.iso import _assemble_witness, _component_witness, _Counter, split_components
 from cckit.refinement import HompBlock, SclBlock
 
 
@@ -381,6 +382,55 @@ def relabel_complex(cc: CombinatorialComplex, perm: list[int]) -> CombinatorialC
         for verts in cc.skeletons[r]
     ]
     return build_cc(cells, cc.num_nodes)
+
+
+def reference_match_components(comps_a, comps_b, counter):
+    """Backtracking multiset matching of components, with component pair
+    results memoized within the call: the matcher cckit.iso used before its
+    one-pass match."""
+    memo: dict = {}
+
+    def pair_witness(i: int, j: int):
+        if (i, j) not in memo:
+            ca, cb = comps_a[i].complex, comps_b[j].complex
+            if ca.dimension != cb.dimension or ca.skeleton_sizes() != cb.skeleton_sizes():
+                memo[i, j] = None
+            else:
+                memo[i, j] = _component_witness(ca, cb, counter)
+        return memo[i, j]
+
+    used = [False] * len(comps_b)
+    matching: list = []
+
+    def assign(i: int) -> bool:
+        if i == len(comps_a):
+            return True
+        for j in range(len(comps_b)):
+            if used[j]:
+                continue
+            w = pair_witness(i, j)
+            if w is not None:
+                used[j] = True
+                matching.append((i, j, w))
+                if assign(i + 1):
+                    return True
+                matching.pop()
+                used[j] = False
+        return False
+
+    return matching if assign(0) else None
+
+
+def reference_witness(a: CombinatorialComplex, b: CombinatorialComplex):
+    """The images of an isomorphism of a onto b found through the backtracking
+    component matcher, or None when there is none."""
+    comps_a, comps_b = split_components(a), split_components(b)
+    if len(comps_a) != len(comps_b):
+        return None
+    matching = reference_match_components(comps_a, comps_b, _Counter(10**6))
+    if matching is None:
+        return None
+    return _assemble_witness(a, b, comps_a, comps_b, matching).images
 
 
 def example_two_dim_complex() -> CombinatorialComplex:

@@ -1,12 +1,15 @@
 import random
 
-from cckit.complex import build_cc, disjoint_union, graph_as_cc
+import numpy as np
+import pytest
+
+from cckit.complex import build_cc, disjoint_union, disjoint_union_all, graph_as_cc
 from cckit.covering import CellMap, torus_mod_cover
 from cckit.generators import cycle_graph, cylinder, moebius, star_graph, torus
 from cckit.iso import cc_isomorphic, check_isomorphism
-from cckit.lifting import triangular_lift
+from cckit.lifting import cyclic_lift, triangular_lift
 
-from helpers import relabel_complex
+from helpers import random_graph, reference_witness, relabel_complex
 
 
 def identity_map(cc) -> CellMap:
@@ -115,3 +118,38 @@ class TestOracle:
         monkeypatch.setenv("CCKIT_ORACLE_BUDGET", "2")
         res = cc_isomorphic(torus((4, 10)), torus((5, 8)))
         assert res.isomorphic is None
+
+
+class TestComponentMatching:
+    """The one-pass component match against the backtracking reference."""
+
+    @staticmethod
+    def shuffled_unions(seed: int):
+        """A union of 2-5 connected parts and a relabeled union of the same
+        parts in shuffled order; on odd seeds one part of the second union is
+        swapped for a part of equal skeleton sizes that is not isomorphic."""
+        rng = random.Random(seed)
+        graph = random_graph(rng, 7, 0.5)
+        pool = [torus((3, 3)), torus((3, 4)), torus((4, 3)), cylinder((3, 4)), moebius((3, 4))]
+        pool.append(cyclic_lift(graph, 7))
+        parts = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+        if seed % 2:
+            parts[0] = cylinder((3, 4))
+        others = list(parts)
+        if seed % 2:
+            others[0] = moebius((3, 4))
+        rng.shuffle(others)
+        b = disjoint_union_all(others)
+        perm = list(range(b.num_nodes))
+        rng.shuffle(perm)
+        return disjoint_union_all(parts), relabel_complex(b, perm)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_backtracking_reference(self, seed):
+        a, b = self.shuffled_unions(seed)
+        res, ref = cc_isomorphic(a, b), reference_witness(a, b)
+        assert res.isomorphic is (ref is not None)
+        if ref is not None:
+            assert [np.asarray(x).tolist() for x in res.witness.images] == [
+                np.asarray(x).tolist() for x in ref
+            ]
