@@ -47,17 +47,8 @@ class MogParams:
 
 
 def triangular_lift(g: SimpleGraph) -> CombinatorialComplex:
-    """Add every triangle of the graph as a 2-cell."""
-    adj = [set() for _ in range(g.num_nodes)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    cells: list[tuple[Verts, int]] = [(e, 1) for e in g.sorted_edges()]
-    for u, v in g.sorted_edges():
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                cells.append(((u, v, w), 2))
-    return build_cc(cells, g.num_nodes)
+    """Add every triangle of the graph as a 2-cell (a chordless 3-cycle)."""
+    return cyclic_lift(g, 3)
 
 
 def chordless_cycles(g: SimpleGraph, max_len: int) -> list[Verts]:

@@ -140,6 +140,20 @@ def reference_chordless_cycles(g: SimpleGraph, max_len: int) -> list[tuple[int, 
     return sorted(set(out))
 
 
+def reference_triangular_lift(g: SimpleGraph) -> CombinatorialComplex:
+    """Every triangle as a 2-cell, from adjacency-set intersections per edge."""
+    adj = [set() for _ in range(g.num_nodes)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    cells = [(e, 1) for e in g.sorted_edges()]
+    for u, v in g.sorted_edges():
+        for w in sorted(adj[u] & adj[v]):
+            if w > v:
+                cells.append(((u, v, w), 2))
+    return build_cc(cells, g.num_nodes)
+
+
 def lifted_iso_graphs(count: int = 100, seed: int = 0) -> list[SimpleGraph]:
     """The sparse molecule-like graphs of the benchmark's lifted_iso workload:
     20-30 nodes, edge probability 2.6/(n-1), drawn from one seeded stream."""

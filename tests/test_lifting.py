@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import SimpleGraph, adjacency, disjoint_union
+from cckit.complex import SimpleGraph, adjacency, disjoint_union, encode_json
 from cckit.errors import BadParams, DegenerateCover
 from cckit.generators import cycle_graph, mog_example_pair, star_graph
 from cckit.invariants import INFINITE, cross_diameter
@@ -28,6 +28,7 @@ from helpers import (
     random_graph,
     random_split_graph,
     reference_chordless_cycles,
+    reference_triangular_lift,
 )
 
 
@@ -59,6 +60,11 @@ class TestTriangularLift:
             assert len(spokes) == 1
             a, b = cycle_nodes
             assert (b - a) % 12 in (1, 11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_nodes=12, edge_prob=0.45))
+    def test_matches_adjacency_set_reference(self, g):
+        assert encode_json(triangular_lift(g)) == encode_json(reference_triangular_lift(g))
 
     @settings(max_examples=30, deadline=None)
     @given(graphs())
