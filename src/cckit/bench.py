@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 from .complex import (
     CombinatorialComplex,
     SimpleGraph,
+    _cc_from_doc,
+    _cc_to_doc,
     adjacency,
-    decode_json,
     disjoint_union_all,
-    encode_json,
 )
 from .covering import CoverCertificate, cover_periods, torus_union_certificate
 from .errors import BadParams, CCError, ParseError
@@ -176,11 +176,11 @@ def pair_to_json(pair: LabeledPair) -> dict:
         "num_nodes": pair.num_nodes,
         "left": {
             "params": [list(pq) for pq in pair.left_params],
-            "cc": json.loads(encode_json(pair.left)),
+            "cc": _cc_to_doc(pair.left),
         },
         "right": {
             "params": [list(pq) for pq in pair.right_params],
-            "cc": json.loads(encode_json(pair.right)),
+            "cc": _cc_to_doc(pair.right),
         },
         "cover_periods": list(cover_periods(pair.left_params + pair.right_params)),
         "differing_invariants": [dict(d) for d in pair.differing_invariants],
@@ -201,7 +201,7 @@ def read_dataset(fp) -> list[tuple[CombinatorialComplex, CombinatorialComplex, d
             continue
         try:
             doc = json.loads(line)
-            left, right = (decode_json(json.dumps(doc[side]["cc"])) for side in ("left", "right"))
+            left, right = (_cc_from_doc(doc[side]["cc"]) for side in ("left", "right"))
         except (KeyError, TypeError):
             raise ParseError(
                 f"dataset line {lineno}: expected an object with left.cc and right.cc"

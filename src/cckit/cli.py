@@ -16,6 +16,7 @@ from .complex import (
     CombinatorialComplex,
     NeighborhoodKind,
     NeighborhoodSpec,
+    _cc_from_doc,
     decode_json,
     encode_json,
     format_edge_list,
@@ -244,8 +245,8 @@ def _read_cell_map(path: str) -> CellMap:
     if not isinstance(doc, dict):
         raise ParseError("cover JSON must be an object")
     try:
-        source = decode_json(json.dumps(doc["source"]))
-        target = decode_json(json.dumps(doc["target"]))
+        source = _cc_from_doc(doc["source"])
+        target = _cc_from_doc(doc["target"])
         rows = doc["assignment"]
     except KeyError as exc:
         raise ParseError(f"cover JSON missing field {exc.args[0]!r}") from exc

@@ -659,12 +659,16 @@ def disjoint_union_all(parts: Sequence[CombinatorialComplex]) -> CombinatorialCo
 
 def encode_json(cc: CombinatorialComplex) -> bytes:
     """Canonical UTF-8 JSON: dimension, num_nodes, cells per rank."""
-    doc = {
+    return json.dumps(_cc_to_doc(cc), separators=(",", ":")).encode("utf-8")
+
+
+def _cc_to_doc(cc: CombinatorialComplex) -> dict:
+    """The JSON document of a complex, as :func:`encode_json` writes it."""
+    return {
         "dimension": cc.dimension,
         "num_nodes": cc.num_nodes,
         "cells": [[list(verts) for verts in sk] for sk in cc.skeletons],
     }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def _is_int(value) -> bool:
@@ -685,6 +689,11 @@ def decode_json(data: bytes | str) -> CombinatorialComplex:
         raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _cc_from_doc(doc)
+
+
+def _cc_from_doc(doc) -> CombinatorialComplex:
+    """The complex of a parsed JSON document (see :func:`decode_json`)."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
