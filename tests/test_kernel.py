@@ -146,7 +146,7 @@ def with_triangle(g):
 
 def top_pair_rank(engine) -> int:
     """The highest rank any pair block of the engine reads."""
-    return max((st.r2 for st in engine.stages if isinstance(st, SclBlock)), default=0)
+    return max((s.r2 for s in engine.stages if isinstance(s, SclBlock)), default=0)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
