@@ -11,6 +11,7 @@ import random
 from itertools import combinations, permutations, product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cckit.complex import (
     CombinatorialComplex,
@@ -24,6 +25,7 @@ from cckit.complex import (
     incidence_up,
     natural_specs,
 )
+from cckit.errors import RankViolation
 from cckit.invariants import INFINITE, Orientability, OrientabilityVerdict
 from cckit.iso import _assemble_witness, _component_witness, _Counter, split_components
 from cckit.refinement import HompBlock, SclBlock
@@ -396,6 +398,55 @@ def relabel_complex(cc: CombinatorialComplex, perm: list[int]) -> CombinatorialC
         for verts in cc.skeletons[r]
     ]
     return build_cc(cells, cc.num_nodes)
+
+
+def arbitrary_complexes(max_nodes: int = 7):
+    """Cells over arbitrary vertex subsets at ranks 1-3, singletons included.
+
+    A cell's rank is a non-decreasing function of its size, so strict
+    inclusions never lower the rank and several land within one rank; one
+    vertex set then gets a second rank, where monotonicity allows.  So
+    ``incidence_up(r, r)`` is not the identity.
+    """
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        n = rng.randint(1, max_nodes)
+        cuts = sorted(rng.choices(range(1, n + 2), k=2))
+        cells = set()
+        for _ in range(rng.randint(0, 10)):
+            verts = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            cells.add((verts, 1 + (len(verts) >= cuts[0]) + (len(verts) >= cuts[1])))
+        if cells:
+            verts, rank = rng.choice(sorted(cells))
+            twin = (verts, rng.choice([r for r in (1, 2, 3) if r != rank]))
+            try:
+                return build_cc(sorted(cells | {twin}), n)
+            except RankViolation:
+                pass
+        return build_cc(sorted(cells), n)
+
+    return build()
+
+
+def brute_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bool:
+    """Isomorphism by trying every node permutation (tiny complexes only).
+
+    Rank 0 holds every singleton, so a rank- and containment-preserving
+    bijection is exactly a node permutation carrying each rank's family of
+    vertex sets onto the other complex's family at that rank.
+    """
+    if a.num_nodes != b.num_nodes or a.skeleton_sizes() != b.skeleton_sizes():
+        return False
+    targets = [set(b.skeletons[r]) for r in range(b.dimension + 1)]
+    return any(
+        all(
+            {tuple(sorted(perm[v] for v in verts)) for verts in a.skeletons[r]} == targets[r]
+            for r in range(1, a.dimension + 1)
+        )
+        for perm in permutations(range(a.num_nodes))
+    )
 
 
 def reference_match_components(comps_a, comps_b, counter):

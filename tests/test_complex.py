@@ -38,7 +38,7 @@ from cckit.errors import (
 )
 from cckit.generators import torus
 
-from helpers import brute_neighborhood, example_two_dim_complex, random_graph
+from helpers import arbitrary_complexes, brute_neighborhood, example_two_dim_complex, random_graph
 
 FILLED_TRIANGLE = [((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 2)]
 
@@ -49,35 +49,6 @@ def graphs(max_nodes=8, edge_prob=0.45):
         n = draw(st.integers(2, max_nodes))
         seed = draw(st.integers(0, 10**6))
         return random_graph(random.Random(seed), n, edge_prob)
-
-    return build()
-
-
-def arbitrary_complexes():
-    """Cells over arbitrary vertex subsets at ranks 1-3, singletons included.
-
-    A cell's rank is a non-decreasing function of its size, so strict
-    inclusions never lower the rank and several land within one rank; one
-    vertex set then gets a second rank, where monotonicity allows.
-    """
-
-    @st.composite
-    def build(draw):
-        rng = random.Random(draw(st.integers(0, 10**6)))
-        n = rng.randint(1, 7)
-        cuts = sorted(rng.choices(range(1, n + 2), k=2))
-        cells = set()
-        for _ in range(rng.randint(0, 10)):
-            verts = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-            cells.add((verts, 1 + (len(verts) >= cuts[0]) + (len(verts) >= cuts[1])))
-        if cells:
-            verts, rank = rng.choice(sorted(cells))
-            twin = (verts, rng.choice([r for r in (1, 2, 3) if r != rank]))
-            try:
-                return build_cc(sorted(cells | {twin}), n)
-            except RankViolation:
-                pass
-        return build_cc(sorted(cells), n)
 
     return build()
 

@@ -2,14 +2,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cckit.complex import build_cc, disjoint_union, disjoint_union_all, graph_as_cc
 from cckit.covering import CellMap, torus_mod_cover
+from cckit.errors import DuplicateCell, RankViolation
 from cckit.generators import cycle_graph, cylinder, moebius, star_graph, torus
 from cckit.iso import cc_isomorphic, check_isomorphism
 from cckit.lifting import cyclic_lift, triangular_lift
 
-from helpers import random_graph, reference_witness, relabel_complex
+from helpers import (
+    arbitrary_complexes,
+    brute_isomorphic,
+    random_graph,
+    reference_witness,
+    relabel_complex,
+)
 
 
 def identity_map(cc) -> CellMap:
@@ -153,3 +162,46 @@ class TestComponentMatching:
             assert [np.asarray(x).tolist() for x in res.witness.images] == [
                 np.asarray(x).tolist() for x in ref
             ]
+
+
+def shuffled(cc, seed: int):
+    perm = list(range(cc.num_nodes))
+    random.Random(seed).shuffle(perm)
+    return relabel_complex(cc, perm)
+
+
+@st.composite
+def tiny_pairs(draw):
+    """A complex on at most 6 nodes and a relabeled copy in which one cell of
+    rank r >= 1 is swapped for a random vertex set of the same size."""
+    cc = draw(arbitrary_complexes(max_nodes=6))
+    cells = [(verts, r) for r in range(1, cc.dimension + 1) for verts in cc.skeletons[r]]
+    assume(cells)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    i = rng.randrange(len(cells))
+    verts, r = cells[i]
+    cells[i] = (tuple(sorted(rng.sample(range(cc.num_nodes), len(verts)))), r)
+    assume(cells[i][0] != verts)
+    try:
+        other = build_cc(cells, cc.num_nodes)
+    except (DuplicateCell, RankViolation):
+        assume(False)
+    return cc, shuffled(other, rng.randrange(10**6))
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_complexes(), st.integers(0, 10**6))
+    def test_relabelings_are_isomorphic(self, cc, seed):
+        res = cc_isomorphic(cc, shuffled(cc, seed))
+        assert res.isomorphic is True
+        assert check_isomorphism(res.witness) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_pairs())
+    def test_matches_brute_force(self, pair):
+        a, b = pair
+        res = cc_isomorphic(a, b)
+        assert res.isomorphic is brute_isomorphic(a, b)
+        if res.isomorphic:
+            assert check_isomorphism(res.witness) is None
