@@ -29,14 +29,13 @@ from .complex import (  # noqa: F401
     CombinatorialComplex,
     build_cc,
     incidence_up,
-    natural_specs,
     row_ids,
     row_lengths,
 )
 from .covering import CellMap, first_spec_failure
 from .errors import MapNotWellDefined
 from .invariants import component_labels
-from .refinement import CellColors
+from .refinement import CellColors, HompBlock, _updates
 
 DEFAULT_BUDGET = 200_000
 BUDGET_ENV_VAR = "CCKIT_ORACLE_BUDGET"
@@ -96,65 +95,46 @@ class _Counter:
             raise _Budget()
 
 
-class _Search:
-    """Individualization-refinement over one pair of connected complexes."""
+_TO_STABILITY = HompBlock(None, None)
 
-    def __init__(self, a: CombinatorialComplex, b: CombinatorialComplex, counter: _Counter):
-        self.a = a
-        self.b = b
-        self.kernel = CellColors([a, b], a.dimension)
-        self.specs = tuple(natural_specs(a.dimension))
-        self.counter = counter
 
-    def run(self) -> CellMap | None:
-        return self._search(self.kernel.colors, self.kernel.classes)
+def _search(state: CellColors, counter: _Counter) -> CellMap | None:
+    """Individualization-refinement over the joint colors of two connected
+    complexes: a witness, or None once every branch has diverged.
 
-    def refine(self, colors: np.ndarray, classes: int) -> np.ndarray | None:
-        """Joint refinement to stability; returns the class sizes, or None as
-        soon as the two histograms diverge (colors only split, so a divergence
-        never heals)."""
-        kernel = self.kernel
-        kernel.colors, kernel.classes = colors, classes
-        while True:
-            changed = kernel.cell_round(self.specs)
-            counts = kernel.class_counts()
-            if not np.array_equal(counts[0], counts[1]):
-                return None
-            if not changed:
-                return counts[0]
-
-    def _search(self, colors: np.ndarray, classes: int) -> CellMap | None:
-        self.counter.spend()
-        sizes = self.refine(colors, classes)
-        if sizes is None:
-            return None
-        kernel = self.kernel
-        colors, k = kernel.colors, kernel.classes
-        in_a = kernel.owner == 0
-        if sizes.max() == 1:
-            # discrete partition: the color-induced bijection is forced
-            where_b = np.empty(k, dtype=np.int64)
-            where_b[colors[~in_a]] = np.flatnonzero(~in_a)
-            image = where_b[colors]
-            mapping = tuple(
-                tuple((image[kernel.span(0, r)] - kernel.span(1, r).start).tolist())
-                for r in range(self.a.dimension + 1)
-            )
-            candidate = CellMap(self.a, self.b, mapping)
-            if check_isomorphism(candidate) is None:
-                return candidate
-            return None
-        # smallest non-singleton class, the lowest id (sorted-row order) on ties
-        split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
-        members = colors == split
-        x = np.flatnonzero(members & in_a)[0]
-        for y in np.flatnonzero(members & ~in_a):
-            trial = colors.copy()
-            trial[[x, y]] = k  # a fresh color individualizes both cells
-            found = self._search(trial, k + 1)
-            if found is not None:
-                return found
+    Refinement runs to stability through the diagrams' update loop and stops
+    as soon as the two complexes' class sizes differ (colors only split, so a
+    divergence never heals).  A discrete partition that gets there pairs each
+    cell with the one cell of the same stable row, so the map it induces
+    carries every natural neighborhood onto its image's: an isomorphism.
+    """
+    counter.spend()
+    if not all(state.agree() for _ in _updates(state, _TO_STABILITY)):
         return None
+    colors, k = state.colors, state.classes
+    sizes = state.class_counts()[0]
+    in_a = state.owner == 0
+    if sizes.max() == 1:
+        where_b = np.empty(k, dtype=np.int64)
+        where_b[colors[~in_a]] = np.flatnonzero(~in_a)
+        image = where_b[colors]
+        a, b = state.ccs
+        mapping = tuple(
+            image[state.span(0, r)] - state.span(1, r).start for r in range(a.dimension + 1)
+        )
+        return CellMap(a, b, mapping)
+    # smallest non-singleton class, the lowest id (sorted-row order) on ties
+    split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
+    members = colors == split
+    x = np.flatnonzero(members & in_a)[0]
+    for y in np.flatnonzero(members & ~in_a):
+        state.colors = colors.copy()
+        state.colors[[x, y]] = k  # a fresh color individualizes both cells
+        state.classes = k + 1
+        found = _search(state, counter)
+        if found is not None:
+            return found
+    return None
 
 
 def node_components(cc: CombinatorialComplex) -> list[int]:
@@ -173,7 +153,6 @@ def _node_labels(cc: CombinatorialComplex) -> np.ndarray:
 @dataclass(frozen=True)
 class _Component:
     complex: CombinatorialComplex
-    nodes: tuple[int, ...]                      # parent node ids, sorted
     cell_parent: tuple[np.ndarray, ...]         # per rank, local -> parent index
 
 
@@ -191,7 +170,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
     count = int(labels.max()) + 1
     if count == 1:
         ident = tuple(np.arange(cc.skeleton_size(r)) for r in range(cc.dimension + 1))
-        return [_Component(cc, tuple(range(cc.num_nodes)), ident)]
+        return [_Component(cc, ident)]
     nodes = np.argsort(labels, kind="stable")  # grouped by component, ascending within
     node_starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=count))))
     local = np.empty(cc.num_nodes, dtype=np.int64)
@@ -216,8 +195,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
         while len(skeletons[-1][0]) == 1:  # no cells at the top rank
             skeletons.pop()
         sub = CombinatorialComplex(int(node_starts[c + 1] - node_starts[c]), tuple(skeletons))
-        members = tuple(nodes[node_starts[c] : node_starts[c + 1]].tolist())
-        comps.append(_Component(sub, members, tuple(parents)))
+        comps.append(_Component(sub, tuple(parents)))
     return comps
 
 
@@ -260,7 +238,7 @@ def _component_witness(a, b, counter: _Counter) -> CellMap | None:
     identity when their content is equal, else the search's."""
     if a == b:
         return CellMap(a, b, tuple(np.arange(a.skeleton_size(r)) for r in range(a.dimension + 1)))
-    return _Search(a, b, counter).run()
+    return _search(CellColors([a, b], a.dimension), counter)
 
 
 def _match_components(comps_a, comps_b, counter):

@@ -25,8 +25,8 @@ refines with the same kernel, :class:`CellColors`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -203,8 +203,20 @@ def _rows(old, ext: np.ndarray, index: np.ndarray, segment: np.ndarray, base: in
     return np.column_stack((old, np.sort(ext[index] + segment * base, axis=1)))
 
 
+@dataclass(slots=True)
+class _PairState:
+    """Live pair coloring of one SclBlock across all complexes."""
+
+    r1: int
+    r2: int
+    mats: list[np.ndarray]
+    num_colors: int
+    gathers: tuple | None = None  # built by the first round: many runs end at the seed
+
+
 class CellColors:
-    """Joint cell colors of several complexes, refined by one kernel round.
+    """Joint cell colors of several complexes, plus the live pair colorings of
+    the pair blocks run on them, refined by one kernel round.
 
     All cells sit in one array, rank by rank and within a rank complex by
     complex.  Initial colors are the ranks; every row starts with the old
@@ -222,6 +234,7 @@ class CellColors:
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
         self.classes = len(np.unique(self.colors))
         self._gathers: dict[int, tuple[tuple[NeighborhoodSpec, ...], list]] = {}
+        self.pair_states: list[_PairState] = []
         self.tabulate = False
         self.table: tuple | None = None
 
@@ -239,6 +252,37 @@ class CellColors:
         """(complexes, colors) matrix of class sizes."""
         m, k = len(self.ccs), int(self.colors.max()) + 1
         return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
+
+    def view(self, ci: int, top: int) -> tuple:
+        """Rank histograms 0..top plus live pair histograms of one complex."""
+        ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
+        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
+
+    def snapshot(self) -> list[tuple]:
+        """Comparable view per complex."""
+        return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
+
+    def agree(self) -> bool:
+        """Whether two complexes' snapshots are equal, from class sizes alone:
+        every color stays inside one rank, so equal counts per color are equal
+        rank histograms, and likewise for every live pair coloring."""
+        counts = self.class_counts()
+        if not np.array_equal(counts[0], counts[1]):
+            return False
+        return all(
+            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
+            for ps in self.pair_states
+        )
+
+    def compact(self) -> None:
+        """Shrink a paused run: forget the gather matrices (the next round
+        rebuilds what it needs) and hold pair colors in the smallest integer
+        type that fits them (rounds widen them again)."""
+        self._gathers.clear()
+        for ps in self.pair_states:
+            ps.gathers = None
+            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
+            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
 
     def recolor(self, blocks: Sequence[np.ndarray]) -> bool:
         """New colors from the rows of blocks given in cell order; True when
@@ -290,58 +334,6 @@ class CellColors:
             out.append((np.hstack(mats), np.array(segment, dtype=np.int64)))
         return out
 
-
-class _PairState:
-    """Live pair coloring of one SclBlock across all complexes."""
-
-    __slots__ = ("r1", "r2", "mats", "num_colors", "gathers")
-
-    def __init__(self, r1: int, r2: int, mats: list[np.ndarray], num_colors: int, gathers):
-        self.r1 = r1
-        self.r2 = r2
-        self.mats = mats
-        self.num_colors = num_colors
-        self.gathers = gathers
-
-
-class _JointState(CellColors):
-    """Cell colors plus the live pair colorings of one diagram run."""
-
-    def __init__(self, ccs: Sequence[CombinatorialComplex]):
-        super().__init__(ccs, max(cc.dimension for cc in ccs))
-        self.pair_states: list[_PairState] = []
-
-    def view(self, ci: int, top: int) -> tuple:
-        """Rank histograms 0..top plus live pair histograms of one complex."""
-        ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
-        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
-
-    def snapshot(self) -> list[tuple]:
-        """Comparable view per complex."""
-        return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
-
-    def agree(self) -> bool:
-        """Whether two complexes' snapshots are equal, from class sizes alone:
-        every color stays inside one rank, so equal counts per color are equal
-        rank histograms, and likewise for every live pair coloring."""
-        counts = self.class_counts()
-        if not np.array_equal(counts[0], counts[1]):
-            return False
-        return all(
-            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
-            for ps in self.pair_states
-        )
-
-    def compact(self) -> None:
-        """Shrink a paused run: forget the gather matrices (the next round
-        rebuilds what it needs) and hold pair colors in the smallest integer
-        type that fits them (rounds widen them again)."""
-        self._gathers.clear()
-        for ps in self.pair_states:
-            ps.gathers = None
-            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
-            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
-
     # -- pair refinement --------------------------------------------------------
 
     def seed_pairs(self, block: SclBlock) -> _PairState:
@@ -353,14 +345,13 @@ class _JointState(CellColors):
             marks.append(mark)
             rows.append(np.column_stack((c1.repeat(len(c2)), np.tile(c2, len(c1)), mark.ravel())))
         ids, num_colors = self.intern(rows)
-        mats = [i.reshape(mark.shape) for i, mark in zip(ids, marks)]
-        state = _PairState(r1, r2, mats, num_colors, None)
+        state = _PairState(r1, r2, [i.reshape(mark.shape) for i, mark in zip(ids, marks)], num_colors)
         self.pair_states.append(state)
         return state
 
     def scl_round(self, state: _PairState) -> bool:
         """One pair-space update: a cell round whose cells are the pairs."""
-        if state.gathers is None:  # built on the first round: many runs end at the seed
+        if state.gathers is None:
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
         indices, segment = state.gathers
         # colors shifted to 1.. with a pad row and column of 0s, which the
@@ -468,59 +459,60 @@ def _natural_specs(ell: int) -> tuple[NeighborhoodSpec, ...]:
     return tuple(natural_specs(ell))
 
 
+def _updates(state: CellColors, stage: Stage) -> Iterator[None]:
+    """Run one stage on state, pausing after every update (cell round, pair
+    seeding, pair round, pooling).
+
+    A block with ``rounds=None`` stops after the first round that leaves its
+    partition unchanged.  Each other round splits a class, so a block needs
+    at most one round more than it has cells (cells or pairs); one that
+    outruns that bound is a kernel fault.
+    """
+    if isinstance(stage, PoolStage):
+        state.pool()
+        yield
+        return
+    if isinstance(stage, SclBlock):
+        pair = state.seed_pairs(stage)
+        yield
+        step = partial(state.scl_round, pair)
+        bound = sum(m.size for m in pair.mats)
+        fault = "pair refinement exceeded the pair-space bound"
+    else:
+        specs = tuple(stage.specs) if stage.specs is not None else _natural_specs(state.ell)
+        step = partial(state.cell_round, specs)
+        bound = len(state.colors)
+        fault = "refinement exceeded the cell-count bound"
+    for _ in range(stage.rounds or bound + 1):
+        changed = step()
+        yield
+        if stage.rounds is None and not changed:
+            return
+    if stage.rounds is None:
+        raise AssertionError(fault)
+
+
 def run_diagram(
     ccs: Sequence[CombinatorialComplex],
     stages: Sequence[Stage],
-) -> Iterator[tuple[int, Callable[[], list[tuple]], _JointState]]:
+) -> Iterator[tuple[int, Callable[[], list[tuple]], CellColors]]:
     """Execute stages jointly, yielding (round, snapshot, state).
 
-    Round 0 is the initial uniform coloring; every update (cell round, pair
-    seeding, pair round, pooling) advances the counter by one.  The middle
-    element is the bound method ``state.snapshot``, not its value: building
-    the comparable views costs one histogram per rank and pair block, and
-    most consumers never read them (:meth:`_JointState.agree` compares the
-    same thing from class sizes).
+    Round 0 is the initial uniform coloring; every update advances the
+    counter by one.  The middle element is the bound method
+    ``state.snapshot``, not its value: building the comparable views costs
+    one histogram per rank and pair block, and most consumers never read
+    them (:meth:`CellColors.agree` compares the same thing from class sizes).
     """
-    state = _JointState(ccs)
+    state = CellColors(ccs, max(cc.dimension for cc in ccs))
     _validate_stages(ccs, stages, state.ell)
-    total_cells = sum(cc.num_cells() for cc in ccs)
-    tick = 0
-    yield tick, state.snapshot, state
-    for st in stages:
-        if isinstance(st, HompBlock):
-            specs = tuple(st.specs) if st.specs is not None else _natural_specs(state.ell)
-            rounds = st.rounds if st.rounds is not None else total_cells + 1
-            for k in range(rounds):
-                changed = state.cell_round(specs)
-                tick += 1
-                yield tick, state.snapshot, state
-                if st.rounds is None and not changed:
-                    break
-            else:
-                if st.rounds is None:
-                    raise AssertionError("refinement exceeded the cell-count bound")
-        elif isinstance(st, SclBlock):
-            pair = state.seed_pairs(st)
-            tick += 1
-            yield tick, state.snapshot, state
-            pair_space = sum(m.size for m in pair.mats)
-            rounds = st.rounds if st.rounds is not None else pair_space + 1
-            for k in range(rounds):
-                changed = state.scl_round(pair)
-                tick += 1
-                yield tick, state.snapshot, state
-                if st.rounds is None and not changed:
-                    break
-            else:
-                if st.rounds is None:
-                    raise AssertionError("pair refinement exceeded the pair-space bound")
-        else:
-            state.pool()
-            tick += 1
-            yield tick, state.snapshot, state
+    yield 0, state.snapshot, state
+    updates = chain.from_iterable(_updates(state, st) for st in stages)
+    for tick, _ in enumerate(updates, 1):
+        yield tick, state.snapshot, state
 
 
-def _final_state(ccs, stages) -> _JointState:
+def _final_state(ccs, stages) -> CellColors:
     state = None
     for _, _, state in run_diagram(ccs, stages):
         pass
@@ -528,7 +520,7 @@ def _final_state(ccs, stages) -> _JointState:
     return state
 
 
-def _fingerprints_of(state: _JointState) -> list[Fingerprint]:
+def _fingerprints_of(state: CellColors) -> list[Fingerprint]:
     out = []
     for ci, cc in enumerate(state.ccs):
         ranks, pairs = state.view(ci, cc.dimension)
