@@ -251,6 +251,8 @@ def _from_keys(keys: np.ndarray, n: int, n_rows: int) -> Csr:
 def _pairs_within(groups: Csr, n: int) -> Csr:
     """The relation on 0..n-1 joining distinct members of a common group."""
     indptr, members = groups
+    if row_lengths(indptr).max(initial=0) < 2:  # most calls: no group joins two
+        return _empty_csr(n)
     pos, b = _expand(groups, row_ids(indptr))
     a = members[pos]
     keys, _ = _runs((a * n + b)[a != b])
