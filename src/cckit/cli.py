@@ -84,13 +84,11 @@ def _read_cc(path: str) -> CombinatorialComplex:
 
 
 def _parse_spec(text: str) -> NeighborhoodSpec:
-    kinds = {"A": NeighborhoodKind.ADJACENCY, "coA": NeighborhoodKind.CO_ADJACENCY,
-             "B": NeighborhoodKind.INCIDENCE_UP, "BT": NeighborhoodKind.INCIDENCE_DOWN}
     try:
         kind, ranks = text.split(":")
         r1, r2 = (int(x) for x in ranks.split(","))
-        return NeighborhoodSpec(kinds[kind], r1, r2)
-    except (ValueError, KeyError):
+        return NeighborhoodSpec(NeighborhoodKind(kind), r1, r2)
+    except ValueError:
         raise ParseError(
             f"bad neighborhood spec {text!r}; expected KIND:r1,r2 with KIND in A|coA|B|BT"
         ) from None
@@ -118,8 +116,6 @@ def _parse_engine(text: str, rounds: int | None) -> Engine:
 
 
 def _dist_json(d):
-    if d is None:
-        return None
     return "inf" if d == INFINITE else int(d)
 
 
