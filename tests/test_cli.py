@@ -1,12 +1,15 @@
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from cckit import bench
 from cckit.cli import main
-from cckit.complex import build_cc, decode_json, encode_json, parse_edge_list
-from cckit.covering import strip_covers
-from cckit.generators import cylinder, moebius, torus
+from cckit.complex import build_cc, decode_json, encode_json, graph_as_cc, parse_edge_list
+from cckit.covering import cell_map_from_node_map, strip_covers
+from cckit.generators import cycle_graph, cylinder, mog_example_pair, moebius, torus
+from cckit.lifting import MogParams, mog_pool, triangular_lift
 
 
 def run(capsys, *argv):
@@ -29,6 +32,20 @@ def dataset_file(tmp_path):
     with open(path, "w") as fp:
         bench.write_dataset(bench.gen_torus_dataset(bench.TorusDatasetSpec(18, 18, 3)), fp)
     return str(path)
+
+
+def map_doc(m) -> dict:
+    return {
+        "source": json.loads(encode_json(m.source)),
+        "target": json.loads(encode_json(m.target)),
+        "assignment": [list(row) for row in m.assignment],
+    }
+
+
+def assert_one_line(code, text, expected_code):
+    """The exit code and a single line of output, with no traceback."""
+    assert code == expected_code
+    assert text.count("\n") == 1 and "Traceback" not in text
 
 
 @pytest.fixture()
@@ -54,6 +71,23 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("family, build", [("cylinder", cylinder), ("moebius", moebius)])
+    def test_strips(self, capsys, family, build):
+        code, out, _ = run(capsys, "gen", family, "--height", "3", "--perimeter", "4")
+        assert code == 0
+        assert decode_json(out) == build((3, 4))
+
+    def test_cycle(self, capsys):
+        code, out, _ = run(capsys, "gen", "cycle", "--n", "5")
+        assert code == 0
+        assert parse_edge_list(out) == cycle_graph(5)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_mog_pair(self, capsys, side):
+        code, out, _ = run(capsys, "gen", "mog-pair", "--side", ("left", "right")[side])
+        assert code == 0
+        assert parse_edge_list(out) == mog_example_pair()[side]
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "torus"])  # missing --periods
@@ -68,6 +102,30 @@ class TestLiftPool(object):
         assert code == 0
         cc = decode_json(out)
         assert cc.skeleton_sizes() == (6, 6, 1)
+
+    def test_lift_triangular(self, capsys, tmp_path):
+        graph_file = tmp_path / "k4.txt"
+        graph_file.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        code, out, _ = run(capsys, "lift", "--method", "triangular", "-i", str(graph_file))
+        assert code == 0
+        assert decode_json(out) == triangular_lift(parse_edge_list(graph_file.read_text()))
+
+    def test_lift_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"))
+        code, out, _ = run(capsys, "lift", "--method", "cyclic", "-i", "-")
+        assert code == 0
+        assert decode_json(out).skeleton_sizes() == (6, 6, 1)
+
+    def test_pool_given_cover(self, capsys, tmp_path):
+        left, _ = mog_example_pair()
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("6 7\n0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n")
+        code, out, _ = run(
+            capsys, "pool", "--eta", "1/12", "--eps", "1/8", "-i", str(graph_file)
+        )
+        assert code == 0
+        expected = mog_pool(left, MogParams(Fraction(1, 12), Fraction(1, 8)))
+        assert decode_json(out) == expected
 
     def test_pool_default_fine(self, capsys, tmp_path):
         graph_file = tmp_path / "g.txt"
@@ -85,6 +143,14 @@ class TestInvariantsCmd:
         assert doc["betti_gf2"] == [1, 1, 0]
         assert doc["orientability"] == "orientable"
         assert doc["boundary_cycle_lengths"] == [4, 4]
+
+    def test_cross_diameter_undefined(self, capsys, cyl_file):
+        # a cylinder has no rank-3 cells to measure the distance to
+        code, out, _ = run(capsys, "invariants", cyl_file, "--cross-k", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["cross_diameter"] == {
+            "A_{0,1};k=3": "undefined (skeleton 3 is empty)"
+        }
 
     def test_text_report(self, capsys, mob_file):
         code, out, _ = run(capsys, "invariants", mob_file)
@@ -121,6 +187,20 @@ class TestDistinguishCmd:
         assert code == 0
         assert "distinguished" in out
 
+    @pytest.mark.parametrize(
+        "engine, rounds, verdict",
+        [
+            ("homp", "2", "indistinguishable (engine homp)"),
+            ("scl:0,1,dist", "1", "distinguished (engine scl:0,1,dist, round 1)"),
+        ],
+    )
+    def test_capped_rounds(self, capsys, cyl_file, mob_file, engine, rounds, verdict):
+        code, out, _ = run(
+            capsys, "distinguish", cyl_file, mob_file, "--engine", engine, "--rounds", rounds
+        )
+        assert code == 0
+        assert out.strip() == verdict
+
     def test_emit_colors(self, capsys, cyl_file, mob_file):
         code, out, _ = run(
             capsys, "distinguish", cyl_file, mob_file, "--engine", "homp", "--emit-colors"
@@ -140,6 +220,27 @@ class TestCoverCmds:
         path = tmp_path / "cover.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify-cover", str(path))
+        assert code == 0
+        assert out.strip() == "Ok"
+
+    def test_verify_cover_violation(self, capsys, tmp_path):
+        # folding the 6-cycle onto the triangle twice per lap maps node 0's
+        # two neighbors onto one node: a cell map, but no covering
+        c6, c3 = graph_as_cc(cycle_graph(6)), graph_as_cc(cycle_graph(3))
+        path = tmp_path / "fold.json"
+        path.write_text(json.dumps(map_doc(cell_map_from_node_map(c6, c3, [0, 1, 2, 0, 2, 1]))))
+        code, out, err = run(capsys, "verify-cover", str(path))
+        assert_one_line(code, out, 2)
+        assert out == "neighborhood does not map bijectively at rank-0 cell (0,) under A_{0,1}\n"
+        assert err == ""
+
+    def test_check_iso_ok(self, capsys, tmp_path):
+        _, to_cyl, _ = strip_covers(3, 4)
+        cyl = to_cyl.target
+        identity = cell_map_from_node_map(cyl, cyl, list(range(cyl.num_nodes)))
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_doc(identity)))
+        code, out, _ = run(capsys, "check-iso", str(path))
         assert code == 0
         assert out.strip() == "Ok"
 
@@ -166,6 +267,12 @@ class TestDatasetCmds:
         assert code == 0
         assert "wrote 1 pairs" in err
         assert len(out_file.read_text().splitlines()) == 1
+
+    def test_gen_dataset_to_stdout(self, capsys):
+        code, out, err = run(capsys, "gen-torus-dataset", "18", "18", "3", "-o", "-")
+        assert code == 0
+        assert "wrote 1 pairs" in err
+        assert len(bench.read_dataset(out.splitlines())) == 1
 
     def test_expectation_violation_dumps(self, capsys, tmp_path):
         out_file = tmp_path / "pairs.jsonl"
@@ -265,6 +372,19 @@ class TestDatasetCmds:
         assert code == 2
         lines = [json.loads(l) for l in out_file.read_text().splitlines()]
         assert "error" in lines[0]
+        assert lines[1]["cross_diameter_012"] == 0
+
+
+    def test_label_lifted_record_rejected_by_the_library(self, capsys, tmp_path):
+        # a "0 0" block parses, and building its complex then raises a CCError
+        graphs_file = tmp_path / "graphs.txt"
+        graphs_file.write_text("0 0\n6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+        out_file = tmp_path / "labels.jsonl"
+        code, _, err = run(capsys, "label-lifted", "-i", str(graphs_file), "-o", str(out_file))
+        assert_one_line(code, err, 2)
+        assert err == "record 0: a complex needs at least one node\n"
+        lines = [json.loads(l) for l in out_file.read_text().splitlines()]
+        assert lines[0] == {"index": 0, "error": "a complex needs at least one node"}
         assert lines[1]["cross_diameter_012"] == 0
 
 
@@ -373,3 +493,47 @@ class TestHostileInputs:
         )
         self.assert_error_line(code, err)
         assert "smcn:default" in err
+
+    @pytest.mark.parametrize(
+        "engine, message",
+        [
+            ("scl:0,1", "error: bad engine 'scl:0,1'; expected scl:R1,R2,dist|bin\n"),
+            ("scl:0,x,bin", "error: bad engine 'scl:0,x,bin'; expected scl:R1,R2,dist|bin\n"),
+            ("wl", "error: unknown engine 'wl'\n"),
+        ],
+    )
+    def test_bad_engine(self, capsys, cyl_file, mob_file, engine, message):
+        code, _, err = run(capsys, "distinguish", cyl_file, mob_file, "--engine", engine)
+        self.assert_error_line(code, err)
+        assert err == message
+
+    @pytest.mark.parametrize("spec", ["X:0,1", "A:0", "A0,1", "B:0,y"])
+    def test_bad_spec(self, capsys, cyl_file, spec):
+        code, _, err = run(capsys, "invariants", cyl_file, "--spec", spec)
+        self.assert_error_line(code, err)
+        assert err == (
+            f"error: bad neighborhood spec {spec!r}; expected KIND:r1,r2 with KIND in A|coA|B|BT\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "error: invalid JSON: "),
+            ("[1, 2]", "error: cover JSON must be an object"),
+        ],
+    )
+    def test_cover_file_not_a_map(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cover.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify-cover", str(path))
+        self.assert_error_line(code, err)
+        assert err.startswith(message)
+
+    def test_cover_file_missing_field(self, capsys, tmp_path):
+        doc = self.cover_doc([])
+        del doc["target"]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check-iso", str(path))
+        self.assert_error_line(code, err)
+        assert err == "error: cover JSON missing field 'target'\n"

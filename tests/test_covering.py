@@ -4,6 +4,7 @@ import pytest
 from cckit.complex import graph_as_cc
 from cckit.covering import (
     CellMap,
+    CoverCertificate,
     cell_map_from_node_map,
     fiber_sizes,
     strip_covers,
@@ -74,6 +75,9 @@ class TestVerify:
 
         cc = build_cc([((0, 1, 2), 2)], 3)  # no rank-1 cells
         assert verify_covering(identity_map(cc)) is None
+        m = cell_map_from_node_map(cc, cc, [1, 2, 0])
+        assert m.assignment == ((1, 2, 0), (), (0,))
+        assert verify_covering(m) is None
 
 
 class TestTorusModCover:
@@ -176,6 +180,15 @@ class TestCertificates:
             left = disjoint_union_all([torus(p) for p in a])
             right = disjoint_union_all([torus(p) for p in b])
             assert not distinguish(left, right, Engine.homp_full()).distinguished
+
+    def test_verify_reports_a_bad_map(self):
+        cert = torus_union_certificate([(3, 6)], [(3, 3), (3, 3)])
+        fold = cell_map_from_node_map(
+            graph_as_cc(cycle_graph(6)), graph_as_cc(cycle_graph(3)), [0, 1, 2, 0, 2, 1]
+        )
+        bad = CoverCertificate(cert.cover, cert.left_maps, (*cert.right_maps, fold), (18, 18))
+        violation = bad.verify()
+        assert violation is not None and violation == verify_covering(fold)
 
     def test_fiber_lemma_on_certificates(self):
         cert = torus_union_certificate([(3, 6)], [(3, 3), (3, 3)])
