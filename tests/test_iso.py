@@ -119,6 +119,20 @@ class TestOracle:
         assert check_isomorphism(res.witness) is None
         assert res.witness.assignment[0][9:] == tuple(range(9, a.num_nodes))
 
+    @pytest.mark.parametrize(
+        "a, b, isomorphic, nodes",
+        [
+            ((3, 4), (4, 3), True, 4),
+            ((4, 10), (5, 8), False, 41),
+            ((3, 12), (6, 6), False, 37),
+        ],
+    )
+    def test_search_size(self, a, b, isomorphic, nodes):
+        # every search node refines to stability before it branches; a
+        # search that branched on an unstable partition would visit more
+        res = cc_isomorphic(torus(a), torus(b))
+        assert (res.isomorphic, res.nodes_explored) == (isomorphic, nodes)
+
     def test_budget_unknown(self):
         res = cc_isomorphic(torus((4, 10)), torus((5, 8)), budget=2)
         assert res.isomorphic is None
