@@ -9,12 +9,14 @@ isomorphic component of the other (isomorphism is an equivalence relation,
 so no choice needs undoing).  It decides each component pair by the identity
 map when the two have equal content, else by individualization-refinement:
 cells are partitioned by stable joint refinement colors over all natural
-neighborhoods, computed by the kernel of :mod:`cckit.refinement`
-(:class:`~cckit.refinement.CellColors`).  A cell of each complex in the
-smallest non-singleton class gets one fresh color and the partition is
-re-refined, backtracking as soon as the class sizes of the two complexes
-differ.  Positive answers carry a witness map that is re-verified against the
-definition before being returned.
+neighborhoods, refined by the update loop that runs the diagrams of
+:mod:`cckit.refinement` on its state (:class:`~cckit.refinement.CellColors`).
+A cell of each complex in the smallest non-singleton class gets one fresh
+color and the partition is re-refined, backtracking as soon as the class
+sizes of the two complexes differ.  Positive answers carry a witness map of
+the whole complexes, assembled from the component maps and verified against
+the definition once before being returned; a discrete leaf of the search
+needs no check of its own (see :func:`_search`).
 """
 
 from __future__ import annotations
@@ -95,9 +97,6 @@ class _Counter:
             raise _Budget()
 
 
-_TO_STABILITY = HompBlock(None, None)
-
-
 def _search(state: CellColors, counter: _Counter) -> CellMap | None:
     """Individualization-refinement over the joint colors of two connected
     complexes: a witness, or None once every branch has diverged.
@@ -109,7 +108,7 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
     carries every natural neighborhood onto its image's: an isomorphism.
     """
     counter.spend()
-    if not all(state.agree() for _ in _updates(state, _TO_STABILITY)):
+    if not all(state.agree() for _ in _updates(state, HompBlock(None, None))):
         return None
     colors, k = state.colors, state.classes
     sizes = state.class_counts()[0]

@@ -18,8 +18,12 @@ flat pair id.  Pair seeding and pooling intern their rows the same way.
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
 incidence- or distance-based markings ("scl"), and staged diagrams mixing the
-two with pooling ("smcn").  The exact-isomorphism oracle in :mod:`cckit.iso`
-refines with the same kernel, :class:`CellColors`.
+two with pooling ("smcn").  One state, :class:`CellColors`, holds the cell
+colors and the live pair colorings, and one loop, :func:`_updates`, runs a
+stage on it update by update, with the stability rule and round bound of
+open-ended blocks.  :func:`run_diagram` numbers those updates as ticks, and
+the exact-isomorphism oracle in :mod:`cckit.iso` refines each search node
+with the same loop.
 """
 
 from __future__ import annotations
@@ -211,7 +215,7 @@ class _PairState:
     r2: int
     mats: list[np.ndarray]
     num_colors: int
-    gathers: tuple | None = None  # built by the first round: many runs end at the seed
+    gathers: tuple | None = None
 
 
 class CellColors:
@@ -252,37 +256,6 @@ class CellColors:
         """(complexes, colors) matrix of class sizes."""
         m, k = len(self.ccs), int(self.colors.max()) + 1
         return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
-
-    def view(self, ci: int, top: int) -> tuple:
-        """Rank histograms 0..top plus live pair histograms of one complex."""
-        ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
-        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
-
-    def snapshot(self) -> list[tuple]:
-        """Comparable view per complex."""
-        return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
-
-    def agree(self) -> bool:
-        """Whether two complexes' snapshots are equal, from class sizes alone:
-        every color stays inside one rank, so equal counts per color are equal
-        rank histograms, and likewise for every live pair coloring."""
-        counts = self.class_counts()
-        if not np.array_equal(counts[0], counts[1]):
-            return False
-        return all(
-            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
-            for ps in self.pair_states
-        )
-
-    def compact(self) -> None:
-        """Shrink a paused run: forget the gather matrices (the next round
-        rebuilds what it needs) and hold pair colors in the smallest integer
-        type that fits them (rounds widen them again)."""
-        self._gathers.clear()
-        for ps in self.pair_states:
-            ps.gathers = None
-            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
-            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
 
     def recolor(self, blocks: Sequence[np.ndarray]) -> bool:
         """New colors from the rows of blocks given in cell order; True when
@@ -334,6 +307,37 @@ class CellColors:
             out.append((np.hstack(mats), np.array(segment, dtype=np.int64)))
         return out
 
+    def view(self, ci: int, top: int) -> tuple:
+        """Rank histograms 0..top plus live pair histograms of one complex."""
+        ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
+        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
+
+    def snapshot(self) -> list[tuple]:
+        """Comparable view per complex."""
+        return [self.view(ci, self.ell) for ci in range(len(self.ccs))]
+
+    def agree(self) -> bool:
+        """Whether two complexes' snapshots are equal, from class sizes alone:
+        every color stays inside one rank, so equal counts per color are equal
+        rank histograms, and likewise for every live pair coloring."""
+        counts = self.class_counts()
+        if not np.array_equal(counts[0], counts[1]):
+            return False
+        return all(
+            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
+            for ps in self.pair_states
+        )
+
+    def compact(self) -> None:
+        """Shrink a paused run: forget the gather matrices (the next round
+        rebuilds what it needs) and hold pair colors in the smallest integer
+        type that fits them (rounds widen them again)."""
+        self._gathers.clear()
+        for ps in self.pair_states:
+            ps.gathers = None
+            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
+            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
+
     # -- pair refinement --------------------------------------------------------
 
     def seed_pairs(self, block: SclBlock) -> _PairState:
@@ -345,13 +349,14 @@ class CellColors:
             marks.append(mark)
             rows.append(np.column_stack((c1.repeat(len(c2)), np.tile(c2, len(c1)), mark.ravel())))
         ids, num_colors = self.intern(rows)
-        state = _PairState(r1, r2, [i.reshape(mark.shape) for i, mark in zip(ids, marks)], num_colors)
+        mats = [i.reshape(mark.shape) for i, mark in zip(ids, marks)]
+        state = _PairState(r1, r2, mats, num_colors)
         self.pair_states.append(state)
         return state
 
     def scl_round(self, state: _PairState) -> bool:
         """One pair-space update: a cell round whose cells are the pairs."""
-        if state.gathers is None:
+        if state.gathers is None:  # built on the first round: many runs end at the seed
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
         indices, segment = state.gathers
         # colors shifted to 1.. with a pad row and column of 0s, which the
@@ -465,8 +470,8 @@ def _updates(state: CellColors, stage: Stage) -> Iterator[None]:
 
     A block with ``rounds=None`` stops after the first round that leaves its
     partition unchanged.  Each other round splits a class, so a block needs
-    at most one round more than it has cells (cells or pairs); one that
-    outruns that bound is a kernel fault.
+    at most one round more than it has cells, or pairs for a pair block; one
+    that outruns that bound is a kernel fault.
     """
     if isinstance(stage, PoolStage):
         state.pool()
