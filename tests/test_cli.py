@@ -324,6 +324,14 @@ class TestDatasetCmds:
         assert lines[0]["betti2"] == 0
         assert lines[1]["cross_diameter_012"] is None
 
+    def test_label_lifted_stdin_to_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"))
+        code, out, err = run(capsys, "label-lifted", "-i", "-", "-o", "-")
+        assert code == 0 and err == ""
+        (line,) = out.splitlines()
+        assert json.loads(line)["index"] == 0
+        assert json.loads(line)["cross_diameter_012"] == 0
+
     def test_run_benchmark_json_report(self, capsys, tmp_path):
         out_file = tmp_path / "pairs.jsonl"
         run(capsys, "gen-torus-dataset", "18", "18", "3", "-o", str(out_file))

@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cckit.complex import graph_as_cc
 from cckit.covering import (
@@ -19,9 +23,16 @@ from cckit.errors import (
     PeriodTooSmall,
 )
 from cckit.generators import cycle_graph, cylinder, torus
+from cckit.iso import check_isomorphism
 from cckit.refinement import Engine, distinguish
 
-from helpers import reference_strip, reference_strip_cover_nodes
+from helpers import (
+    arbitrary_complexes,
+    brute_is_covering,
+    reference_strip,
+    reference_strip_cover_nodes,
+    relabel_complex,
+)
 
 
 def identity_map(cc) -> CellMap:
@@ -272,3 +283,21 @@ class TestAgainstBruteForce:
                 assert reported == (rank, cc.skeletons[rank][i], spec)
                 failing += 1
         assert failing >= 30
+
+    @settings(max_examples=150, deadline=None)
+    @given(arbitrary_complexes(), st.integers(0, 2**32 - 1))
+    def test_isomorphism_is_bijective_covering(self, cc, seed):
+        """check_isomorphism accepts a bijection exactly when it is a covering,
+        on cell shuffles (mostly not isomorphisms) and node relabelings (always)."""
+        rng = random.Random(seed)
+        rows = []
+        for r in range(cc.dimension + 1):
+            row = list(range(cc.skeleton_size(r)))
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        perm = list(range(cc.num_nodes))
+        rng.shuffle(perm)
+        relabeling = cell_map_from_node_map(cc, relabel_complex(cc, perm), perm)
+        assert check_isomorphism(relabeling) is None
+        for m in (CellMap(cc, cc, tuple(rows)), relabeling):
+            assert (check_isomorphism(m) is None) == brute_is_covering(m)
