@@ -33,6 +33,7 @@ from .covering import (
     CoverCertificate,
     CoveringViolation,
     cell_map_from_node_map,
+    check_isomorphism,
     fiber_sizes,
     strip_covers,
     torus_mod_cover,
@@ -66,7 +67,7 @@ from .invariants import (
     orientability_2d,
     shortest_paths,
 )
-from .iso import IsoResult, cc_isomorphic, check_isomorphism
+from .iso import IsoResult, cc_isomorphic
 from .lifting import (
     CyclicLiftParams,
     MogParams,

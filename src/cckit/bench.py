@@ -201,7 +201,7 @@ def read_dataset(fp) -> list[tuple[CombinatorialComplex, CombinatorialComplex, d
             continue
         try:
             doc = json.loads(line)
-            left, right = (_cc_from_doc(doc[side]["cc"]) for side in ("left", "right"))
+            left, right = (_cc_from_doc(doc[s]["cc"], f"{s}.cc") for s in ("left", "right"))
         except (KeyError, TypeError):
             raise ParseError(
                 f"dataset line {lineno}: expected an object with left.cc and right.cc"

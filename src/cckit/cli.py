@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import bench
@@ -23,7 +24,7 @@ from .complex import (
     parse_edge_list,
     parse_edge_list_blocks,
 )
-from .covering import CellMap, verify_covering
+from .covering import CellMap, check_isomorphism, verify_covering
 from .errors import BadParams, CCError, NotAChainComplex, ParseError
 from .generators import (
     StripParams,
@@ -47,7 +48,6 @@ from .invariants import (
     euler_characteristic,
     orientability_2d,
 )
-from .iso import check_isomorphism
 from .lifting import CyclicLiftParams, MogParams, cyclic_lift, mog_pool, triangular_lift
 from .refinement import Engine, HompBlock, PoolStage, SclBlock, distinguish, homp_refine
 
@@ -71,12 +71,24 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _open_output(path: str):
-    """An output file opened for writing; an unwritable path is BadParams."""
+def _read_arg(path: str) -> str:
+    """Whole text of an `-i` argument: stdin for "-", else the file's."""
+    return sys.stdin.read() if path == "-" else _read_input(path)
+
+
+@contextmanager
+def _output(path: str):
+    """stdout for an `-o -` argument, else the file opened for writing and
+    closed on exit; an unwritable path is BadParams."""
+    if path == "-":
+        yield sys.stdout
+        return
     try:
-        return open(path, "w")
+        fp = open(path, "w")
     except OSError as exc:
         raise BadParams(f"cannot write {path}: {exc.strerror or exc}") from None
+    with fp:
+        yield fp
 
 
 def _read_cc(path: str) -> CombinatorialComplex:
@@ -150,14 +162,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_graph_arg(args) -> "SimpleGraph":
-    if args.input == "-":
-        return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(_read_input(args.input))
-
-
 def _cmd_lift(args) -> int:
-    g = _read_graph_arg(args)
+    g = parse_edge_list(_read_arg(args.input))
     if args.method == "triangular":
         cc = triangular_lift(g)
     else:
@@ -167,7 +173,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_pool(args) -> int:
-    g = _read_graph_arg(args)
+    g = parse_edge_list(_read_arg(args.input))
     if args.eta is None or args.eps is None:
         cc = mog_pool(g)  # automatically fine cover
     else:
@@ -241,8 +247,8 @@ def _read_cell_map(path: str) -> CellMap:
     if not isinstance(doc, dict):
         raise ParseError("cover JSON must be an object")
     try:
-        source = _cc_from_doc(doc["source"])
-        target = _cc_from_doc(doc["target"])
+        source = _cc_from_doc(doc["source"], "cover JSON source")
+        target = _cc_from_doc(doc["target"], "cover JSON target")
         rows = doc["assignment"]
     except KeyError as exc:
         raise ParseError(f"cover JSON missing field {exc.args[0]!r}") from exc
@@ -255,17 +261,8 @@ def _read_cell_map(path: str) -> CellMap:
     return CellMap(source, target, tuple(tuple(row) for row in rows))
 
 
-def _cmd_verify_cover(args) -> int:
-    violation = verify_covering(_read_cell_map(args.file))
-    if violation is None:
-        print("Ok")
-        return 0
-    print(str(violation))
-    return VALIDATION_ERROR
-
-
-def _cmd_check_iso(args) -> int:
-    violation = check_isomorphism(_read_cell_map(args.file))
+def _cmd_check_map(args) -> int:
+    violation = args.check(_read_cell_map(args.file))
     if violation is None:
         print("Ok")
         return 0
@@ -276,11 +273,8 @@ def _cmd_check_iso(args) -> int:
 def _cmd_gen_torus_dataset(args) -> int:
     spec = bench.TorusDatasetSpec(args.min_nodes, args.max_nodes, args.max_components)
     pairs = bench.gen_torus_dataset(spec)
-    if args.output == "-":
-        bench.write_dataset(pairs, sys.stdout)
-    else:
-        with _open_output(args.output) as fp:
-            bench.write_dataset(pairs, fp)
+    with _output(args.output) as fp:
+        bench.write_dataset(pairs, fp)
     print(f"wrote {len(pairs)} pairs", file=sys.stderr)
     if args.expect_pairs is not None and len(pairs) != args.expect_pairs:
         print(
@@ -294,28 +288,20 @@ def _cmd_gen_torus_dataset(args) -> int:
 
 
 def _cmd_label_lifted(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else _read_input(args.input)
-    out = sys.stdout if args.output == "-" else _open_output(args.output)
+    text = _read_arg(args.input)
     lift = CyclicLiftParams(args.max_cycle_len)
-    blocks = parse_edge_list_blocks(text)
     status = 0
-    try:
-        for i, item in enumerate(blocks):
-            if isinstance(item, ParseError):
-                print(f"record {i}: {item}", file=sys.stderr)
-                out.write(json.dumps({"index": i, "error": str(item)}) + "\n")
-                status = VALIDATION_ERROR
-                continue
+    with _output(args.output) as out:
+        for i, item in enumerate(parse_edge_list_blocks(text)):
             try:
-                lc = bench.label_lifted_graph(item, lift)
-                out.write(json.dumps(bench.labeled_to_json(i, lc)) + "\n")
+                if isinstance(item, ParseError):  # a CCError, reported as the library's are
+                    raise item
+                record = bench.labeled_to_json(i, bench.label_lifted_graph(item, lift))
             except CCError as exc:
                 print(f"record {i}: {exc}", file=sys.stderr)
-                out.write(json.dumps({"index": i, "error": str(exc)}) + "\n")
+                record = {"index": i, "error": str(exc)}
                 status = VALIDATION_ERROR
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            out.write(json.dumps(record) + "\n")
     return status
 
 
@@ -443,11 +429,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-cover", help="verify a covering map JSON")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_verify_cover)
+    p.set_defaults(fn=_cmd_check_map, check=verify_covering)
 
     p = sub.add_parser("check-iso", help="verify an isomorphism map JSON")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_check_iso)
+    p.set_defaults(fn=_cmd_check_map, check=check_isomorphism)
 
     p = sub.add_parser("gen-torus-dataset", help="generate the torus pair dataset")
     p.add_argument("min_nodes_pos", nargs="?", type=int, default=None)

@@ -694,10 +694,11 @@ def decode_json(data: bytes | str) -> CombinatorialComplex:
     return _cc_from_doc(doc)
 
 
-def _cc_from_doc(doc) -> CombinatorialComplex:
-    """The complex of a parsed JSON document (see :func:`decode_json`)."""
+def _cc_from_doc(doc, name: str = "top-level JSON value") -> CombinatorialComplex:
+    """The complex of a parsed JSON document (see :func:`decode_json`); `name`
+    says in errors which document of the input it is."""
     if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
+        raise ParseError(f"{name} must be an object")
     try:
         dimension = doc["dimension"]
         num_nodes = doc["num_nodes"]
@@ -734,7 +735,11 @@ def format_edge_list(g: SimpleGraph) -> str:
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
-    graphs = parse_edge_list_stream(text)
+    """Exactly one edge-list block; raises the first block's ParseError."""
+    graphs = parse_edge_list_blocks(text)
+    for item in graphs:
+        if isinstance(item, ParseError):
+            raise item
     if len(graphs) != 1:
         raise ParseError(f"expected exactly one graph, found {len(graphs)}")
     return graphs[0]
@@ -744,16 +749,6 @@ def parse_edge_list_blocks(text: str) -> list["SimpleGraph | ParseError"]:
     """Lenient block-wise parse: a bad block yields a ParseError entry and the
     scan resumes at the next block (the 'n m' header frames each block)."""
     return list(_edge_list_blocks(text))
-
-
-def parse_edge_list_stream(text: str) -> list[SimpleGraph]:
-    """Parse one or more concatenated edge-list blocks; raises the first error."""
-    graphs = []
-    for item in _edge_list_blocks(text):
-        if isinstance(item, ParseError):
-            raise item
-        graphs.append(item)
-    return graphs
 
 
 def _edge_list_blocks(text: str) -> Iterator["SimpleGraph | ParseError"]:

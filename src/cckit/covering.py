@@ -5,6 +5,12 @@ bijection between N(x) and N(rho(x)) for every cell x and every natural
 neighborhood function N.  Complexes related this way are indistinguishable by
 any message-passing refinement with uniform initial colors, which is what the
 certificates produced here witness.
+
+An isomorphism is a bijective covering, so one first-failure loop serves
+:func:`verify_covering` and :func:`check_isomorphism`.  For a bijection the
+incidence-up specs suffice: carrying every containment list onto its image's
+preserves containment both ways, and the other natural neighborhoods are
+defined by containment.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .complex import (
     CombinatorialComplex,
     NeighborhoodSpec,
     Verts,
+    incidence_up,
     natural_specs,
     padded_rows,
     row_lengths,
@@ -164,6 +171,22 @@ def first_spec_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
     return n1 if n1 < len(rho) else None
 
 
+def _first_failure(m: CellMap, specs: list[NeighborhoodSpec]):
+    """First (cell index, spec) whose neighborhood is not mapped bijectively,
+    in skeleton-then-spec order; None when every spec passes."""
+    for rank in range(m.source.dimension + 1):
+        rank_specs = [s for s in specs if s.r1 == rank]
+        failures = [
+            (cell, pos)
+            for pos, spec in enumerate(rank_specs)
+            if (cell := first_spec_failure(m, spec)) is not None
+        ]
+        if failures:
+            cell, pos = min(failures)
+            return cell, rank_specs[pos]
+    return None
+
+
 def verify_covering(m: CellMap) -> CoveringViolation | None:
     """Check the covering conditions; None means the map is a covering.
 
@@ -183,29 +206,47 @@ def verify_covering(m: CellMap) -> CoveringViolation | None:
                 reason=f"not surjective onto skeleton {r}: "
                 f"cell {tgt.skeletons[r][empty[0]]} has empty fiber",
             )
-    specs = natural_specs(src.dimension)
-    for rank in range(src.dimension + 1):
-        rank_specs = [s for s in specs if s.r1 == rank]
-        first: tuple[int, int] | None = None  # (cell index, spec position)
-        for pos, spec in enumerate(rank_specs):
-            cell = first_spec_failure(m, spec)
-            if cell is not None and (first is None or (cell, pos) < first):
-                first = (cell, pos)
-        if first is not None:
-            i, pos = first
-            spec = rank_specs[pos]
-            tr = spec.target_rank
-            nbrs = src.neighbor_lists(spec)[i]
-            expected = tgt.neighbor_lists(spec)[m.assignment[rank][i]]
-            return CoveringViolation(
-                reason="neighborhood does not map bijectively",
-                cell_rank=rank,
-                cell=src.skeletons[rank][i],
-                spec=spec,
-                source_neighbors=tuple(src.skeletons[tr][j] for j in nbrs),
-                target_neighbors=tuple(tgt.skeletons[tr][j] for j in expected),
-            )
-    return None
+    failure = _first_failure(m, natural_specs(src.dimension))
+    if failure is None:
+        return None
+    i, spec = failure
+    rank, tr = spec.r1, spec.target_rank
+    nbrs = src.neighbor_lists(spec)[i]
+    expected = tgt.neighbor_lists(spec)[m.assignment[rank][i]]
+    return CoveringViolation(
+        reason="neighborhood does not map bijectively",
+        cell_rank=rank,
+        cell=src.skeletons[rank][i],
+        spec=spec,
+        source_neighbors=tuple(src.skeletons[tr][j] for j in nbrs),
+        target_neighbors=tuple(tgt.skeletons[tr][j] for j in expected),
+    )
+
+
+def check_isomorphism(m: CellMap) -> str | None:
+    """Verify a cell map is an isomorphism; returns the first violation or None.
+
+    Dimension, then sizes and injectivity per rank, then the covering loop over
+    the incidence-up specs alone (see the module docstring).
+    """
+    src, tgt = m.source, m.target
+    if src.dimension != tgt.dimension:
+        return f"dimension {src.dimension} != {tgt.dimension}"
+    ranks = range(src.dimension + 1)
+    for r in ranks:
+        n_s, n_t = src.skeleton_size(r), tgt.skeleton_size(r)
+        if n_s != n_t:
+            return f"skeleton {r} sizes differ: {n_s} != {n_t}"
+        if np.bincount(m.images[r], minlength=n_t).max(initial=1) > 1:
+            return f"not injective on skeleton {r}"
+    failure = _first_failure(m, [incidence_up(r1, r2) for r1 in ranks for r2 in ranks])
+    if failure is None:
+        return None
+    i, spec = failure
+    return (
+        f"containment not preserved at rank-{spec.r1} cell "
+        f"{src.skeletons[spec.r1][i]} into rank {spec.r2}"
+    )
 
 
 def fiber_sizes(m: CellMap, rank: int) -> list[int]:

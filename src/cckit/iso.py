@@ -14,9 +14,10 @@ neighborhoods, refined by the update loop that runs the diagrams of
 A cell of each complex in the smallest non-singleton class gets one fresh
 color and the partition is re-refined, backtracking as soon as the class
 sizes of the two complexes differ.  Positive answers carry a witness map of
-the whole complexes, assembled from the component maps and verified against
-the definition once before being returned; a discrete leaf of the search
-needs no check of its own (see :func:`_search`).
+the whole complexes, assembled from the component maps and verified once
+before being returned by :func:`cckit.covering.check_isomorphism`, as a
+bijective covering; a discrete leaf of the search needs no check of its own
+(see :func:`_search`).
 """
 
 from __future__ import annotations
@@ -26,15 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# build_cc stays reachable as iso.build_cc: perfbench/tracing.py wraps that name
-from .complex import (  # noqa: F401
-    CombinatorialComplex,
-    build_cc,
-    incidence_up,
-    row_ids,
-    row_lengths,
-)
-from .covering import CellMap, first_spec_failure
+# build_cc and check_isomorphism stay reachable as iso attributes, and
+# cc_isomorphic calls check_isomorphism through them: perfbench/tracing.py wraps both
+from .complex import CombinatorialComplex, build_cc, row_ids, row_lengths  # noqa: F401
+from .covering import CellMap, check_isomorphism
 from .errors import MapNotWellDefined
 from .invariants import component_labels
 from .refinement import CellColors, HompBlock, _updates
@@ -50,34 +46,6 @@ class IsoResult:
     isomorphic: bool | None
     witness: CellMap | None = None
     nodes_explored: int = 0
-
-
-def check_isomorphism(m: CellMap) -> str | None:
-    """Verify a cell map is an isomorphism; returns the first violation or None.
-
-    Checks bijectivity per rank, rank preservation (structural in CellMap),
-    and containment preservation in both directions across all rank pairs:
-    for a bijection, mapping every containment list onto its image's list is
-    exactly the local bijectivity that covering maps check for incidence-up.
-    """
-    src, tgt = m.source, m.target
-    if src.dimension != tgt.dimension:
-        return f"dimension {src.dimension} != {tgt.dimension}"
-    for r in range(src.dimension + 1):
-        n_s, n_t = src.skeleton_size(r), tgt.skeleton_size(r)
-        if n_s != n_t:
-            return f"skeleton {r} sizes differ: {n_s} != {n_t}"
-        if np.bincount(m.images[r], minlength=n_t).max(initial=1) > 1:
-            return f"not injective on skeleton {r}"
-    for r_sub in range(src.dimension + 1):
-        for r_sup in range(src.dimension + 1):
-            i = first_spec_failure(m, incidence_up(r_sub, r_sup))
-            if i is not None:
-                return (
-                    f"containment not preserved at rank-{r_sub} cell "
-                    f"{src.skeletons[r_sub][i]} into rank {r_sup}"
-                )
-    return None
 
 
 class _Budget(Exception):

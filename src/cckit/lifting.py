@@ -31,19 +31,17 @@ class CyclicLiftParams:
 
 @dataclass(frozen=True)
 class MogParams:
-    """Interval cover (eta*i, eta*i + eps), i over all integers, plus the lens."""
+    """Interval cover (eta*i, eta*i + eps), i over all integers, of the lens:
+    each node's average shortest-path distance (:func:`avg_spd_lens`)."""
 
     eta: Fraction
     eps: Fraction
-    lens: str = "avg_spd"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", Fraction(self.eta))
         object.__setattr__(self, "eps", Fraction(self.eps))
         if self.eps <= 0 or self.eta <= 0:
             raise DegenerateCover(f"cover needs eta, eps > 0, got ({self.eta}, {self.eps})")
-        if self.lens != "avg_spd":
-            raise BadParams(f"unknown lens {self.lens!r}")
 
 
 def triangular_lift(g: SimpleGraph) -> CombinatorialComplex:

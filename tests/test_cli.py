@@ -528,6 +528,14 @@ class TestHostileInputs:
         [
             ("{not json", "error: invalid JSON: "),
             ("[1, 2]", "error: cover JSON must be an object"),
+            (
+                '{"source": 5, "target": 5, "assignment": []}',
+                "error: cover JSON source must be an object\n",
+            ),
+            (
+                '{"source": {"dimension": 0, "num_nodes": 1, "cells": [null]}, "target": [1]}',
+                "error: cover JSON target must be an object\n",
+            ),
         ],
     )
     def test_cover_file_not_a_map(self, capsys, tmp_path, text, message):
@@ -545,3 +553,21 @@ class TestHostileInputs:
         code, _, err = run(capsys, "check-iso", str(path))
         self.assert_error_line(code, err)
         assert err == "error: cover JSON missing field 'target'\n"
+
+    @pytest.mark.parametrize(
+        "line, side",
+        [
+            ('{"left":{"cc":1},"right":{"cc":1}}', "left"),
+            (
+                '{"left":{"cc":{"dimension":0,"num_nodes":1,"cells":[null]}},'
+                '"right":{"cc":1}}',
+                "right",
+            ),
+        ],
+    )
+    def test_dataset_complex_not_an_object(self, capsys, tmp_path, line, side):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(line + "\n")
+        code, _, err = run(capsys, "run-benchmark", "--dataset", str(path), "--engines", "homp")
+        self.assert_error_line(code, err)
+        assert err == f"error: dataset line 1: {side}.cc must be an object\n"

@@ -10,6 +10,7 @@ from cckit.covering import (
     CellMap,
     CoverCertificate,
     cell_map_from_node_map,
+    check_isomorphism,
     fiber_sizes,
     strip_covers,
     torus_mod_cover,
@@ -23,7 +24,6 @@ from cckit.errors import (
     PeriodTooSmall,
 )
 from cckit.generators import cycle_graph, cylinder, torus
-from cckit.iso import check_isomorphism
 from cckit.refinement import Engine, distinguish
 
 from helpers import (

@@ -50,6 +50,18 @@ class TestCheckIsomorphism:
         assert check_isomorphism(m) is not None
 
 
+    def test_first_failing_cell_in_skeleton_then_spec_order(self):
+        # node 1 fails into rank 1 and node 0 only into rank 2; the lower
+        # cell is named, as verify_covering names it
+        cc = build_cc(
+            [((0, 1), 1), ((0, 2), 1), ((0, 3), 1), ((2, 3), 1), ((2, 4), 1), ((3, 4), 1),
+             ((0, 2, 3), 2), ((2, 3, 4), 2)],
+            5,
+        )
+        m = CellMap(cc, cc, ((2, 1, 3, 0, 4), (4, 1, 3, 2, 5, 0), (1, 0)))
+        assert check_isomorphism(m) == "containment not preserved at rank-0 cell (0,) into rank 2"
+
+
 class TestOracle:
     def test_equal_tori(self):
         assert cc_isomorphic(torus((3, 3)), torus((3, 3))).isomorphic is True
