@@ -42,6 +42,13 @@ class TestCheckIsomorphism:
         assert violation is not None
         assert "injective" in violation or "sizes differ" in violation
 
+    def test_non_injective_with_equal_sizes(self):
+        # three isolated nodes have no containment to break: only the
+        # injectivity check rejects folding them onto one
+        cc = build_cc([], 3)
+        m = CellMap(cc, cc, ((0, 0, 0),))
+        assert check_isomorphism(m) == "not injective on skeleton 0"
+
     def test_containment_violation(self):
         # two complexes with equal sizes; a bijection ignoring containment
         a = build_cc([((0, 1), 1), ((1, 2), 1)], 3)  # path
