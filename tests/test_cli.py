@@ -329,8 +329,8 @@ class TestDatasetCmds:
         code, out, err = run(capsys, "label-lifted", "-i", "-", "-o", "-")
         assert code == 0 and err == ""
         (line,) = out.splitlines()
-        assert json.loads(line)["index"] == 0
-        assert json.loads(line)["cross_diameter_012"] == 0
+        record = json.loads(line)
+        assert (record["index"], record["cross_diameter_012"], record["betti2"]) == (0, 0, 0)
 
     def test_run_benchmark_json_report(self, capsys, tmp_path):
         out_file = tmp_path / "pairs.jsonl"

@@ -56,7 +56,6 @@ class TestCheckIsomorphism:
         m = CellMap(a, b, ((0, 1, 2), (0, 1)))
         assert check_isomorphism(m) is not None
 
-
     def test_first_failing_cell_in_skeleton_then_spec_order(self):
         # node 1 fails into rank 1 and node 0 only into rank 2; the lower
         # cell is named, as verify_covering names it
