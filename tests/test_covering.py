@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import graph_as_cc
+from cckit.complex import graph_as_cc, incidence_up
 from cckit.covering import (
     CellMap,
     CoverCertificate,
+    _first_failure,
     cell_map_from_node_map,
     check_isomorphism,
     fiber_sizes,
@@ -301,3 +302,24 @@ class TestAgainstBruteForce:
         assert check_isomorphism(relabeling) is None
         for m in (CellMap(cc, cc, tuple(rows)), relabeling):
             assert (check_isomorphism(m) is None) == brute_is_covering(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(arbitrary_complexes(), st.integers(0, 2**32 - 1))
+    def test_rank_zero_incidence_decides_a_bijection(self, cc, seed):
+        """On a bijection, the incidence-up specs from rank 0 report the same
+        first failure as all incidence-up specs: rank 0 holds every singleton."""
+        rng = random.Random(seed)
+        rows = []
+        for r in range(cc.dimension + 1):
+            row = list(range(cc.skeleton_size(r)))
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        perm = list(range(cc.num_nodes))
+        rng.shuffle(perm)
+        ranks = range(cc.dimension + 1)
+        from_nodes = [incidence_up(0, r) for r in ranks]
+        every = [incidence_up(r1, r2) for r1 in ranks for r2 in ranks]
+        shuffle = CellMap(cc, cc, tuple(rows))
+        relabeling = cell_map_from_node_map(cc, relabel_complex(cc, perm), perm)
+        for m in (shuffle, relabeling):
+            assert _first_failure(m, from_nodes) == _first_failure(m, every)
