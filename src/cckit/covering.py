@@ -7,14 +7,29 @@ any message-passing refinement with uniform initial colors, which is what the
 certificates produced here witness.
 
 An isomorphism is a bijective covering, so one first-failure loop serves
-:func:`verify_covering` and :func:`check_isomorphism`.  For a bijection the
-incidence-up specs suffice: carrying every containment list onto its image's
-preserves containment both ways, and the other natural neighborhoods are
-defined by containment.
+:func:`verify_covering` and :func:`check_isomorphism`.  For a map rho that is
+a bijection on every rank, the incidence-up specs from rank 0 suffice.  Rank 0
+holds every node as a singleton, and incidence_up(0, r) lists the rank-r cells
+holding each vertex.  Suppose every such list maps bijectively onto its
+image's.  A rank-r cell c with vertex set S then maps to a cell holding the
+image of each vertex of S.  Conversely, each vertex w of rho(c) is rho(v) for
+some vertex v, and w's list is the image of v's, so by injectivity on rank r
+v's list holds c and v lies in S.  Hence rho(c) is the cell on the relabeled
+vertex set, rho preserves containment both ways, and every other natural
+neighborhood, being defined by containment, maps bijectively too.  A failing
+map thus fails at rank 0, the rank the loop checks first, so it reports the
+failure that all incidence-up specs would.
+
+A map's covering verdict is computed once and kept on the map: its images and
+both complexes are read-only.  The torus mod maps behind
+:func:`torus_mod_cover` and :func:`torus_union_certificate` are shared per
+(cover periods, component periods), so certificates with a common component
+build and verify that map once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Sequence
@@ -39,6 +54,8 @@ from .errors import (
 from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
 from .refinement import intern_rows
 
+_UNCHECKED = object()
+
 
 @dataclass(frozen=True)
 class CellMap:
@@ -54,6 +71,8 @@ class CellMap:
     target: CombinatorialComplex
     assignment: tuple[tuple[int, ...], ...]
     images: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # verify_covering's result once computed (a violation or None)
+    _verdict: object = field(default=_UNCHECKED, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.assignment) != self.source.dimension + 1:
@@ -192,13 +211,21 @@ def verify_covering(m: CellMap) -> CoveringViolation | None:
 
     Surjectivity per skeleton first, then local bijectivity of every natural
     neighborhood of every source cell; the first failing (cell, spec) in
-    skeleton-then-spec order is reported.
+    skeleton-then-spec order is reported.  The verdict is computed once per
+    map and returned again on later calls.
     """
     src, tgt = m.source, m.target
     if src.dimension != tgt.dimension:
         raise DimensionMismatch(
             f"source dimension {src.dimension} != target dimension {tgt.dimension}"
         )
+    if m._verdict is _UNCHECKED:
+        object.__setattr__(m, "_verdict", _covering_violation(m))
+    return m._verdict
+
+
+def _covering_violation(m: CellMap) -> CoveringViolation | None:
+    src, tgt = m.source, m.target
     for r, n_t in enumerate(tgt.skeleton_sizes()):
         empty = np.flatnonzero(np.bincount(m.images[r], minlength=n_t) == 0)
         if empty.size:
@@ -227,7 +254,7 @@ def check_isomorphism(m: CellMap) -> str | None:
     """Verify a cell map is an isomorphism; returns the first violation or None.
 
     Dimension, then sizes and injectivity per rank, then the covering loop over
-    the incidence-up specs alone (see the module docstring).
+    the incidence-up specs from rank 0 alone (see the module docstring).
     """
     src, tgt = m.source, m.target
     if src.dimension != tgt.dimension:
@@ -239,7 +266,7 @@ def check_isomorphism(m: CellMap) -> str | None:
             return f"skeleton {r} sizes differ: {n_s} != {n_t}"
         if np.bincount(m.images[r], minlength=n_t).max(initial=1) > 1:
             return f"not injective on skeleton {r}"
-    failure = _first_failure(m, [incidence_up(r1, r2) for r1 in ranks for r2 in ranks])
+    failure = _first_failure(m, [incidence_up(0, r) for r in ranks])
     if failure is None:
         return None
     i, spec = failure
@@ -255,7 +282,10 @@ def fiber_sizes(m: CellMap, rank: int) -> list[int]:
 
 
 def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> CellMap:
-    """Coordinatewise mod map between tori with divisible periods."""
+    """Coordinatewise mod map between tori with divisible periods.
+
+    While any caller holds the map, a call with the same periods returns it.
+    """
     if not isinstance(big, TorusParams):
         big = TorusParams(tuple(big))
     if not isinstance(small, TorusParams):
@@ -265,8 +295,7 @@ def torus_mod_cover(big: TorusParams | tuple, small: TorusParams | tuple) -> Cel
     for bp, sp in zip(big.periods, small.periods):
         if bp % sp != 0:
             raise NotDivisible(f"period {bp} not divisible by {sp}")
-    cover = torus(big)
-    return _mod_map_onto(cover, np.unravel_index(np.arange(cover.num_nodes), big.periods), small)
+    return _mod_map_onto(big, small)
 
 
 def strip_covers(h: int, p: int) -> tuple[CombinatorialComplex, CellMap, CellMap]:
@@ -329,11 +358,9 @@ def torus_union_certificate(
     if n_a != n_b:
         return None
     big = TorusParams(cover_periods(p.periods for p in (*a, *b)))
-    cover = torus(big)
-    coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
-    left = tuple(_mod_map_onto(cover, coords, comp) for comp in a)
-    right = tuple(_mod_map_onto(cover, coords, comp) for comp in b)
-    return CoverCertificate(cover, left, right, (n_a, n_b))
+    left = tuple(_mod_map_onto(big, comp) for comp in a)
+    right = tuple(_mod_map_onto(big, comp) for comp in b)
+    return CoverCertificate(torus(big), left, right, (n_a, n_b))
 
 
 def cover_periods(components: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -342,7 +369,21 @@ def cover_periods(components: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return tuple(lcm(*ps) for ps in zip(*components))
 
 
-def _mod_map_onto(cover: CombinatorialComplex, coords, small: TorusParams) -> CellMap:
-    """The coordinatewise mod map from the torus `cover`, whose nodes have the
-    grid coordinates `coords`."""
-    return cell_map_from_node_map(cover, torus(small), grid_nodes(coords, small.periods))
+# One mod map per live (cover periods, component periods), as generators._TORI
+# shares tori.  Keyed by periods: complexes and maps hash every array.
+_MOD_MAPS: "weakref.WeakValueDictionary[tuple[tuple[int, ...], ...], CellMap]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _mod_map_onto(big: TorusParams, small: TorusParams) -> CellMap:
+    """The coordinatewise mod map from torus(big) onto torus(small).  While any
+    caller holds it, every call with the same periods returns that same map."""
+    key = (big.periods, small.periods)
+    m = _MOD_MAPS.get(key)
+    if m is None:
+        cover = torus(big)
+        coords = np.unravel_index(np.arange(cover.num_nodes), big.periods)
+        m = cell_map_from_node_map(cover, torus(small), grid_nodes(coords, small.periods))
+        _MOD_MAPS[key] = m
+    return m

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import graph_as_cc, incidence_up
+from cckit.complex import graph_as_cc, incidence_up, natural_specs
 from cckit.covering import (
     CellMap,
     CoverCertificate,
@@ -24,7 +24,7 @@ from cckit.errors import (
     NotDivisible,
     PeriodTooSmall,
 )
-from cckit.generators import cycle_graph, cylinder, torus
+from cckit.generators import TorusParams, cycle_graph, cylinder, torus
 from cckit.refinement import Engine, distinguish
 
 from helpers import (
@@ -79,8 +79,10 @@ class TestVerify:
     def test_dimension_mismatch(self):
         c6 = graph_as_cc(cycle_graph(6))
         t = torus((3, 3))
-        with pytest.raises(DimensionMismatch):
-            verify_covering(CellMap(c6, t, ((0,) * 6, (0,) * 6)))
+        m = CellMap(c6, t, ((0,) * 6, (0,) * 6))
+        for _ in range(2):  # raised on every call, never memoized
+            with pytest.raises(DimensionMismatch):
+                verify_covering(m)
 
     def test_empty_intermediate_skeleton(self):
         from cckit.complex import build_cc
@@ -208,6 +210,67 @@ class TestCertificates:
             ratio = m.source.num_nodes // m.target.num_nodes
             for rank in range(3):
                 assert set(fiber_sizes(m, rank)) == {ratio}
+
+
+class TestSharedMaps:
+    """Torus mod maps are shared per (cover, component) periods, and a map
+    computes its covering verdict once."""
+
+    def test_certificates_hold_one_map_per_component(self):
+        a = torus_union_certificate([(3, 6)], [(3, 3), (3, 3)])
+        b = torus_union_certificate([(3, 6), (3, 3)], [(3, 3), (3, 3), (3, 3)])
+        assert a.cover is b.cover
+        assert a.left_maps[0] is b.left_maps[0]
+        assert a.right_maps[0] is a.right_maps[1] is b.left_maps[1] is b.right_maps[2]
+        assert a.verify() is None and b.verify() is None
+
+    def test_mod_cover_returned_again_while_held(self):
+        m = torus_mod_cover((9, 12), (3, 4))
+        assert torus_mod_cover(TorusParams((9, 12)), [3, 4]) is m
+
+    def test_memoized_verdict_equals_a_fresh_check(self):
+        c6 = graph_as_cc(cycle_graph(6))
+        c3 = graph_as_cc(cycle_graph(3))
+        fold = cell_map_from_node_map(c6, c3, [0, 1, 2, 0, 2, 1])
+        for m in (torus_mod_cover((6, 9), (3, 3)), fold):
+            first = verify_covering(m)
+            fresh = cell_map_from_node_map(m.source, m.target, m.images[0])
+            assert fresh is not m and fresh == m
+            assert verify_covering(m) is first
+            assert verify_covering(fresh) == first
+
+    def test_violation_returned_again_unchanged(self):
+        c6 = graph_as_cc(cycle_graph(6))
+        c3 = graph_as_cc(cycle_graph(3))
+        m = cell_map_from_node_map(c6, c3, [0, 1, 2, 0, 2, 1])
+        first = verify_covering(m)
+        text = str(first)
+        again = verify_covering(m)
+        assert again is first and str(again) == text
+        assert again.spec is not None and again.source_neighbors
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        m = torus_mod_cover((6, 6), (3, 3))
+        checked = cell_map_from_node_map(m.source, m.target, m.images[0])
+        unchecked = cell_map_from_node_map(m.source, m.target, m.images[0])
+        before = repr(checked)
+        assert verify_covering(checked) is None
+        assert checked == unchecked and hash(checked) == hash(unchecked)
+        assert repr(checked) == repr(unchecked) == before
+
+    def test_maps_and_tori_are_read_only(self):
+        """The memo's premise: nothing a verdict reads can be written."""
+        m = torus_mod_cover((6, 6), (3, 3))
+        arrays = list(m.images)
+        for cc in (m.source, m.target):
+            for r in range(cc.dimension + 1):
+                arrays += cc.skeleton_arrays(r)
+            for spec in natural_specs(cc.dimension):
+                arrays += cc.neighbor_csr(spec)
+        assert len(arrays) == 3 + 2 * (3 * 2 + 36 * 2)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            m.images[0][0] = 1
 
 
 class TestAgainstBruteForce:
