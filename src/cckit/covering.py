@@ -54,8 +54,6 @@ from .errors import (
 from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
 from .refinement import intern_rows
 
-_UNCHECKED = object()
-
 
 @dataclass(frozen=True)
 class CellMap:
@@ -71,8 +69,8 @@ class CellMap:
     target: CombinatorialComplex
     assignment: tuple[tuple[int, ...], ...]
     images: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    # verify_covering's result once computed (a violation or None)
-    _verdict: object = field(default=_UNCHECKED, init=False, repr=False, compare=False)
+    # (verify_covering's result,) once computed; the result may be None
+    _verdict: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.assignment) != self.source.dimension + 1:
@@ -219,9 +217,9 @@ def verify_covering(m: CellMap) -> CoveringViolation | None:
         raise DimensionMismatch(
             f"source dimension {src.dimension} != target dimension {tgt.dimension}"
         )
-    if m._verdict is _UNCHECKED:
-        object.__setattr__(m, "_verdict", _covering_violation(m))
-    return m._verdict
+    if not m._verdict:
+        object.__setattr__(m, "_verdict", (_covering_violation(m),))
+    return m._verdict[0]
 
 
 def _covering_violation(m: CellMap) -> CoveringViolation | None:
