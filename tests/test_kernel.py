@@ -5,6 +5,7 @@ partition, where a pair block is live) must equal the one computed by
 helpers.ReferenceRefinement, up to renaming of the colors.
 """
 
+import hashlib
 import random
 from itertools import zip_longest
 
@@ -36,7 +37,13 @@ from cckit.refinement import (
     run_diagram,
 )
 
-from helpers import random_graph, reference_diagram, reference_intern, reference_marking
+from helpers import (
+    lifted_iso_graphs,
+    random_graph,
+    reference_diagram,
+    reference_intern,
+    reference_marking,
+)
 
 
 def graphs(max_nodes=8, edge_prob=0.45):
@@ -243,3 +250,44 @@ class TestPaddedGather:
         a, b = padded_gather(csrs, [0, 10])
         assert a.tolist() == [[0, 2], [-1, -1]]
         assert b.tolist() == [[11, -1]]
+
+
+def run_digest(cc, stages) -> str:
+    """sha256 over a complex's run alone: every tick's table, then the ids it
+    left (cell colors and live pair colors), as int64 bytes."""
+    digest = hashlib.sha256()
+    run = run_diagram([cc], stages)
+    state = next(run)[2]
+    state.tabulate = True
+    for _, _, state in run:
+        rows, counts = state.table
+        digest.update(f"{len(rows)},{len(counts)};".encode())
+        digest.update(rows + counts)
+        for ids in [state.colors, *(m.ravel() for ps in state.pair_states for m in ps.mats)]:
+            digest.update(np.asarray(ids, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+PINNED_COMPLEXES = {
+    "torus_6_9": lambda: torus((6, 9)),
+    **{f"lift_{i}": (lambda i=i: cyclic_lift(lifted_iso_graphs(3)[i], 18)) for i in range(3)},
+}
+PINNED_DIGESTS = {
+    ("lift_0", "homp"): "980f3b036176144f414248ac718ab78cba87b125890596253aa58400aacd8754",
+    ("lift_0", "smcn"): "c55dcd54f35e0b9d42b73e568fadc8126fd5579293505c95de37b21b6206e129",
+    ("lift_1", "homp"): "9b14d4583c2f7c0cd385d78363dba14cdf4fbc6b460ca1427cab2415d38a8de6",
+    ("lift_1", "smcn"): "55b1af192f9850c1c64202b3c0a810cae2486a296aaed24b55d6e9545c107f66",
+    ("lift_2", "homp"): "b0618d3118d8df5467997f69d8999d8e1d08e2844f9ae3d94bb081091e852c21",
+    ("lift_2", "smcn"): "0936b1031f7d776ea107a46fc776452f72e92e146feef04168f6aea9d5ee000d",
+    ("torus_6_9", "homp"): "c8aca74801ced7b0ff3f71db36f39dd4c324f3485b1c93134ff123da965651f3",
+    ("torus_6_9", "smcn"): "0968300311cf597eb42ad83f10e85aafaad477cd8f00fa40b2459c4ad6213c73",
+}
+
+
+@pytest.mark.parametrize("engine", ["homp", "smcn"])
+@pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
+def test_pinned_tables_and_ids(name, engine):
+    # canonical ids and trace tables are outputs: a change to how rows are
+    # built or keyed must leave every byte of them as it is
+    stages = ENGINES[engine]().stages
+    assert run_digest(PINNED_COMPLEXES[name](), stages) == PINNED_DIGESTS[name, engine]
