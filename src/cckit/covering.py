@@ -52,7 +52,7 @@ from .errors import (
     PeriodTooSmall,
 )
 from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
-from .refinement import intern_rows
+from .refinement import row_keys
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,11 @@ def cell_map_from_node_map(
     """Extend a node-level map cell-wise; every image set must be a target cell.
 
     Vectorized per rank: the padded vertex rows go through the node map, are
-    sorted and de-duplicated within each row, then matched against the target
-    rows by joint interning: an image row is target row j when it gets the id
-    of row j, and no target cell when its id is no target row's.
+    sorted and de-duplicated within each row, then looked up among the target
+    rows.  A skeleton is in lexicographic order, so the target rows' byte keys
+    (:func:`~cckit.refinement.row_keys`) are strictly increasing: an image row
+    is target row j when its key is found at position j, and no target cell
+    when its key is found nowhere.
     """
     node_image = np.asarray(node_image, dtype=np.int64)
     if node_image.shape != (source.num_nodes,):
@@ -122,11 +124,12 @@ def cell_map_from_node_map(
         img = np.sort(img, axis=1)
         img[img == pad] = -1
         targets = padded_rows(target.skeleton_arrays(r))
-        (target_ids, ids), k = intern_rows([targets, img])
-        cell_of = np.full(k, -1, dtype=np.int64)
-        cell_of[target_ids] = np.arange(len(targets))
-        images = cell_of[ids]
-        unmatched = np.flatnonzero(images < 0)
+        width = max(img.shape[1], targets.shape[1])
+        keys, wanted = (row_keys(m, width, target.num_nodes) for m in (targets, img))
+        images = np.searchsorted(keys, wanted)
+        found = images < len(keys)
+        found[found] = keys[images[found]] == wanted[found]
+        unmatched = np.flatnonzero(~found)
         if unmatched.size:
             i = unmatched[0]
             raise MapNotWellDefined(

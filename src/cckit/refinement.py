@@ -15,6 +15,15 @@ A pair round is a cell round whose cells are the pairs (x, y) of
 X_{r1} x X_{r2}: it gathers the pairs with x or y swapped for a neighbor, by
 flat pair id.  Pair seeding and pooling intern their rows the same way.
 
+Rows move only narrow bytes.  Gathers are int32 index matrices while the
+array they read has fewer than 2**31 entries, int64 from there on
+(:func:`_index_dtype`).  Each update computes its key dtype from bounds it
+already knows (color count, base and segment count) and writes its rows once,
+values plus one, into one unsigned key buffer of that dtype
+(:func:`_key_dtype`: 8, 16, 32 or 64 bits), which is byte-swapped and sorted
+in place.  Trace tables hold the distinct rows as int64 bytes whatever the
+key dtype, so they compare across updates and complexes.
+
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
 incidence- or distance-based markings ("scl"), and staged diagrams mixing the
@@ -133,60 +142,115 @@ def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
     Narrower blocks are padded with -1 on the right.  Ids are canonical: the
     distinct rows are numbered in lexicographic order, so a row's id depends
     only on the set of distinct rows, not on where the rows occur.  Exact and
-    hash-free: one sort of byte keys, then adjacent keys compared.
+    hash-free: one sort of byte keys, then adjacent keys compared.  The keys
+    are the rows shifted by their minimum in the narrowest unsigned type
+    that holds the shifted maximum (:func:`_key_dtype`: 8, 16, 32 or 64
+    bits); ids are int64.  The refinement updates share this key core but
+    build their rows in that type directly, from bounds they know, through
+    int32 gathers (int64 once the gathered array has 2**31 entries).
     """
     ids, k, _ = _intern(blocks, tabulate=False)
     return ids, k
 
 
 def _key_dtype(span: int) -> np.dtype:
-    """The narrowest big-endian unsigned dtype holding 0..span."""
+    """The narrowest unsigned dtype holding 0..span."""
     for size in (1, 2, 4):
         if span < 1 << 8 * size:
-            return np.dtype(f">u{size}")
-    return np.dtype(">u8")
+            return np.dtype(f"u{size}")
+    return np.dtype("u8")
+
+
+def _index_dtype(size: int) -> np.dtype:
+    """The gather dtype for an array of ``size`` entries: int32 below 2**31
+    entries, int64 from there on."""
+    return np.dtype(np.int32 if size < 1 << 31 else np.int64)
 
 
 def _intern(
     blocks: Sequence[np.ndarray], tabulate: bool
 ) -> tuple[list[np.ndarray], int, tuple[bytes, bytes] | None]:
-    """intern_rows, plus the table of the rows when asked: the distinct rows
-    in id order and their counts, as int64 bytes (compact copies that compare
-    exactly; the two lengths fix the row width).
+    """intern_rows, plus the table of the rows when asked (see :func:`_number`).
 
-    Every value is shifted by the minimum (the -1 pad included) and stored
-    big-endian unsigned, so each row's bytes compare as the row does in
-    lexicographic order, and one row is one np.void sort key.
+    The blocks are arbitrary ints, so one min/max scan gives the shift and
+    the key dtype, and each block is copied once into the key buffer.  The
+    refinement updates skip both steps: they fill the buffer themselves
+    (:func:`_rows`).  Tables are int64 bytes whatever the key dtype.
     """
     blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
     sizes = [len(b) for b in blocks]
-    width = max(b.shape[1] for b in blocks)
     filled = [b for b in blocks if b.size]
     lo = min([-1] + [int(b.min()) for b in filled])
     hi = max([-1] + [int(b.max()) for b in filled])
-    rows = np.full((sum(sizes), width), -1 - lo, dtype=_key_dtype(hi - lo))
+    width = max(b.shape[1] for b in blocks)
+    keys = np.full((sum(sizes), width), -1 - lo, dtype=_key_dtype(hi - lo))
     pos = 0
     for b in blocks:
-        rows[pos : pos + len(b), : b.shape[1]] = b - lo
+        keys[pos : pos + len(b), : b.shape[1]] = b - lo
         pos += len(b)
-    leader = np.ones(len(rows), dtype=bool)
+    ids, k, table = _number(keys, lo, tabulate)
+    return np.split(ids, np.cumsum(sizes)[:-1]), k, table
+
+
+def _number(keys: np.ndarray, lo: int, tabulate: bool) -> tuple[np.ndarray, int, tuple | None]:
+    """Ids and class count of the rows of a key buffer, whose values are the
+    row values minus lo (the -1 pad included) in an unsigned dtype; plus,
+    with tabulate, the table of the rows: the distinct rows in id order and
+    their counts, as int64 bytes (compact copies that compare exactly; the
+    two lengths fix the row width), whatever the key dtype.
+
+    The buffer is consumed: it is byte-swapped in place to big-endian, so each
+    row's bytes compare as the row does in lexicographic order, and one row
+    is one np.void sort key.
+    """
+    n, width = keys.shape
+    leader = np.ones(n, dtype=bool)
     if width:
-        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-        order = np.argsort(keys)
-        ordered = keys[order]
+        keys = _big_endian(keys)
+        voids = _void_keys(keys)
+        order = np.argsort(voids)
+        ordered = voids[order]
         leader[1:] = ordered[1:] != ordered[:-1]
     else:  # every row is the empty row
-        order = np.arange(len(rows))
+        order = np.arange(n)
         leader[1:] = False
-    ids = np.empty(len(rows), dtype=np.int64)
+    ids = np.empty(n, dtype=np.int64)
     ids[order] = np.cumsum(leader) - 1
     starts = np.flatnonzero(leader)
     table = None
     if tabulate:
-        counts = row_lengths(np.append(starts, len(rows)))
-        distinct = rows[order[starts]].astype(np.int64) + lo
+        counts = row_lengths(np.append(starts, n))
+        distinct = keys[order[starts]].astype(np.int64) + lo
         table = (distinct.tobytes(), counts.tobytes())
-    return np.split(ids, np.cumsum(sizes)[:-1]), len(starts), table
+    return ids, len(starts), table
+
+
+def _big_endian(keys: np.ndarray) -> np.ndarray:
+    """An unsigned key buffer byte-swapped in place to big-endian and viewed
+    as such: the same values, stored so that bytes compare as values do."""
+    big = keys.dtype.newbyteorder(">")
+    return keys if keys.dtype == big else keys.byteswap(inplace=True).view(big)
+
+
+def _void_keys(keys: np.ndarray) -> np.ndarray:
+    """A C-contiguous big-endian key buffer as one np.void key per row (of the
+    row's length also when there are no rows)."""
+    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+
+
+def _store_keys(out: np.ndarray, values) -> None:
+    """Write the keys of values of at least -1 into out: values plus one, in
+    out's unsigned dtype, so the -1 pad is key 0."""
+    np.add(values, 1, out=out, dtype=out.dtype, casting="unsafe")
+
+
+def row_keys(rows: np.ndarray, width: int, span: int) -> np.ndarray:
+    """One np.void key per row of an int matrix with values -1..span - 1,
+    padded with -1 to width: the keys compare as the padded rows do in
+    lexicographic order, the -1 pad lowest."""
+    keys = np.zeros((len(rows), width), dtype=_key_dtype(span))
+    _store_keys(keys[:, : rows.shape[1]], rows)
+    return _void_keys(_big_endian(keys))
 
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
@@ -200,11 +264,42 @@ def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> l
     return [padded_rows(csr, width) for csr in csrs]
 
 
-def _rows(old, ext: np.ndarray, index: np.ndarray, segment: np.ndarray, base: int) -> np.ndarray:
-    """Rows of one update: old colors, then the colors each index row reads
-    from ext, each column lifted into its segment's value range (base exceeds
-    every color): one sort per row keeps the neighborhoods' multisets apart."""
-    return np.column_stack((old, np.sort(ext[index] + segment * base, axis=1)))
+_GATHER_CHUNK = 1 << 15  # gather entries per step of _rows
+
+
+def _row_span(base: int, segments: Sequence[np.ndarray]) -> int:
+    """The largest key of an update's rows (see :func:`_rows`): an old color
+    key is below base, a gathered key at most base times the segment count."""
+    return base * max([1] + [int(segment[-1]) + 1 for segment in segments if len(segment)])
+
+
+def _rows(out: np.ndarray, old, ext: np.ndarray, index: np.ndarray, segment: np.ndarray, base: int) -> None:
+    """Write the rows of one update into its slice of the key buffer: the old
+    colors, then the colors each index row reads from ext, each column lifted
+    into its segment's value range (base exceeds every color): one sort per
+    row keeps the neighborhoods' multisets apart.
+
+    Keys are values plus one, in out's dtype; ext holds colors plus one with
+    0 for the pad, and columns past the index's width keep the pad's key 0.
+    The gather runs over a few rows at a time: np.take casts an int32 index
+    to a platform index copy, which stays small and in cache.
+    """
+    _store_keys(out[:, 0], old)
+    lift = (segment * base + 1).astype(out.dtype)
+    gathered = out[:, 1 : 1 + index.shape[1]]
+    step = max(1, _GATHER_CHUNK // max(index.shape[1], 1))
+    for start in range(0, len(index), step):
+        rows = gathered[start : start + step]
+        np.add(np.take(ext, index[start : start + step]), lift, out=rows)
+        rows.sort(axis=1)
+
+
+def _shifted(values: np.ndarray, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """values plus one in dtype, padded with 0s at the end of every axis up
+    to shape: the ext array an update's gathers read."""
+    ext = np.zeros(shape, dtype=dtype)
+    _store_keys(ext[tuple(slice(0, n) for n in values.shape)], values)
+    return ext.ravel()
 
 
 @dataclass(slots=True)
@@ -257,18 +352,18 @@ class CellColors:
         m, k = len(self.ccs), int(self.colors.max()) + 1
         return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
 
-    def recolor(self, blocks: Sequence[np.ndarray]) -> bool:
-        """New colors from the rows of blocks given in cell order; True when
-        the partition got finer."""
-        ids, k = self.intern(blocks)
+    def recolor(self, keys: np.ndarray) -> bool:
+        """New colors from a key buffer of one row per cell, in cell order;
+        True when the partition got finer."""
+        ids, k = self.number(keys)
         changed = k > self.classes
-        self.colors, self.classes = np.concatenate(ids), k
+        self.colors, self.classes = ids, k
         return changed
 
-    def intern(self, blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-        """intern_rows, keeping the rows' table when tabulating."""
-        ids, k, table = _intern(blocks, self.tabulate)
-        self.table = table
+    def number(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
+        """Ids and class count of a key buffer of rows shifted by one (the -1
+        pad is key 0), keeping the rows' table when tabulating."""
+        ids, k, self.table = _number(keys, -1, self.tabulate)
         return ids, k
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
@@ -278,13 +373,17 @@ class CellColors:
         entry = self._gathers.get(id(specs))
         if entry is None:
             entry = self._gathers[id(specs)] = (specs, self._build(specs))
-        ext = np.append(self.colors + 1, 0)  # colors shifted to 1.., 0 is the pad
-        base = int(ext.max()) + 1
-        blocks = [
-            _rows(self.colors[self.rank_span(r)], ext, index, segment, base)
-            for r, (index, segment) in enumerate(entry[1])
-        ]
-        return self.recolor(blocks)
+        gathers = entry[1]
+        base = int(self.colors.max()) + 2
+        dtype = _key_dtype(_row_span(base, [segment for _, segment in gathers]))
+        width = 1 + max(index.shape[1] for index, _ in gathers)
+        keys = np.zeros((len(self.colors), width), dtype=dtype)
+        # colors shifted to 1.., 0 is the pad the gathers' -1 entries read
+        ext = _shifted(self.colors, dtype, (len(self.colors) + 1,))
+        for r, (index, segment) in enumerate(gathers):
+            span = self.rank_span(r)
+            _rows(keys[span], self.colors[span], ext, index, segment, base)
+        return self.recolor(keys)
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
         """Per rank: the gather matrix over all complexes and each column's
@@ -293,16 +392,17 @@ class CellColors:
         renumbered, so two complexes refined apart whose empty specs differ
         never build equal rows from different neighborhoods."""
         m = len(self.ccs)
+        dtype = _index_dtype(len(self.colors) + 1)  # the gathers read colors and a pad
         out = []
         for r in range(self.ell + 1):
             n = len(self.colors[self.rank_span(r)])
-            mats, segment = [np.empty((n, 0), dtype=np.int64)], []
+            mats, segment = [np.empty((n, 0), dtype=dtype)], []
             for pos, s in enumerate(s for s in specs if s.r1 == r):
                 csrs = [cc.neighbor_csr(s) for cc in self.ccs]
                 if not any(indptr[-1] for indptr, _ in csrs):
                     continue
                 shifts = [self.starts[s.target_rank * m + ci] for ci in range(m)]
-                mats.append(np.vstack(padded_gather(csrs, shifts)))
+                mats.append(np.vstack(padded_gather(csrs, shifts)).astype(dtype))
                 segment += [pos] * mats[-1].shape[1]
             out.append((np.hstack(mats), np.array(segment, dtype=np.int64)))
         return out
@@ -341,15 +441,20 @@ class CellColors:
     # -- pair refinement --------------------------------------------------------
 
     def seed_pairs(self, block: SclBlock) -> _PairState:
+        """Seed a pair coloring: the row of (x, y) is x's color, y's color and
+        the marking of (x, y) (at least -1)."""
         r1, r2 = block.r1, block.r2
-        marks, rows = [], []
-        for ci, cc in enumerate(self.ccs):
-            c1, c2 = self.colors[self.span(ci, r1)], self.colors[self.span(ci, r2)]
-            mark = _marking_matrix(cc, r1, r2, block.marking)
-            marks.append(mark)
-            rows.append(np.column_stack((c1.repeat(len(c2)), np.tile(c2, len(c1)), mark.ravel())))
-        ids, num_colors = self.intern(rows)
-        mats = [i.reshape(mark.shape) for i, mark in zip(ids, marks)]
+        marks = [_marking_matrix(cc, r1, r2, block.marking) for cc in self.ccs]
+        span = max([int(self.colors.max()) + 1] + [int(m.max(initial=0)) + 1 for m in marks])
+        sizes = [m.size for m in marks]
+        keys = np.zeros((sum(sizes), 3), dtype=_key_dtype(span))
+        for ci, (mark, start) in enumerate(zip(marks, accumulate(sizes, initial=0))):
+            rows = keys[start : start + mark.size].reshape(*mark.shape, 3)
+            columns = (self.colors[self.span(ci, r1), None], self.colors[self.span(ci, r2)], mark)
+            for col, values in enumerate(columns):
+                _store_keys(rows[..., col], values)
+        ids, num_colors = self.number(keys)
+        mats = _matrices(ids, marks)
         state = _PairState(r1, r2, mats, num_colors)
         self.pair_states.append(state)
         return state
@@ -359,14 +464,17 @@ class CellColors:
         if state.gathers is None:  # built on the first round: many runs end at the seed
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
         indices, segment = state.gathers
-        # colors shifted to 1.. with a pad row and column of 0s, which the
-        # gathers' wrapped -1 pads read; every complex lifts by the same base
-        blocks = []
-        for C, index in zip(state.mats, indices):
-            ext = np.pad(C.astype(np.int64) + 1, ((0, 1), (0, 1))).ravel()
-            blocks.append(_rows(C.ravel(), ext, index, segment, state.num_colors + 1))
-        ids, num_colors = self.intern(blocks)
-        state.mats = [i.reshape(C.shape) for i, C in zip(ids, state.mats)]
+        base = state.num_colors + 1  # every complex lifts by the same base
+        dtype = _key_dtype(_row_span(base, [segment]))
+        sizes = [C.size for C in state.mats]
+        keys = np.zeros((sum(sizes), 1 + len(segment)), dtype=dtype)
+        for C, index, start in zip(state.mats, indices, accumulate(sizes, initial=0)):
+            # colors shifted to 1.. with a pad row and column of 0s, which the
+            # gathers' wrapped -1 pads read
+            ext = _shifted(C, dtype, (C.shape[0] + 1, C.shape[1] + 1))
+            _rows(keys[start : start + C.size], C.ravel(), ext, index, segment, base)
+        ids, num_colors = self.number(keys)
+        state.mats = _matrices(ids, state.mats)
         changed = num_colors > state.num_colors
         state.num_colors = num_colors
         return changed
@@ -376,16 +484,28 @@ class CellColors:
         if not self.pair_states:
             raise PoolWithoutScl("pool stage with no preceding pair block")
         state = self.pair_states[-1]
-        blocks = []
-        for r in range(self.ell + 1):
-            for ci, C in enumerate(state.mats):
-                parts = [self.colors[self.span(ci, r), None]]
-                if r == state.r1:  # multiset of each row
-                    parts.append(np.sort(C, axis=1))
-                if r == state.r2:  # multiset of each column
-                    parts.append(np.sort(C, axis=0).T)
-                blocks.append(np.hstack(parts))
-        self.recolor(blocks)
+        r1, r2 = state.r1, state.r2
+        # a rank-r1 row holds its cell's color and the multiset of its row of
+        # pair colors, a rank-r2 row the multiset of its column, after the row
+        # multiset when r1 = r2; other rows hold the color alone
+        width = 1 + max(sum(C.shape) if r1 == r2 else max(C.shape) for C in state.mats)
+        span = max(int(self.colors.max()), state.num_colors - 1) + 1
+        keys = np.zeros((len(self.colors), width), dtype=_key_dtype(span))
+        _store_keys(keys[:, 0], self.colors)
+        for ci, C in enumerate(state.mats):
+            n1, n2 = C.shape
+            col = 1 + n2 if r1 == r2 else 1
+            rows, columns = keys[self.span(ci, r1), 1 : 1 + n2], keys[self.span(ci, r2), col : col + n1]
+            for multisets, part in ((rows, C), (columns, C.T)):
+                _store_keys(multisets, part)
+                multisets.sort(axis=1)
+        self.recolor(keys)
+
+
+def _matrices(ids: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """ids cut into consecutive matrices of the shapes of like."""
+    ends = accumulate(m.size for m in like)
+    return [ids[end - m.size : end].reshape(m.shape) for m, end in zip(like, ends)]
 
 
 def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) -> np.ndarray:
@@ -425,10 +545,12 @@ def _build_gathers(ccs, r1: int, r2: int, ell: int):
     indices = []
     for ci, cc in enumerate(ccs):
         n1, n2 = cc.skeleton_size(r1), cc.skeleton_size(r2)
-        x, y = np.arange(n1)[:, None, None], np.arange(n2)[None, :, None]
+        dtype = _index_dtype((n1 + 1) * (n2 + 1))
+        x, y = np.arange(n1, dtype=dtype)[:, None, None], np.arange(n2, dtype=dtype)[None, :, None]
         parts = []
         for (_, by_x, swap_x), mats in zip(sides, per_side):
-            nb = mats[ci][:, None, :] if by_x else mats[ci][None, :, :]
+            nb = mats[ci].astype(dtype)
+            nb = nb[:, None, :] if by_x else nb[None, :, :]
             ids = nb * (n2 + 1) + y if swap_x else x * (n2 + 1) + nb
             parts.append(np.broadcast_to(ids, (n1, n2, nb.shape[2])))
         indices.append(np.concatenate(parts, axis=2).reshape(n1 * n2, len(segment)))

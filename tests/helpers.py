@@ -193,6 +193,41 @@ def reference_intern(blocks, tabulate: bool = False):
     return np.split(ids, np.cumsum(sizes)[:-1]), len(starts), table
 
 
+def reference_cell_images(source, target, node_image):
+    """The cell map a node map induces, as cell_map_from_node_map matched it by
+    interning the target's padded rows jointly with the image rows: the
+    assignment, or the message of the first image that is no target cell."""
+    from cckit.complex import padded_rows
+    from cckit.refinement import intern_rows
+
+    node_image = np.asarray(node_image, dtype=np.int64)
+    pad = target.num_nodes
+    assignment = []
+    for r in range(source.dimension + 1):
+        rows = padded_rows(source.skeleton_arrays(r))
+        if len(rows) == 0:
+            assignment.append(())
+            continue
+        img = np.sort(np.where(rows >= 0, node_image[rows], pad), axis=1)
+        img[:, 1:][img[:, 1:] == img[:, :-1]] = pad
+        img = np.sort(img, axis=1)
+        img[img == pad] = -1
+        targets = padded_rows(target.skeleton_arrays(r))
+        (target_ids, ids), k = intern_rows([targets, img])
+        cell_of = np.full(k, -1, dtype=np.int64)
+        cell_of[target_ids] = np.arange(len(targets))
+        images = cell_of[ids]
+        unmatched = np.flatnonzero(images < 0)
+        if unmatched.size:
+            i = unmatched[0]
+            return (
+                f"image {tuple(int(v) for v in img[i] if v >= 0)} of rank-{r} cell "
+                f"{tuple(int(v) for v in rows[i] if v >= 0)} is not a target cell"
+            )
+        assignment.append(tuple(images.tolist()))
+    return tuple(assignment)
+
+
 def gf2_rank_lists(rows: list[list[int]]) -> int:
     """Row reduction over GF(2) on plain python lists."""
     rows = [list(r) for r in rows if any(r)]

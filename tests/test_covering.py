@@ -30,6 +30,7 @@ from cckit.refinement import Engine, distinguish
 from helpers import (
     arbitrary_complexes,
     brute_is_covering,
+    reference_cell_images,
     reference_strip,
     reference_strip_cover_nodes,
     relabel_complex,
@@ -386,3 +387,36 @@ class TestAgainstBruteForce:
         relabeling = cell_map_from_node_map(cc, relabel_complex(cc, perm), perm)
         for m in (shuffle, relabeling):
             assert _first_failure(m, from_nodes) == _first_failure(m, every)
+
+
+def induced_map(source, target, node_image):
+    """cell_map_from_node_map's assignment, or its error message."""
+    try:
+        return cell_map_from_node_map(source, target, node_image).assignment
+    except MapNotWellDefined as exc:
+        return str(exc)
+
+
+class TestCellMapFromNodeMap:
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_complexes(), arbitrary_complexes(), st.integers(0, 2**32 - 1))
+    def test_matches_joint_interning(self, source, other, seed):
+        """Looking images up among the sorted target rows gives the map, or
+        the first unmatched image's message, that joint interning gave."""
+        rng = random.Random(seed)
+        perm = list(range(source.num_nodes))
+        rng.shuffle(perm)
+        merged = list(perm)  # two nodes sent to one: some images are no cell
+        merged[rng.randrange(len(merged))] = rng.randrange(len(merged))
+        cases = [(relabel_complex(source, perm), perm), (source, merged)]
+        if other.dimension >= source.dimension:
+            cases.append((other, [rng.randrange(other.num_nodes) for _ in perm]))
+        for target, node_image in cases:
+            expected = reference_cell_images(source, target, node_image)
+            assert induced_map(source, target, node_image) == expected
+
+    def test_first_unmatched_message(self):
+        c6 = graph_as_cc(cycle_graph(6))
+        with pytest.raises(MapNotWellDefined) as exc:
+            cell_map_from_node_map(c6, c6, [0, 1, 2, 0, 1, 2])
+        assert str(exc.value) == "image (0, 2) of rank-1 cell (0, 5) is not a target cell"

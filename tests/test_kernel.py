@@ -30,8 +30,14 @@ from cckit.refinement import (
     HompBlock,
     PoolStage,
     SclBlock,
+    _build_gathers,
+    _index_dtype,
     _intern,
+    _key_dtype,
     _marking_matrix,
+    _number,
+    _row_span,
+    _rows,
     intern_rows,
     padded_gather,
     run_diagram,
@@ -223,6 +229,62 @@ class TestInternRows:
         assert k == ref_k
         assert [i.tolist() for i in ids] == [i.tolist() for i in ref_ids]
         assert table == ref_table
+
+
+# key spans on both sides of every key dtype boundary
+SPANS = [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
+
+
+class TestKeyDtypes:
+    @pytest.mark.parametrize("span", SPANS)
+    def test_intern_rows_at_span(self, span):
+        # values -1..span - 1: the shifted maximum is the span itself
+        blocks = [
+            np.array([[-1, span - 1], [span - 1, -1], [0, span - 2]]),
+            np.array([[span - 1], [0], [span - 1]]),
+        ]
+        ids, k, table = _intern(blocks, True)
+        ref_ids, ref_k, ref_table = reference_intern(blocks, True)
+        assert (k, [i.tolist() for i in ids], table) == (ref_k, [i.tolist() for i in ref_ids], ref_table)
+
+    @pytest.mark.parametrize("span", SPANS)
+    def test_update_rows_at_span(self, span):
+        # an update whose largest key is the span: colors up to base - 2,
+        # read as base - 1 once shifted, in the last of span // base segments
+        base, segments = (span // 2, 2) if span % 2 == 0 else (span, 1)
+        rng = np.random.default_rng(span)
+        colors = rng.choice([0, 1, base - 3, base - 2], size=8)
+        colors[-1] = base - 2
+        ext = np.append(colors + 1, 0)
+        segment = np.repeat(np.arange(segments), 2)
+        assert _row_span(base, [segment]) == span
+        index = rng.integers(-1, len(colors), size=(8, len(segment)))
+        index[0] = len(colors) - 1  # row 0 reads the largest color everywhere
+        dtype = _key_dtype(span)
+        keys = np.zeros((8, 1 + index.shape[1]), dtype=dtype)
+        _rows(keys, colors, ext.astype(dtype), index.astype(np.int32), segment, base)
+        assert int(keys.max()) == span
+        ids, k, table = _number(keys, -1, True)
+        rows = np.column_stack((colors, np.sort(ext[index] + segment * base, axis=1)))
+        (ref_ids,), ref_k, ref_table = reference_intern([rows], True)
+        assert (k, ids.tolist(), table) == (ref_k, ref_ids.tolist(), ref_table)
+
+    def test_key_dtype_boundaries(self):
+        sizes = [_key_dtype(span).itemsize for span in SPANS]
+        assert sizes == [1, 2, 2, 4, 4, 8]
+
+    def test_gather_dtype_flips_at_two_to_the_31(self):
+        assert _index_dtype(1) == np.int32
+        assert _index_dtype(2**31 - 1) == np.int32
+        assert _index_dtype(2**31) == np.int64
+        assert _index_dtype(2**40) == np.int64
+
+    def test_gathers_are_int32(self):
+        ccs = [torus((3, 4)), cyclic_lift(random_graph(random.Random(3), 9, 0.5), 8)]
+        state = CellColors(ccs, 2)
+        assert {index.dtype for index, _ in state._build(tuple(natural_specs(2)))} == {np.dtype(np.int32)}
+        indices, _ = _build_gathers(ccs, 0, 1, 2)
+        assert {index.dtype for index in indices} == {np.dtype(np.int32)}
 
 
 class TestGathers:
