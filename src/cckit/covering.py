@@ -52,7 +52,7 @@ from .errors import (
     PeriodTooSmall,
 )
 from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
-from .refinement import row_keys
+from ._rowkeys import row_keys
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def cell_map_from_node_map(
     Vectorized per rank: the padded vertex rows go through the node map, are
     sorted and de-duplicated within each row, then looked up among the target
     rows.  A skeleton is in lexicographic order, so the target rows' byte keys
-    (:func:`~cckit.refinement.row_keys`) are strictly increasing: an image row
+    (:func:`~cckit._rowkeys.row_keys`) are strictly increasing: an image row
     is target row j when its key is found at position j, and no target cell
     when its key is found nowhere.
     """

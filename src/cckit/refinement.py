@@ -4,25 +4,26 @@ Message-passing updates with injective aggregation are abstracted to
 Weisfeiler-Leman style refinement, and every update is one operation: a row
 per cell holding its old color and one sorted neighbor-color multiset per
 configured neighborhood function, numbered jointly across the complexes being
-compared (:func:`intern_rows`).  Equal ids mean equal rows, so the color
+compared (:func:`~cckit._rowkeys.intern_rows`).  Equal ids mean equal rows, so the color
 histograms of different complexes are directly comparable.  Ids follow the
 sorted order of the distinct rows, so they are canonical: a complex refined
 alone numbers the same rows the same way, which lets :func:`distinguish`
 refine each complex once and compare per-tick tables across its partners.
 Cell rounds and pair rounds build their rows in one place: an index matrix
-gathers neighbor colors through padded neighbor rows (:func:`padded_gather`).
+gathers neighbor colors through padded neighbor rows
+(:func:`~cckit._rowkeys.padded_gather`).
 A pair round is a cell round whose cells are the pairs (x, y) of
 X_{r1} x X_{r2}: it gathers the pairs with x or y swapped for a neighbor, by
 flat pair id.  Pair seeding and pooling intern their rows the same way.
 
-Rows move only narrow bytes.  Gathers are int32 index matrices while the
-array they read has fewer than 2**31 entries, int64 from there on
-(:func:`_index_dtype`).  Each update computes its key dtype from bounds it
-already knows (color count, base and segment count) and writes its rows once,
-values plus one, into one unsigned key buffer of that dtype
-(:func:`_key_dtype`: 8, 16, 32 or 64 bits), which is byte-swapped and sorted
-in place.  Trace tables hold the distinct rows as int64 bytes whatever the
-key dtype, so they compare across updates and complexes.
+Rows move only narrow bytes (:mod:`cckit._rowkeys` holds the gathers, row
+builders and numbering).  Gathers are int32 index matrices while the array
+they read has fewer than 2**31 entries, int64 from there on.  Each update
+computes its key dtype from bounds it already knows (color count, base and
+segment count) and writes its rows once, values plus one, into one unsigned
+key buffer of that dtype (8, 16, 32 or 64 bits), which is byte-swapped and
+sorted in place.  Trace tables hold the distinct rows as int64 bytes whatever
+the key dtype, so they compare across updates and complexes.
 
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with
@@ -46,19 +47,27 @@ import numpy as np
 
 from .complex import (
     CombinatorialComplex,
-    Csr,
     NeighborhoodSpec,
     adjacency,
     co_adjacency,
     incidence_down,
     incidence_up,
     natural_specs,
-    padded_rows,
     row_ids,
-    row_lengths,
 )
 from .errors import MarkingUnsupported, PoolWithoutScl, RankOutOfRange
 from .invariants import nearest_face_distances, shortest_paths
+from ._rowkeys import (
+    build_rows,
+    index_dtype,
+    intern_rows,  # noqa: F401  (the public row numbering lives here)
+    key_dtype,
+    number_keys,
+    padded_gather,
+    row_span,
+    shifted_colors,
+    store_keys,
+)
 
 Hist = tuple[tuple[int, int], ...]
 
@@ -133,175 +142,6 @@ def _hist(colors: np.ndarray) -> Hist:
     return tuple(zip(values.tolist(), counts.tolist()))
 
 
-# -- the refinement kernel ------------------------------------------------------
-
-
-def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Number the rows of 2-D int blocks jointly: ids per block, class count.
-
-    Narrower blocks are padded with -1 on the right.  Ids are canonical: the
-    distinct rows are numbered in lexicographic order, so a row's id depends
-    only on the set of distinct rows, not on where the rows occur.  Exact and
-    hash-free: one sort of byte keys, then adjacent keys compared.  The keys
-    are the rows shifted by their minimum in the narrowest unsigned type
-    that holds the shifted maximum (:func:`_key_dtype`: 8, 16, 32 or 64
-    bits); ids are int64.  The refinement updates share this key core but
-    build their rows in that type directly, from bounds they know, through
-    int32 gathers (int64 once the gathered array has 2**31 entries).
-    """
-    ids, k, _ = _intern(blocks, tabulate=False)
-    return ids, k
-
-
-def _key_dtype(span: int) -> np.dtype:
-    """The narrowest unsigned dtype holding 0..span."""
-    for size in (1, 2, 4):
-        if span < 1 << 8 * size:
-            return np.dtype(f"u{size}")
-    return np.dtype("u8")
-
-
-def _index_dtype(size: int) -> np.dtype:
-    """The gather dtype for an array of ``size`` entries: int32 below 2**31
-    entries, int64 from there on."""
-    return np.dtype(np.int32 if size < 1 << 31 else np.int64)
-
-
-def _intern(
-    blocks: Sequence[np.ndarray], tabulate: bool
-) -> tuple[list[np.ndarray], int, tuple[bytes, bytes] | None]:
-    """intern_rows, plus the table of the rows when asked (see :func:`_number`).
-
-    The blocks are arbitrary ints, so one min/max scan gives the shift and
-    the key dtype, and each block is copied once into the key buffer.  The
-    refinement updates skip both steps: they fill the buffer themselves
-    (:func:`_rows`).  Tables are int64 bytes whatever the key dtype.
-    """
-    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-    sizes = [len(b) for b in blocks]
-    filled = [b for b in blocks if b.size]
-    lo = min([-1] + [int(b.min()) for b in filled])
-    hi = max([-1] + [int(b.max()) for b in filled])
-    width = max(b.shape[1] for b in blocks)
-    keys = np.full((sum(sizes), width), -1 - lo, dtype=_key_dtype(hi - lo))
-    pos = 0
-    for b in blocks:
-        keys[pos : pos + len(b), : b.shape[1]] = b - lo
-        pos += len(b)
-    ids, k, table = _number(keys, lo, tabulate)
-    return np.split(ids, np.cumsum(sizes)[:-1]), k, table
-
-
-def _number(keys: np.ndarray, lo: int, tabulate: bool) -> tuple[np.ndarray, int, tuple | None]:
-    """Ids and class count of the rows of a key buffer, whose values are the
-    row values minus lo (the -1 pad included) in an unsigned dtype; plus,
-    with tabulate, the table of the rows: the distinct rows in id order and
-    their counts, as int64 bytes (compact copies that compare exactly; the
-    two lengths fix the row width), whatever the key dtype.
-
-    The buffer is consumed: it is byte-swapped in place to big-endian, so each
-    row's bytes compare as the row does in lexicographic order, and one row
-    is one np.void sort key.
-    """
-    n, width = keys.shape
-    leader = np.ones(n, dtype=bool)
-    if width:
-        keys = _big_endian(keys)
-        voids = _void_keys(keys)
-        order = np.argsort(voids)
-        ordered = voids[order]
-        leader[1:] = ordered[1:] != ordered[:-1]
-    else:  # every row is the empty row
-        order = np.arange(n)
-        leader[1:] = False
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = np.cumsum(leader) - 1
-    starts = np.flatnonzero(leader)
-    table = None
-    if tabulate:
-        counts = row_lengths(np.append(starts, n))
-        distinct = keys[order[starts]].astype(np.int64) + lo
-        table = (distinct.tobytes(), counts.tobytes())
-    return ids, len(starts), table
-
-
-def _big_endian(keys: np.ndarray) -> np.ndarray:
-    """An unsigned key buffer byte-swapped in place to big-endian and viewed
-    as such: the same values, stored so that bytes compare as values do."""
-    big = keys.dtype.newbyteorder(">")
-    return keys if keys.dtype == big else keys.byteswap(inplace=True).view(big)
-
-
-def _void_keys(keys: np.ndarray) -> np.ndarray:
-    """A C-contiguous big-endian key buffer as one np.void key per row (of the
-    row's length also when there are no rows)."""
-    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-
-
-def _store_keys(out: np.ndarray, values) -> None:
-    """Write the keys of values of at least -1 into out: values plus one, in
-    out's unsigned dtype, so the -1 pad is key 0."""
-    np.add(values, 1, out=out, dtype=out.dtype, casting="unsafe")
-
-
-def row_keys(rows: np.ndarray, width: int, span: int) -> np.ndarray:
-    """One np.void key per row of an int matrix with values -1..span - 1,
-    padded with -1 to width: the keys compare as the padded rows do in
-    lexicographic order, the -1 pad lowest."""
-    keys = np.zeros((len(rows), width), dtype=_key_dtype(span))
-    _store_keys(keys[:, : rows.shape[1]], rows)
-    return _void_keys(_big_endian(keys))
-
-
-def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
-    """Neighbor CSRs as (n, w) index matrices, one per complex, with one
-    joint width w.  Short rows are padded with -1, which the caller's gather
-    maps onto a pad entry (a cell round appends one last); shifts offset each
-    complex's indices."""
-    width = max((int(row_lengths(indptr).max(initial=0)) for indptr, _ in csrs), default=0)
-    if shifts:
-        csrs = [(indptr, indices + shift) for (indptr, indices), shift in zip(csrs, shifts)]
-    return [padded_rows(csr, width) for csr in csrs]
-
-
-_GATHER_CHUNK = 1 << 15  # gather entries per step of _rows
-
-
-def _row_span(base: int, segments: Sequence[np.ndarray]) -> int:
-    """The largest key of an update's rows (see :func:`_rows`): an old color
-    key is below base, a gathered key at most base times the segment count."""
-    return base * max([1] + [int(segment[-1]) + 1 for segment in segments if len(segment)])
-
-
-def _rows(out: np.ndarray, old, ext: np.ndarray, index: np.ndarray, segment: np.ndarray, base: int) -> None:
-    """Write the rows of one update into its slice of the key buffer: the old
-    colors, then the colors each index row reads from ext, each column lifted
-    into its segment's value range (base exceeds every color): one sort per
-    row keeps the neighborhoods' multisets apart.
-
-    Keys are values plus one, in out's dtype; ext holds colors plus one with
-    0 for the pad, and columns past the index's width keep the pad's key 0.
-    The gather runs over a few rows at a time: np.take casts an int32 index
-    to a platform index copy, which stays small and in cache.
-    """
-    _store_keys(out[:, 0], old)
-    lift = (segment * base + 1).astype(out.dtype)
-    gathered = out[:, 1 : 1 + index.shape[1]]
-    step = max(1, _GATHER_CHUNK // max(index.shape[1], 1))
-    for start in range(0, len(index), step):
-        rows = gathered[start : start + step]
-        np.add(np.take(ext, index[start : start + step]), lift, out=rows)
-        rows.sort(axis=1)
-
-
-def _shifted(values: np.ndarray, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """values plus one in dtype, padded with 0s at the end of every axis up
-    to shape: the ext array an update's gathers read."""
-    ext = np.zeros(shape, dtype=dtype)
-    _store_keys(ext[tuple(slice(0, n) for n in values.shape)], values)
-    return ext.ravel()
-
-
 @dataclass(slots=True)
 class _PairState:
     """Live pair coloring of one SclBlock across all complexes."""
@@ -363,7 +203,7 @@ class CellColors:
     def number(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
         """Ids and class count of a key buffer of rows shifted by one (the -1
         pad is key 0), keeping the rows' table when tabulating."""
-        ids, k, self.table = _number(keys, -1, self.tabulate)
+        ids, k, self.table = number_keys(keys, -1, self.tabulate)
         return ids, k
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
@@ -375,14 +215,14 @@ class CellColors:
             entry = self._gathers[id(specs)] = (specs, self._build(specs))
         gathers = entry[1]
         base = int(self.colors.max()) + 2
-        dtype = _key_dtype(_row_span(base, [segment for _, segment in gathers]))
+        dtype = key_dtype(row_span(base, [segment for _, segment in gathers]))
         width = 1 + max(index.shape[1] for index, _ in gathers)
         keys = np.zeros((len(self.colors), width), dtype=dtype)
         # colors shifted to 1.., 0 is the pad the gathers' -1 entries read
-        ext = _shifted(self.colors, dtype, (len(self.colors) + 1,))
+        ext = shifted_colors(self.colors, dtype, (len(self.colors) + 1,))
         for r, (index, segment) in enumerate(gathers):
             span = self.rank_span(r)
-            _rows(keys[span], self.colors[span], ext, index, segment, base)
+            build_rows(keys[span], self.colors[span], ext, index, segment, base)
         return self.recolor(keys)
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
@@ -392,7 +232,7 @@ class CellColors:
         renumbered, so two complexes refined apart whose empty specs differ
         never build equal rows from different neighborhoods."""
         m = len(self.ccs)
-        dtype = _index_dtype(len(self.colors) + 1)  # the gathers read colors and a pad
+        dtype = index_dtype(len(self.colors) + 1)  # the gathers read colors and a pad
         out = []
         for r in range(self.ell + 1):
             n = len(self.colors[self.rank_span(r)])
@@ -447,12 +287,12 @@ class CellColors:
         marks = [_marking_matrix(cc, r1, r2, block.marking) for cc in self.ccs]
         span = max([int(self.colors.max()) + 1] + [int(m.max(initial=0)) + 1 for m in marks])
         sizes = [m.size for m in marks]
-        keys = np.zeros((sum(sizes), 3), dtype=_key_dtype(span))
+        keys = np.zeros((sum(sizes), 3), dtype=key_dtype(span))
         for ci, (mark, start) in enumerate(zip(marks, accumulate(sizes, initial=0))):
             rows = keys[start : start + mark.size].reshape(*mark.shape, 3)
             columns = (self.colors[self.span(ci, r1), None], self.colors[self.span(ci, r2)], mark)
             for col, values in enumerate(columns):
-                _store_keys(rows[..., col], values)
+                store_keys(rows[..., col], values)
         ids, num_colors = self.number(keys)
         mats = _matrices(ids, marks)
         state = _PairState(r1, r2, mats, num_colors)
@@ -465,14 +305,14 @@ class CellColors:
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
         indices, segment = state.gathers
         base = state.num_colors + 1  # every complex lifts by the same base
-        dtype = _key_dtype(_row_span(base, [segment]))
+        dtype = key_dtype(row_span(base, [segment]))
         sizes = [C.size for C in state.mats]
         keys = np.zeros((sum(sizes), 1 + len(segment)), dtype=dtype)
         for C, index, start in zip(state.mats, indices, accumulate(sizes, initial=0)):
             # colors shifted to 1.. with a pad row and column of 0s, which the
             # gathers' wrapped -1 pads read
-            ext = _shifted(C, dtype, (C.shape[0] + 1, C.shape[1] + 1))
-            _rows(keys[start : start + C.size], C.ravel(), ext, index, segment, base)
+            ext = shifted_colors(C, dtype, (C.shape[0] + 1, C.shape[1] + 1))
+            build_rows(keys[start : start + C.size], C.ravel(), ext, index, segment, base)
         ids, num_colors = self.number(keys)
         state.mats = _matrices(ids, state.mats)
         changed = num_colors > state.num_colors
@@ -490,14 +330,14 @@ class CellColors:
         # multiset when r1 = r2; other rows hold the color alone
         width = 1 + max(sum(C.shape) if r1 == r2 else max(C.shape) for C in state.mats)
         span = max(int(self.colors.max()), state.num_colors - 1) + 1
-        keys = np.zeros((len(self.colors), width), dtype=_key_dtype(span))
-        _store_keys(keys[:, 0], self.colors)
+        keys = np.zeros((len(self.colors), width), dtype=key_dtype(span))
+        store_keys(keys[:, 0], self.colors)
         for ci, C in enumerate(state.mats):
             n1, n2 = C.shape
             col = 1 + n2 if r1 == r2 else 1
             rows, columns = keys[self.span(ci, r1), 1 : 1 + n2], keys[self.span(ci, r2), col : col + n1]
             for multisets, part in ((rows, C), (columns, C.T)):
-                _store_keys(multisets, part)
+                store_keys(multisets, part)
                 multisets.sort(axis=1)
         self.recolor(keys)
 
@@ -545,7 +385,7 @@ def _build_gathers(ccs, r1: int, r2: int, ell: int):
     indices = []
     for ci, cc in enumerate(ccs):
         n1, n2 = cc.skeleton_size(r1), cc.skeleton_size(r2)
-        dtype = _index_dtype((n1 + 1) * (n2 + 1))
+        dtype = index_dtype((n1 + 1) * (n2 + 1))
         x, y = np.arange(n1, dtype=dtype)[:, None, None], np.arange(n2, dtype=dtype)[None, :, None]
         parts = []
         for (_, by_x, swap_x), mats in zip(sides, per_side):
@@ -790,7 +630,7 @@ class _Trace:
     ``tables[t]`` describes tick t: the skeleton sizes at tick 0, then the
     table of the rows the tick's update interned (the cells, or the live pair
     block): the distinct rows in id order and their counts.  Run alone,
-    a complex's ids are canonical (:func:`intern_rows`), so while two
+    a complex's ids are canonical (:func:`~cckit._rowkeys.intern_rows`), so while two
     complexes' tables agree their ids name the same rows and their next rows
     are the same function of them.  Their tables at a tick then agree exactly
     when the updated rows agree as multisets, which is when the snapshots of

@@ -31,16 +31,18 @@ from cckit.refinement import (
     PoolStage,
     SclBlock,
     _build_gathers,
-    _index_dtype,
-    _intern,
-    _key_dtype,
     _marking_matrix,
-    _number,
-    _row_span,
-    _rows,
     intern_rows,
-    padded_gather,
     run_diagram,
+)
+from cckit._rowkeys import (
+    _intern,
+    build_rows,
+    index_dtype,
+    key_dtype,
+    number_keys,
+    padded_gather,
+    row_span,
 )
 
 from helpers import (
@@ -257,27 +259,27 @@ class TestKeyDtypes:
         colors[-1] = base - 2
         ext = np.append(colors + 1, 0)
         segment = np.repeat(np.arange(segments), 2)
-        assert _row_span(base, [segment]) == span
+        assert row_span(base, [segment]) == span
         index = rng.integers(-1, len(colors), size=(8, len(segment)))
         index[0] = len(colors) - 1  # row 0 reads the largest color everywhere
-        dtype = _key_dtype(span)
+        dtype = key_dtype(span)
         keys = np.zeros((8, 1 + index.shape[1]), dtype=dtype)
-        _rows(keys, colors, ext.astype(dtype), index.astype(np.int32), segment, base)
+        build_rows(keys, colors, ext.astype(dtype), index.astype(np.int32), segment, base)
         assert int(keys.max()) == span
-        ids, k, table = _number(keys, -1, True)
+        ids, k, table = number_keys(keys, -1, True)
         rows = np.column_stack((colors, np.sort(ext[index] + segment * base, axis=1)))
         (ref_ids,), ref_k, ref_table = reference_intern([rows], True)
         assert (k, ids.tolist(), table) == (ref_k, ref_ids.tolist(), ref_table)
 
     def test_key_dtype_boundaries(self):
-        sizes = [_key_dtype(span).itemsize for span in SPANS]
+        sizes = [key_dtype(span).itemsize for span in SPANS]
         assert sizes == [1, 2, 2, 4, 4, 8]
 
     def test_gather_dtype_flips_at_two_to_the_31(self):
-        assert _index_dtype(1) == np.int32
-        assert _index_dtype(2**31 - 1) == np.int32
-        assert _index_dtype(2**31) == np.int64
-        assert _index_dtype(2**40) == np.int64
+        assert index_dtype(1) == np.int32
+        assert index_dtype(2**31 - 1) == np.int32
+        assert index_dtype(2**31) == np.int64
+        assert index_dtype(2**40) == np.int64
 
     def test_gathers_are_int32(self):
         ccs = [torus((3, 4)), cyclic_lift(random_graph(random.Random(3), 9, 0.5), 8)]
