@@ -4,14 +4,13 @@ Message-passing updates with injective aggregation are abstracted to
 Weisfeiler-Leman style refinement, and every update is one operation: a row
 per cell holding its old color and one sorted neighbor-color multiset per
 configured neighborhood function, numbered jointly across the complexes being
-compared (:func:`~cckit._rowkeys.intern_rows`).  Equal ids mean equal rows, so the color
+compared (:func:`intern_rows`).  Equal ids mean equal rows, so the color
 histograms of different complexes are directly comparable.  Ids follow the
 sorted order of the distinct rows, so they are canonical: a complex refined
 alone numbers the same rows the same way, which lets :func:`distinguish`
 refine each complex once and compare per-tick tables across its partners.
 Cell rounds and pair rounds build their rows in one place: an index matrix
-gathers neighbor colors through padded neighbor rows
-(:func:`~cckit._rowkeys.padded_gather`).
+gathers neighbor colors through padded neighbor rows (:func:`padded_gather`).
 A pair round is a cell round whose cells are the pairs (x, y) of
 X_{r1} x X_{r2}: it gathers the pairs with x or y swapped for a neighbor, by
 flat pair id.  Pair seeding and pooling intern their rows the same way.
@@ -630,7 +629,7 @@ class _Trace:
     ``tables[t]`` describes tick t: the skeleton sizes at tick 0, then the
     table of the rows the tick's update interned (the cells, or the live pair
     block): the distinct rows in id order and their counts.  Run alone,
-    a complex's ids are canonical (:func:`~cckit._rowkeys.intern_rows`), so while two
+    a complex's ids are canonical (:func:`intern_rows`), so while two
     complexes' tables agree their ids name the same rows and their next rows
     are the same function of them.  Their tables at a tick then agree exactly
     when the updated rows agree as multisets, which is when the snapshots of
