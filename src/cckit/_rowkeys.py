@@ -166,10 +166,10 @@ def row_span(base: int, segments: Sequence[np.ndarray]) -> int:
     return base * max([1] + [int(segment[-1]) + 1 for segment in segments if len(segment)])
 
 
-def shifted_colors(values: np.ndarray, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """values plus one in dtype, padded with 0s at the end of every axis up
-    to shape, flattened: the array an update's gathers read."""
-    ext = np.zeros(shape, dtype=dtype)
+def shifted_colors(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """values plus one in dtype, with one 0 appended along every axis,
+    flattened: the array an update's gathers read."""
+    ext = np.zeros(tuple(n + 1 for n in values.shape), dtype=dtype)
     store_keys(ext[tuple(slice(0, n) for n in values.shape)], values)
     return ext.ravel()
 

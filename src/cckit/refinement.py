@@ -218,7 +218,7 @@ class CellColors:
         width = 1 + max(index.shape[1] for index, _ in gathers)
         keys = np.zeros((len(self.colors), width), dtype=dtype)
         # colors shifted to 1.., 0 is the pad the gathers' -1 entries read
-        ext = shifted_colors(self.colors, dtype, (len(self.colors) + 1,))
+        ext = shifted_colors(self.colors, dtype)
         for r, (index, segment) in enumerate(gathers):
             span = self.rank_span(r)
             build_rows(keys[span], self.colors[span], ext, index, segment, base)
@@ -310,7 +310,7 @@ class CellColors:
         for C, index, start in zip(state.mats, indices, accumulate(sizes, initial=0)):
             # colors shifted to 1.. with a pad row and column of 0s, which the
             # gathers' wrapped -1 pads read
-            ext = shifted_colors(C, dtype, (C.shape[0] + 1, C.shape[1] + 1))
+            ext = shifted_colors(C, dtype)
             build_rows(keys[start : start + C.size], C.ravel(), ext, index, segment, base)
         ids, num_colors = self.number(keys)
         state.mats = _matrices(ids, state.mats)
