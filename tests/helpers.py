@@ -533,6 +533,40 @@ def reference_witness(a: CombinatorialComplex, b: CombinatorialComplex):
     return _assemble_witness(a, b, comps_a, comps_b, matching).images
 
 
+def reference_components(cc: CombinatorialComplex):
+    """(complex, parent cell indices per rank) of each cells-share-a-vertex
+    component, from the cell tuples by union-find: components ordered by
+    smallest node, nodes renumbered in order and cells kept in parent order.
+    A component's complex stops at its own top non-empty rank; its parent
+    indices cover every rank of the parent."""
+    root = list(range(cc.num_nodes))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for r in range(1, cc.dimension + 1):
+        for verts in cc.skeletons[r]:
+            for v in verts[1:]:
+                root[find(v)] = find(verts[0])
+    groups: dict[int, list[int]] = {}
+    for v in range(cc.num_nodes):
+        groups.setdefault(find(v), []).append(v)
+    out = []
+    for nodes in groups.values():
+        local = {v: i for i, v in enumerate(nodes)}
+        cells, parents = [], []
+        for r in range(cc.dimension + 1):
+            rows = [i for i, verts in enumerate(cc.skeletons[r]) if verts[0] in local]
+            parents.append(rows)
+            if r >= 1:
+                cells.extend((tuple(local[v] for v in cc.skeletons[r][i]), r) for i in rows)
+        out.append((build_cc(cells, len(nodes)), parents))
+    return out
+
+
 def example_two_dim_complex() -> CombinatorialComplex:
     """Eight nodes: a square face, two stacked triangles, one apex triangle.
 

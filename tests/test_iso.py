@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 from cckit.complex import build_cc, disjoint_union, disjoint_union_all, graph_as_cc
 from cckit.covering import CellMap, torus_mod_cover
 from cckit.errors import DuplicateCell, RankViolation
-from cckit.generators import cycle_graph, cylinder, moebius, star_graph, torus
-from cckit.iso import cc_isomorphic, check_isomorphism
-from cckit.lifting import cyclic_lift, triangular_lift
+from cckit.generators import cycle_graph, cylinder, moebius, mog_example_pair, star_graph, torus
+from cckit.iso import cc_isomorphic, check_isomorphism, split_components
+from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 
 from helpers import (
     arbitrary_complexes,
     brute_isomorphic,
     random_graph,
+    random_split_graph,
+    reference_components,
     reference_witness,
     relabel_complex,
 )
@@ -202,6 +205,40 @@ def shuffled(cc, seed: int):
     return relabel_complex(cc, perm)
 
 
+class TestComponentSignature:
+    """The oracle compares the sorted per-component skeleton sizes of the two
+    complexes before it splits or searches."""
+
+    def test_torus_union_pair_searched_before_rejecting(self):
+        # T(3,3)+T(3,3)+T(3,6) against T(3,3)+T(3,4)+T(3,5): equal totals.  With
+        # the first part relabeled, the one-pass match searches it against
+        # b's T(3,3) before it finds no partner for the second T(3,3)
+        a = disjoint_union_all([shuffled(torus((3, 3)), 1), torus((3, 3)), torus((3, 6))])
+        b = disjoint_union_all([torus((3, 3)), torus((3, 4)), torus((3, 5))])
+        assert cc_isomorphic(a, b).isomorphic is False
+        assert cc_isomorphic(b, a).isomorphic is False
+
+    @pytest.mark.parametrize(
+        "cc",
+        [
+            shuffled(disjoint_union_all([torus((3, 3)), torus((3, 4)), cylinder((3, 4))]), 2),
+            cyclic_lift(random_split_graph(random.Random(4), 8), 5),
+            mog_pool(mog_example_pair()[0]),
+            torus((3, 5)),
+        ],
+        ids=["torus-union", "split-lift", "pooled", "connected"],
+    )
+    def test_split_components_matches_reference(self, cc):
+        got = [(c.complex, [p.tolist() for p in c.cell_parent]) for c in split_components(cc)]
+        assert got == reference_components(cc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arbitrary_complexes())
+    def test_split_components_matches_reference_on_arbitrary_complexes(self, cc):
+        got = [(c.complex, [p.tolist() for p in c.cell_parent]) for c in split_components(cc)]
+        assert got == reference_components(cc)
+
+
 @st.composite
 def tiny_pairs(draw):
     """A complex on at most 6 nodes and a relabeled copy in which one cell of
@@ -237,3 +274,103 @@ class TestProperties:
         assert res.isomorphic is brute_isomorphic(a, b)
         if res.isomorphic:
             assert check_isomorphism(res.witness) is None
+
+
+class TestVF2Differential:
+    """cc_isomorphic against networkx VF2 on rank-labeled containment graphs.
+
+    Inputs are unions of 2-4 cyclic lifts of random graphs on at most 8 nodes,
+    drawn from one seeded pool, against a relabeling of the shuffled union,
+    against a union with parts swapped for pool parts of equal summed
+    skeleton sizes, and against a relabeling with one cell moved.  VF2 is far
+    too slow for torus pairs, so it stays on these small complexes.
+    """
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def pool():
+        rng = random.Random(0)
+        lifts = [
+            cyclic_lift(random_graph(rng, rng.randint(3, 8), 0.45), rng.randint(3, 6))
+            for _ in range(40)
+        ]
+        return lifts, [np.pad(cc.skeleton_sizes(), (0, 2 - cc.dimension)) for cc in lifts]
+
+    @staticmethod
+    def containment_digraph(nx, cc):
+        """One node per cell labeled by its rank, an arc x -> y when x's vertex
+        set lies in y's.  A rank- and containment-preserving bijection of
+        cells is exactly a rank-preserving isomorphism of these graphs."""
+        cells = [(frozenset(v), r) for r in range(cc.dimension + 1) for v in cc.skeletons[r]]
+        g = nx.DiGraph()
+        g.add_nodes_from((i, {"rank": r}) for i, (_, r) in enumerate(cells))
+        g.add_edges_from(
+            (i, j)
+            for i, (s, _) in enumerate(cells)
+            for j, (t, _) in enumerate(cells)
+            if i != j and s <= t
+        )
+        return g
+
+    @classmethod
+    def swapped(cls, picks, rng):
+        """The picks with one part swapped for another of equal skeleton sizes,
+        or two parts for two others of equal summed sizes; None if the pool
+        has no such part."""
+        _, sizes = cls.pool()
+        options = []
+        for i, p in enumerate(picks):
+            options += [{i: q} for q in range(len(sizes)) if q != p and (sizes[q] == sizes[p]).all()]
+            for j in range(i + 1, len(picks)):
+                want = sizes[p] + sizes[picks[j]]
+                options += [
+                    {i: q, j: r}
+                    for q in range(len(sizes))
+                    for r in range(q, len(sizes))
+                    if sorted((q, r)) != sorted((p, picks[j])) and (sizes[q] + sizes[r] == want).all()
+                ]
+        if not options:
+            return None
+        out = list(picks)
+        for k, q in rng.choice(options).items():
+            out[k] = q
+        return out
+
+    @staticmethod
+    def moved_cell(cc, rng):
+        """cc with one cell of rank >= 1 moved to another vertex set of its size."""
+        cells = [(verts, r) for r in range(1, cc.dimension + 1) for verts in cc.skeletons[r]]
+        for _ in range(20):
+            i = rng.randrange(len(cells))
+            verts, r = cells[i]
+            moved = list(cells)
+            moved[i] = (tuple(sorted(rng.sample(range(cc.num_nodes), len(verts)))), r)
+            if moved[i][0] == verts:
+                continue
+            try:
+                return build_cc(moved, cc.num_nodes)
+            except (DuplicateCell, RankViolation):
+                continue
+        return None
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_vf2(self, seed):
+        nx = pytest.importorskip("networkx")
+        lifts, _ = self.pool()
+        rng = random.Random(seed)
+        picks = [rng.randrange(len(lifts)) for _ in range(rng.randint(2, 4))]
+        a = disjoint_union_all([lifts[p] for p in picks])
+        others = [rng.sample(picks, len(picks)), self.swapped(picks, rng)]
+        bs = [disjoint_union_all([lifts[p] for p in ps]) for ps in others if ps is not None]
+        moved = self.moved_cell(a, rng)
+        if moved is not None:
+            bs.append(moved)
+        ga = self.containment_digraph(nx, a)
+        for b in bs:
+            b = shuffled(b, rng.randrange(10**6))
+            gb = self.containment_digraph(nx, b)
+            expected = nx.is_isomorphic(ga, gb, node_match=lambda x, y: x["rank"] == y["rank"])
+            res = cc_isomorphic(a, b)
+            assert res.isomorphic is expected
+            if expected:
+                assert check_isomorphism(res.witness) is None
