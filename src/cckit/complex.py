@@ -300,6 +300,7 @@ class CombinatorialComplex:
         "_csr_cache",
         "_lists_cache",
         "_traces",
+        "_components",
         "__weakref__",
     )
 
@@ -318,6 +319,8 @@ class CombinatorialComplex:
         self._lists_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
         # refinement traces by stages tuple; see cckit.refinement.distinguish
         self._traces: dict = {}
+        # node component labels and component signature; see cckit.iso
+        self._components: tuple[np.ndarray, bytes] | None = None
 
     # -- basic queries -------------------------------------------------------
 

@@ -2,14 +2,19 @@
 
 Isomorphism means a rank-preserving bijection on cells that preserves
 vertex-set containment in both directions.  The decision procedure first
-splits both complexes into node-connectivity components (cells sharing a
-vertex; invariant under any containment-preserving bijection) and matches
-them in one pass, each component of one complex to the first unused
-isomorphic component of the other (isomorphism is an equivalence relation,
-so no choice needs undoing).  It decides each component pair by the identity
-map when the two have equal content, else by individualization-refinement:
-cells are partitioned by stable joint refinement colors over all natural
-neighborhoods, refined by the update loop that runs the diagrams of
+compares the complexes' skeleton sizes, then their component signatures:
+the skeleton sizes of each node-connectivity component (cells sharing a
+vertex), as sorted rows.  An isomorphism maps components onto components
+and keeps ranks, so complexes whose signatures differ are rejected before
+any split or search.  Each complex computes its node labels and signature
+once and keeps them (:func:`_components`).  Only then are both complexes
+split into their components, which are matched in one pass, each component
+of one complex to the first unused isomorphic component of the other
+(isomorphism is an equivalence relation, so no choice needs undoing).  It
+decides each component pair by the identity map when the two have equal
+content, else by individualization-refinement: cells are partitioned by
+stable joint refinement colors over all natural neighborhoods, refined by
+the update loop that runs the diagrams of
 :mod:`cckit.refinement` on its state (:class:`~cckit.refinement.CellColors`).
 A cell of each complex in the smallest non-singleton class gets one fresh
 color and the partition is re-refined, backtracking as soon as the class
@@ -31,7 +36,7 @@ import numpy as np
 # cc_isomorphic calls check_isomorphism through them: perfbench/tracing.py wraps both
 from .complex import CombinatorialComplex, build_cc, row_ids, row_lengths  # noqa: F401
 from .covering import CellMap, check_isomorphism
-from .errors import MapNotWellDefined
+from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
 from .refinement import CellColors, HompBlock, _updates
 
@@ -106,15 +111,31 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
 
 def node_components(cc: CombinatorialComplex) -> list[int]:
     """Node labels under cells-share-a-vertex connectivity."""
-    return _node_labels(cc).tolist()
+    return _components(cc)[0].tolist()
 
 
-def _node_labels(cc: CombinatorialComplex) -> np.ndarray:
-    # join every vertex to its cell's first vertex; rank 0 adds only self-loops
-    skeletons = [cc.skeleton_arrays(r) for r in range(cc.dimension + 1)]
-    firsts = np.concatenate([verts[indptr[:-1]][row_ids(indptr)] for indptr, verts in skeletons])
-    members = np.concatenate([verts for _, verts in skeletons])
-    return component_labels(cc.num_nodes, firsts, members)
+def _components(cc: CombinatorialComplex) -> tuple[np.ndarray, bytes]:
+    """The read-only node labels of a complex and its component signature,
+    computed on first use and kept on the complex.
+
+    Labels number the components by first appearance.  The signature is the
+    matrix of per-component skeleton sizes (a cell counts in the component of
+    its first vertex), rows sorted, as bytes: two complexes of one dimension
+    have equal signatures exactly when their multisets of component skeleton
+    sizes are equal.
+    """
+    if cc._components is None:
+        # join every vertex to its cell's first vertex; rank 0 adds only self-loops
+        skeletons = [cc.skeleton_arrays(r) for r in range(cc.dimension + 1)]
+        firsts = [verts[indptr[:-1]] for indptr, verts in skeletons]
+        joined = np.concatenate([f[row_ids(indptr)] for f, (indptr, _) in zip(firsts, skeletons)])
+        members = np.concatenate([verts for _, verts in skeletons])
+        labels = component_labels(cc.num_nodes, joined, members)
+        labels.flags.writeable = False
+        count = int(labels.max()) + 1
+        sizes = np.stack([np.bincount(labels[f], minlength=count) for f in firsts], axis=1)
+        cc._components = labels, sizes[np.lexsort(sizes.T[::-1])].tobytes()
+    return cc._components
 
 
 @dataclass(frozen=True)
@@ -133,7 +154,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
     canonical and needs no re-validation.  Ranks past a component's top
     non-empty rank are dropped from its complex.
     """
-    labels = _node_labels(cc)
+    labels = _components(cc)[0]
     count = int(labels.max()) + 1
     if count == 1:
         ident = tuple(np.arange(cc.skeleton_size(r)) for r in range(cc.dimension + 1))
@@ -166,6 +187,21 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
     return comps
 
 
+def env_budget() -> int:
+    """The oracle's default search budget: CCKIT_ORACLE_BUDGET as a
+    non-negative integer, DEFAULT_BUDGET when unset; BadParams otherwise."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise BadParams(f"{BUDGET_ENV_VAR}={raw!r} is not a non-negative integer")
+    return budget
+
+
 def cc_isomorphic(
     a: CombinatorialComplex,
     b: CombinatorialComplex,
@@ -175,18 +211,17 @@ def cc_isomorphic(
 
     The search budget caps explored refinement nodes; on exhaustion the
     result is unknown (isomorphic=None) rather than hanging.  Budget defaults
-    to the CCKIT_ORACLE_BUDGET environment variable.
+    to the CCKIT_ORACLE_BUDGET environment variable (:func:`env_budget`).
+    Complexes whose skeleton sizes or component signatures differ are
+    rejected with no node explored.
     """
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
-    counter = _Counter(budget)
+    counter = _Counter(env_budget() if budget is None else budget)
     if a.dimension != b.dimension or a.skeleton_sizes() != b.skeleton_sizes():
+        return IsoResult(isomorphic=False)
+    if _components(a)[1] != _components(b)[1]:
         return IsoResult(isomorphic=False)
     comps_a = split_components(a)
     comps_b = split_components(b)
-    if len(comps_a) != len(comps_b):
-        return IsoResult(isomorphic=False)
-
     try:
         matching = _match_components(comps_a, comps_b, counter)
     except _Budget:

@@ -170,7 +170,8 @@ class CellColors:
         self.starts = list(accumulate(sizes, initial=0))
         self.owner = np.tile(np.arange(m), ell + 1).repeat(sizes)
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
-        self.classes = len(np.unique(self.colors))
+        # one class per rank with a cell in any complex
+        self.classes = sum(self.starts[(r + 1) * m] > self.starts[r * m] for r in range(ell + 1))
         self._gathers: dict[int, tuple[tuple[NeighborhoodSpec, ...], list]] = {}
         self.pair_states: list[_PairState] = []
         self.tabulate = False

@@ -6,6 +6,8 @@ its reason.
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +98,20 @@ def test_runtime_imports_are_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_engines_leave_numpy_ma_unimported():
+    # numpy.ma costs tens of milliseconds to import; np.unique pulls it in
+    script = (
+        "import sys, cckit\n"
+        "from cckit import Engine, cylinder, distinguish, moebius\n"
+        "a, b = cylinder((3, 4)), moebius((3, 4))\n"
+        "assert distinguish(a, b, Engine.oracle()).distinguished\n"
+        "assert distinguish(a, b, Engine.smcn()).distinguished\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

@@ -461,6 +461,13 @@ class TestHostileInputs:
         self.assert_error_line(code, err)
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+    def test_oracle_budget_not_integer(self, capsys, monkeypatch, cyl_file, mob_file, raw):
+        monkeypatch.setenv("CCKIT_ORACLE_BUDGET", raw)
+        code, _, err = run(capsys, "distinguish", cyl_file, mob_file, "--engine", "oracle")
+        self.assert_error_line(code, err)
+        assert f"CCKIT_ORACLE_BUDGET={raw!r}" in err
+
     @pytest.mark.parametrize("bad", [0.5, True, "1", None])
     def test_cover_assignment_not_integer(self, capsys, tmp_path, bad):
         _, to_cyl, _ = strip_covers(3, 4)

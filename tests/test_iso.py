@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cckit.complex import build_cc, disjoint_union, disjoint_union_all, graph_as_cc
 from cckit.covering import CellMap, torus_mod_cover
-from cckit.errors import DuplicateCell, RankViolation
+from cckit.errors import BadParams, DuplicateCell, RankViolation
 from cckit.generators import cycle_graph, cylinder, moebius, mog_example_pair, star_graph, torus
-from cckit.iso import cc_isomorphic, check_isomorphism, split_components
+from cckit.iso import _components, cc_isomorphic, check_isomorphism, split_components
 from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 
 from helpers import (
@@ -163,6 +163,14 @@ class TestOracle:
         res = cc_isomorphic(torus((4, 10)), torus((5, 8)))
         assert res.isomorphic is None
 
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "", "-1"])
+    def test_malformed_env_budget(self, monkeypatch, raw):
+        monkeypatch.setenv("CCKIT_ORACLE_BUDGET", raw)
+        with pytest.raises(BadParams, match=f"CCKIT_ORACLE_BUDGET={raw!r}"):
+            cc_isomorphic(torus((4, 10)), torus((5, 8)))
+        # an explicit budget does not read the variable
+        assert cc_isomorphic(torus((3, 4)), torus((4, 3)), budget=10).isomorphic is True
+
 
 class TestComponentMatching:
     """The one-pass component match against the backtracking reference."""
@@ -215,8 +223,33 @@ class TestComponentSignature:
         # b's T(3,3) before it finds no partner for the second T(3,3)
         a = disjoint_union_all([shuffled(torus((3, 3)), 1), torus((3, 3)), torus((3, 6))])
         b = disjoint_union_all([torus((3, 3)), torus((3, 4)), torus((3, 5))])
-        assert cc_isomorphic(a, b).isomorphic is False
-        assert cc_isomorphic(b, a).isomorphic is False
+        for x, y in ((a, b), (b, a)):
+            res = cc_isomorphic(x, y)
+            assert (res.isomorphic, res.nodes_explored) == (False, 0)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_equal_totals_different_component_sizes(self, budget):
+        # equal skeleton sizes and component counts; T(3,12) and T(6,6) have
+        # equal sizes, so a split-first match would search (37 nodes, or
+        # "unknown" within a budget of 1) before it failed on the others
+        a = disjoint_union_all([torus((3, 12)), torus((3, 4)), torus((3, 6))])
+        b = disjoint_union_all([torus((6, 6)), torus((3, 5)), torus((3, 5))])
+        assert a.skeleton_sizes() == b.skeleton_sizes()
+        assert len(split_components(a)) == len(split_components(b))
+        res = cc_isomorphic(a, b, budget)
+        assert (res.isomorphic, res.nodes_explored) == (False, 0)
+
+    def test_labels_kept_read_only(self):
+        cc = disjoint_union(torus((3, 3)), graph_as_cc(cycle_graph(4)))
+        labels, signature = _components(cc)
+        assert labels.tolist() == [0] * 9 + [1] * 4
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        assert _components(cc)[0] is labels
+        # rows (nodes, edges, faces) per component, sorted
+        assert signature == np.array([[4, 4, 0], [9, 18, 9]]).tobytes()
+        assert [c.complex.skeleton_sizes() for c in split_components(cc)] == [(9, 18, 9), (4, 4)]
 
     @pytest.mark.parametrize(
         "cc",
