@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .complex import (
     CombinatorialComplex,
     SimpleGraph,
@@ -26,13 +28,8 @@ from .complex import (
 from .covering import CoverCertificate, cover_periods, torus_union_certificate
 from .errors import BadParams, CCError, ParseError
 from .generators import TorusParams, torus
-from .invariants import (
-    INFINITE,
-    Distance,
-    betti_gf2,
-    cross_diameter,
-    shortest_paths,
-)
+from .invariants import INFINITE, Distance, betti_gf2, cross_diameter, distance_blocks
+from .invariants import shortest_paths  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .lifting import CyclicLiftParams, cyclic_lift
 from .refinement import Engine, Verdict, distinguish
 
@@ -96,14 +93,12 @@ def _component_diameters(params: TorusUnion) -> tuple[int, ...]:
 
 
 def _distance_histogram(cc: CombinatorialComplex) -> tuple[tuple[str | int, int], ...]:
-    dist = shortest_paths(cc, adjacency(0, 1))
-    counts: dict[Distance, int] = {}
-    for row in dist:
-        for d in row:
-            counts[d] = counts.get(d, 0) + 1
-    items = [("inf" if d == INFINITE else int(d), c) for d, c in counts.items()]
-    items.sort(key=lambda dc: (1, 0) if dc[0] == "inf" else (0, dc[0]))
-    return tuple(items)
+    arcs = cc.neighbor_csr(adjacency(0, 1))
+    counts = np.zeros(len(arcs[0]), dtype=np.int64)  # counts[d + 1]; d = -1 is unreachable
+    for dist in distance_blocks(arcs):
+        counts += np.bincount(dist.ravel() + 1, minlength=len(counts))
+    finite = [(d, c) for d, c in enumerate(counts[1:].tolist()) if c]
+    return tuple(finite + ([("inf", int(counts[0]))] if counts[0] else []))
 
 
 def _pair_labels(
@@ -247,19 +242,18 @@ def label_lifted_graph(g: SimpleGraph, lift: CyclicLiftParams) -> LabeledComplex
     return LabeledComplex(cc, cd, b2)
 
 
+def distance_json(d: Distance) -> str | int:
+    """A distance as JSON: an int, or "inf" for an unreachable pair."""
+    return "inf" if d == INFINITE else int(d)
+
+
 def labeled_to_json(index: int, lc: LabeledComplex) -> dict:
     cd = lc.cross_diameter_012
-    if cd is None:
-        cd_json = None
-    elif cd == INFINITE:
-        cd_json = "inf"
-    else:
-        cd_json = int(cd)
     return {
         "index": index,
         "num_nodes": lc.complex.num_nodes,
         "skeleton_sizes": list(lc.complex.skeleton_sizes()),
-        "cross_diameter_012": cd_json,
+        "cross_diameter_012": None if cd is None else distance_json(cd),
         "betti2": lc.betti2,
     }
 

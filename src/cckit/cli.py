@@ -38,7 +38,6 @@ from .generators import (
     torus,
 )
 from .invariants import (
-    INFINITE,
     betti_gf2,
     boundary_edge_graph,
     connected_components,
@@ -127,10 +126,6 @@ def _parse_engine(text: str, rounds: int | None) -> Engine:
     raise ParseError(f"unknown engine {text!r}")
 
 
-def _dist_json(d):
-    return "inf" if d == INFINITE else int(d)
-
-
 # -- subcommand handlers ----------------------------------------------------------
 
 
@@ -196,7 +191,7 @@ def _cmd_invariants(args) -> int:
         "skeleton_sizes": list(cc.skeleton_sizes()),
         "components": count,
         "euler_characteristic": euler_characteristic(cc),
-        "diameter": {str(spec): _dist_json(diameter(cc, spec))},
+        "diameter": {str(spec): bench.distance_json(diameter(cc, spec))},
     }
     try:
         report["betti_gf2"] = list(betti_gf2(cc))
@@ -206,7 +201,7 @@ def _cmd_invariants(args) -> int:
     if args.cross_k is not None:
         try:
             report["cross_diameter"] = {
-                f"{spec};k={args.cross_k}": _dist_json(cross_diameter(cc, spec, args.cross_k))
+                f"{spec};k={args.cross_k}": bench.distance_json(cross_diameter(cc, spec, args.cross_k))
             }
         except CCError as exc:
             report["cross_diameter"] = {f"{spec};k={args.cross_k}": f"undefined ({exc})"}

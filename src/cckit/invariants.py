@@ -1,10 +1,12 @@
 """Topological and metric invariants of a complex.
 
-Every distance comes from one all-sources BFS kernel (:func:`bfs_distances`,
-int64 with -1 for an unreachable node) and every component split from one
-labeling kernel (:func:`component_labels`).  At the public boundary distances
-are plain ints with ``math.inf`` as the distinguished unreachable value, so
-infinities propagate through max/min arithmetic.
+Every distance comes from one bit-parallel BFS kernel (:func:`bfs_distances`,
+int64 with -1 for an unreachable node), which all-sources callers run on
+blocks of ``BLOCK`` sources (:func:`distance_blocks`), keeping only what they
+return; every component split comes from one labeling kernel
+(:func:`component_labels`).  At the public boundary distances are plain ints
+with ``math.inf`` as the unreachable value, so infinities propagate through
+max/min arithmetic.
 
 Homology is computed over GF(2): unsigned boundaries need no orientation
 data and the chain condition (boundary of boundary vanishes) stays
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
+from typing import Iterator
 
 import numpy as np
 
@@ -31,8 +34,8 @@ from .complex import (
     NeighborhoodSpec,
     SimpleGraph,
     SparseBinaryMatrix,
-    _csr,
     _expand,
+    _from_keys,
     _runs,
     hasse_edges,
     incidence_down,
@@ -54,23 +57,49 @@ INFINITE = math.inf
 Distance = int | float
 
 
-def bfs_distances(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hop distances between all nodes of the graph with edges (u[i], v[i]),
-    -1 where unreachable.  One frontier row per source advances at once, so
-    every temporary is n x n."""
-    adj = np.zeros((num_nodes, num_nodes), dtype=np.float32)
-    adj[u, v] = adj[v, u] = 1
-    dist = np.full((num_nodes, num_nodes), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(num_nodes, dtype=np.float32)
-    d = 0
-    while True:
-        reached = (frontier @ adj > 0) & (dist < 0)
-        if not reached.any():
-            return dist
-        d += 1
-        dist[reached] = d
-        frontier = reached.astype(np.float32)
+BLOCK = 64  # sources per kernel call of an all-sources caller
+
+
+def bfs_distances(arcs: Csr, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each source to every node of the symmetric CSR
+    ``arcs``, int64 (len(sources), n), -1 where unreachable.
+
+    Bit-parallel multi-source BFS (Kaufmann et al., "The More the Merrier",
+    PVLDB 2014): every node holds one bit per source in uint64 words, and a
+    level ORs the frontier words over each neighbor row in one reduceat,
+    masked by the bits not yet seen.  A zero sink row ends the gather, so the
+    last row's segment is its own; an empty row's segment yields a stray
+    element, masked because an isolated node has no unseen bits."""
+    indptr, nbrs = arcs
+    n, k = len(indptr) - 1, len(sources)
+    seed = np.zeros((n + 1, -(-k // 64) * 64), dtype=bool)  # row n: the sink
+    seed[sources, np.arange(k)] = True
+    frontier = np.packbits(seed, axis=1, bitorder="little").view("<u8")
+    level = frontier[:n]  # a view: each level overwrites the frontier
+    unseen = ~level
+    unseen[row_lengths(indptr) == 0] = 0
+    gather, starts = np.append(nbrs, n), indptr[:-1]
+    dist = np.full((n, k), -1, dtype=np.int64)
+    dist[seed[:n, :k]] = 0
+    for d in count(1):
+        np.bitwise_and(np.bitwise_or.reduceat(frontier[gather], starts), unseen, out=level)
+        if not level.any():
+            return dist.T
+        unseen ^= level
+        bits = np.unpackbits(level.view(np.uint8), axis=1, count=k, bitorder="little")
+        dist[bits.view(bool)] = d
+
+
+def distance_blocks(arcs: Csr) -> Iterator[np.ndarray]:
+    """:func:`bfs_distances` from every node of ``arcs``, BLOCK sources a call."""
+    n = len(arcs[0]) - 1
+    for start in range(0, n, BLOCK):
+        yield bfs_distances(arcs, np.arange(start, min(start + BLOCK, n)))
+
+
+def symmetric_arcs(n: int, u: np.ndarray, v: np.ndarray) -> Csr:
+    """CSR over n nodes of both directions of the edges (u[i], v[i])."""
+    return _from_keys(np.sort(np.concatenate((u * n + v, v * n + u))), n, n)
 
 
 def component_labels(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,20 +141,12 @@ def connected_components(cc: CombinatorialComplex) -> tuple[int, list[list[int]]
     return int(labels.max()) + 1, per_rank
 
 
-def _metric(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> np.ndarray:
-    """Distances on skeleton r1 under a (co)adjacency, -1 where unreachable."""
-    indptr, nbrs = cc.neighbor_csr(spec)
-    return bfs_distances(len(indptr) - 1, row_ids(indptr), nbrs)
-
-
 def shortest_paths(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> list[list[Distance]]:
     """All-pairs BFS metric on the augmented Hasse graph of a (co)adjacency."""
     if not spec.is_adjacency_like:
         raise WrongKind(f"shortest paths need a (co)adjacency spec, got {spec}")
-    dist = _metric(cc, spec)
-    out = dist.astype(object)
-    out[dist < 0] = INFINITE
-    return out.tolist()
+    blocks = distance_blocks(cc.neighbor_csr(spec))
+    return [[INFINITE if d < 0 else d for d in row] for dist in blocks for row in dist.tolist()]
 
 
 def diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> Distance:
@@ -134,17 +155,21 @@ def diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> Distance:
         raise WrongKind(f"diameter needs a (co)adjacency spec, got {spec}")
     if cc.skeleton_size(spec.r1) == 0:
         raise EmptySkeleton(f"skeleton {spec.r1} is empty")
-    dist = _metric(cc, spec)
-    return INFINITE if (dist < 0).any() else int(dist.max())
+    return _worst(distance_blocks(cc.neighbor_csr(spec)))
+
+
+def _worst(blocks: Iterator[np.ndarray]) -> Distance:
+    """The largest entry over the blocks; infinite if any is -1."""
+    return max((INFINITE if (b < 0).any() else int(b.max()) for b in blocks), default=0)
 
 
 def nearest_face_distances(dist: np.ndarray, faces: Csr) -> np.ndarray:
-    """Distance from every source to the nearest face of every cell, by one
-    gather of the metric ``dist`` over the padded face rows; -1 marks an
-    unreachable node in ``dist`` and a cell with no reachable face here."""
-    n = len(dist)
-    far = np.where(dist < 0, n, dist)  # n exceeds every finite distance
-    far = np.column_stack((far, np.full(n, n)))  # the -1 pads read column n
+    """Distance from every source row of ``dist`` to the nearest face of every
+    cell, by one gather over the padded face rows; -1 marks an unreachable
+    node in ``dist`` and a cell with no reachable face here."""
+    k, n = dist.shape
+    far = np.where(dist < 0, n, dist)  # the node count exceeds every distance
+    far = np.column_stack((far, np.full(k, n)))  # the -1 pads read column n
     nearest = far[:, padded_rows(faces)].min(axis=2)
     nearest[nearest == n] = -1
     return nearest
@@ -164,8 +189,8 @@ def cross_diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec, k: int) -> 
         raise CellWithoutFaces(
             f"rank-{k} cell {cc.skeletons[k][bare[0]]} has no rank-{spec.r1} faces"
         )
-    nearest = nearest_face_distances(_metric(cc, spec), faces)
-    return INFINITE if (nearest < 0).any() else int(nearest.max())
+    blocks = distance_blocks(cc.neighbor_csr(spec))
+    return _worst(nearest_face_distances(dist, faces) for dist in blocks)
 
 
 def euler_characteristic(cc: CombinatorialComplex) -> int:
@@ -323,31 +348,17 @@ def orientability_2d(cc: CombinatorialComplex) -> OrientabilityVerdict:
     twisted = np.flatnonzero(labels[:m] == labels[m:])
     if not twisted.size:
         return OrientabilityVerdict(Orientability.ORIENTABLE)
+    # walk back from the reversed copy to the start, to the largest neighbor a level closer
     start = int(twisted[0])
-    path = _shortest_path(u, v, 2 * m, start, start + m)
-    faces = inc_face[path % m]
+    indptr, nbrs = arcs = symmetric_arcs(2 * m, u, v)
+    dist = bfs_distances(arcs, np.array([start]))[0]
+    path = [start + m]
+    for d in range(dist[start + m] - 1, -1, -1):
+        near = nbrs[indptr[path[-1]] : indptr[path[-1] + 1]]
+        path.append(int(near[dist[near] == d].max()))
+    faces = inc_face[np.array(path[::-1]) % m]
     walk = faces[np.append(True, faces[1:] != faces[:-1])][:-1]  # ends where it began
     return OrientabilityVerdict(Orientability.NON_ORIENTABLE, tuple(walk.tolist()))
-
-
-def _shortest_path(u: np.ndarray, v: np.ndarray, n: int, start: int, goal: int) -> np.ndarray:
-    """Nodes of a shortest path from start to goal in the graph with edges
-    (u[i], v[i]), by breadth-first search; goal must be reachable."""
-    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-    order = np.argsort(src, kind="stable")
-    arcs = _csr(src[order], dst[order], n)
-    parent = np.full(n, -1)
-    parent[start] = start
-    frontier = np.array([start])
-    while parent[goal] < 0:
-        pos, nxt = _expand(arcs, frontier)
-        fresh = parent[nxt] < 0
-        parent[nxt[fresh]] = frontier[pos[fresh]]
-        frontier = np.unique(nxt[fresh])
-    path = [goal]
-    while path[-1] != start:
-        path.append(int(parent[path[-1]]))
-    return np.array(path[::-1])
 
 
 def boundary_edge_graph(cc: CombinatorialComplex) -> SimpleGraph:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc
 from .errors import BadParams, DegenerateCover
-from .invariants import bfs_distances, component_labels, graph_edges
+from .invariants import component_labels, distance_blocks, graph_edges, symmetric_arcs
 
 Rational = Fraction | int
 
@@ -105,10 +105,10 @@ def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParam
 def avg_spd_lens(g: SimpleGraph) -> list[Fraction]:
     """Average shortest-path distance per node, exact; disconnected graphs
     average over the node's own component."""
-    dist = bfs_distances(g.num_nodes, *graph_edges(g))
-    totals = np.where(dist < 0, 0, dist).sum(axis=1).tolist()
-    sizes = (dist >= 0).sum(axis=1).tolist()  # a node reaches its whole component
-    return [Fraction(t, c) for t, c in zip(totals, sizes)]
+    arcs = symmetric_arcs(g.num_nodes, *graph_edges(g))
+    # per block, distance sums and reached counts; a node reaches its whole component
+    sums = [(np.maximum(d, 0).sum(axis=1), (d >= 0).sum(axis=1)) for d in distance_blocks(arcs)]
+    return [Fraction(t, c) for tot, cnt in sums for t, c in zip(tot.tolist(), cnt.tolist())]
 
 
 def fine_cover_params(g: SimpleGraph) -> MogParams:

@@ -55,7 +55,8 @@ from .complex import (
     row_ids,
 )
 from .errors import MarkingUnsupported, PoolWithoutScl, RankOutOfRange
-from .invariants import nearest_face_distances, shortest_paths
+from .invariants import distance_blocks, nearest_face_distances
+from .invariants import shortest_paths  # noqa: F401  (perfbench/tracing.py wraps it here)
 from ._rowkeys import (
     build_rows,
     index_dtype,
@@ -363,9 +364,8 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
         if n2 == 0:
             return np.zeros((n1, 0), dtype=np.int64)
         # distance from each node to the nearest vertex of each r2-cell
-        dist = np.array(shortest_paths(cc, adjacency(0, 1)), dtype=np.float64)
-        dist[np.isinf(dist)] = -1
-        return nearest_face_distances(dist.astype(np.int64), cc.skeleton_arrays(r2))
+        blocks = distance_blocks(cc.neighbor_csr(adjacency(0, 1)))
+        return np.concatenate([nearest_face_distances(d, cc.skeleton_arrays(r2)) for d in blocks])
     raise MarkingUnsupported(f"unknown marking {marking!r}")
 
 

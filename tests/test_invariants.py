@@ -1,5 +1,9 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +26,12 @@ from cckit.errors import (
     WrongKind,
 )
 from cckit.generators import cylinder, moebius, star_graph, torus
+from cckit import invariants
+from cckit.bench import _distance_histogram
 from cckit.invariants import (
     INFINITE,
     Orientability,
+    bfs_distances,
     betti_gf2,
     boundary_edge_graph,
     boundary_matrices,
@@ -32,12 +39,17 @@ from cckit.invariants import (
     cross_diameter,
     cycle_lengths,
     diameter,
+    distance_blocks,
     euler_characteristic,
+    graph_edges,
+    nearest_face_distances,
     orientability_2d,
     shortest_paths,
+    symmetric_arcs,
 )
 from cckit.iso import node_components
-from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
+from cckit.lifting import avg_spd_lens, cyclic_lift, mog_pool, triangular_lift
+from cckit.refinement import _marking_matrix
 from cckit.generators import mog_example_pair
 
 from helpers import (
@@ -50,6 +62,7 @@ from helpers import (
     random_graph,
     random_split_graph,
     reference_face_cycles,
+    reference_marking,
     reference_orientability,
     relabel_complex,
     reverses_orientation,
@@ -164,6 +177,91 @@ class TestComponents:
                 pair for sk in cc.skeletons[1:] for verts in sk for pair in combinations(verts, 2)
             ])
             assert node_components(cc) == brute_component_labels(sharing)
+
+
+def sparse_split_graphs(max_nodes=10):
+    """Split graphs from no edges to dense, so isolated nodes and edgeless
+    graphs are common (a single node is rare: test_no_edges covers it)."""
+    return st.builds(
+        lambda seed, p: random_split_graph(random.Random(seed), max_nodes, p),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+    )
+
+
+def brute_distance_matrix(g):
+    rows = [brute_graph_distances(g, v) for v in range(g.num_nodes)]
+    return [[-1 if d == INFINITE else int(d) for d in row] for row in rows]
+
+
+class TestBfsKernel:
+    # blocks that are not multiples of 8 leave a partial last byte of bits
+    @pytest.mark.parametrize("block", [1, 3, 8, 13])
+    @settings(max_examples=25, deadline=None)
+    @given(g=sparse_split_graphs(max_nodes=12))
+    def test_blocks_stitch_to_one_block_and_brute_force(self, block, g):
+        arcs = symmetric_arcs(g.num_nodes, *graph_edges(g))
+        whole = bfs_distances(arcs, np.arange(g.num_nodes))
+        assert whole.tolist() == brute_distance_matrix(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "BLOCK", block)
+            blocks = list(distance_blocks(arcs))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_no_edges(self, n):
+        e = np.zeros(0, dtype=np.int64)
+        dist = bfs_distances(symmetric_arcs(n, e, e), np.arange(n))
+        assert dist.tolist() == (np.eye(n, dtype=np.int64) - 1).tolist()  # 0 on the diagonal
+
+    def test_one_source_on_path(self):
+        u = np.arange(9)
+        arcs = symmetric_arcs(10, u, u + 1)
+        assert bfs_distances(arcs, np.array([4])).tolist() == [[4, 3, 2, 1, 0, 1, 2, 3, 4, 5]]
+        # sources in any order, 65 of them spanning two words
+        sources = np.array([9, 0] * 32 + [5])
+        dist = bfs_distances(arcs, sources)
+        assert dist.tolist() == [[abs(s - x) for x in range(10)] for s in sources.tolist()]
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 13])
+    @settings(max_examples=10, deadline=None)
+    @given(g=sparse_split_graphs(max_nodes=8))
+    def test_callers_stitch_blocks(self, block, g):
+        want = brute_distance_matrix(g)
+        lifts = [cc for cc in (cyclic_lift(g, 8), mog_pool(g)) if cc.dimension >= 2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "BLOCK", block)
+            cc = graph_as_cc(g)
+            histogram = Counter(d for row in want for d in row)
+            assert dict(_distance_histogram(cc)) == {
+                "inf" if d < 0 else d: c for d, c in histogram.items()
+            }
+            assert avg_spd_lens(g) == [
+                Fraction(sum(d for d in row if d > 0), sum(d >= 0 for d in row)) for row in want
+            ]
+            if cc.dimension == 0:
+                return
+            assert shortest_paths(cc, adjacency(0, 1)) == [
+                [INFINITE if d < 0 else d for d in row] for row in want
+            ]
+            far = max(INFINITE if d < 0 else d for row in want for d in row)
+            assert diameter(cc, adjacency(0, 1)) == far
+            for lift in lifts:
+                mark = reference_marking(lift, 0, 2, "distance")
+                assert _marking_matrix(lift, 0, 2, "distance").tolist() == mark
+                worst = max(INFINITE if d < 0 else d for row in mark for d in row)
+                assert cross_diameter(lift, adjacency(0, 1), 2) == worst
+
+    def test_nearest_faces_on_a_short_block(self):
+        # two source rows on a 10-node path reach distances up to 9; the
+        # unreachable sentinel is the node count, not the row count
+        u = np.arange(9)
+        dist = bfs_distances(symmetric_arcs(10, u, u + 1), np.array([0, 1]))
+        faces = (np.array([0, 1, 3, 5]), np.array([9, 5, 8, 0, 1]))  # widths 1, 2, 2
+        assert nearest_face_distances(dist, faces).tolist() == [[9, 5, 0], [8, 4, 0]]
+        dist[0, 9] = -1  # an unreachable face alone in its cell reads -1
+        assert nearest_face_distances(dist, faces).tolist() == [[-1, 5, 0], [8, 4, 0]]
 
 
 class TestShortestPaths:
