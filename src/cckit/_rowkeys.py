@@ -1,13 +1,13 @@
 """Integer rows as byte keys: the array core under every refinement update.
 
 A refinement update builds one row per cell (or per pair) and numbers the
-distinct rows (:func:`intern_rows`).  The numbering is exact and hash-free:
-every value is shifted so the -1 pad is key 0, stored in the narrowest
+distinct rows (:func:`number_keys`).  The numbering is exact and hash-free:
+every value is stored plus one so the -1 pad is key 0, in the narrowest
 unsigned dtype that holds the largest key (:func:`key_dtype`: 8, 16, 32 or 64
 bits), byte-swapped to big-endian so that a row's bytes compare as the row
 does in lexicographic order, and one argsort of the rows as np.void keys
-orders them (:func:`number_keys`).  Ids are canonical: distinct rows are
-numbered in sorted-row order.
+orders them.  Ids are canonical: distinct rows are numbered in sorted-row
+order.
 
 Rows move only narrow bytes.  Gathers are int32 index matrices while the
 array they read has fewer than 2**31 entries, int64 from there on
@@ -44,78 +44,31 @@ def index_dtype(size: int) -> np.dtype:
     return np.dtype(np.int32 if size < 1 << 31 else np.int64)
 
 
-def intern_rows(blocks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
-    """Number the rows of 2-D int blocks jointly: ids per block, class count.
-
-    Narrower blocks are padded with -1 on the right.  Ids are canonical: the
-    distinct rows are numbered in lexicographic order, so a row's id depends
-    only on the set of distinct rows, not on where the rows occur.  Exact and
-    hash-free: one sort of byte keys, then adjacent keys compared.  The keys
-    are the rows shifted by their minimum in the narrowest unsigned type
-    that holds the shifted maximum (:func:`key_dtype`); ids are int64.  The
-    refinement updates share this key core but build their rows in that type
-    directly, from bounds they know, through int32 gathers (int64 once the
-    gathered array has 2**31 entries).
-    """
-    ids, k, _ = _intern(blocks, tabulate=False)
-    return ids, k
-
-
-def _intern(
-    blocks: Sequence[np.ndarray], tabulate: bool
-) -> tuple[list[np.ndarray], int, tuple[bytes, bytes] | None]:
-    """intern_rows, plus the table of the rows when asked (see
-    :func:`number_keys`).
-
-    The blocks are arbitrary ints, so one min/max scan gives the shift and
-    the key dtype, and each block is copied once into the key buffer.  The
-    refinement updates skip both steps: they fill the buffer themselves
-    (:func:`build_rows`).  Tables are int64 bytes whatever the key dtype.
-    """
-    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-    sizes = [len(b) for b in blocks]
-    filled = [b for b in blocks if b.size]
-    lo = min([-1] + [int(b.min()) for b in filled])
-    hi = max([-1] + [int(b.max()) for b in filled])
-    width = max(b.shape[1] for b in blocks)
-    keys = np.full((sum(sizes), width), -1 - lo, dtype=key_dtype(hi - lo))
-    pos = 0
-    for b in blocks:
-        keys[pos : pos + len(b), : b.shape[1]] = b - lo
-        pos += len(b)
-    ids, k, table = number_keys(keys, lo, tabulate)
-    return np.split(ids, np.cumsum(sizes)[:-1]), k, table
-
-
-def number_keys(keys: np.ndarray, lo: int, tabulate: bool) -> tuple[np.ndarray, int, tuple | None]:
+def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tuple | None]:
     """Ids and class count of the rows of a key buffer, whose values are the
-    row values minus lo (the -1 pad included) in an unsigned dtype; plus,
-    with tabulate, the table of the rows: the distinct rows in id order and
-    their counts, as int64 bytes (compact copies that compare exactly; the
-    two lengths fix the row width), whatever the key dtype.
+    row values plus one (the -1 pad is key 0, see :func:`store_keys`) in an
+    unsigned dtype; plus, with tabulate, the table of the rows: the distinct
+    rows in id order and their counts, as int64 bytes (compact copies that
+    compare exactly; the two lengths fix the row width), whatever the key
+    dtype.
 
     The buffer is consumed: it is byte-swapped in place to big-endian, so each
     row's bytes compare as the row does in lexicographic order, and one row
     is one np.void sort key.
     """
-    n, width = keys.shape
-    leader = np.ones(n, dtype=bool)
-    if width:
-        keys = _big_endian(keys)
-        voids = _void_keys(keys)
-        order = np.argsort(voids)
-        ordered = voids[order]
-        leader[1:] = ordered[1:] != ordered[:-1]
-    else:  # every row is the empty row
-        order = np.arange(n)
-        leader[1:] = False
-    ids = np.empty(n, dtype=np.int64)
+    keys = _big_endian(keys)
+    voids = _void_keys(keys)
+    order = np.argsort(voids)
+    ordered = voids[order]
+    leader = np.ones(len(keys), dtype=bool)
+    leader[1:] = ordered[1:] != ordered[:-1]
+    ids = np.empty(len(keys), dtype=np.int64)
     ids[order] = np.cumsum(leader) - 1
     starts = np.flatnonzero(leader)
     table = None
     if tabulate:
-        counts = row_lengths(np.append(starts, n))
-        distinct = keys[order[starts]].astype(np.int64) + lo
+        counts = row_lengths(np.append(starts, len(keys)))
+        distinct = keys[order[starts]].astype(np.int64) - 1
         table = (distinct.tobytes(), counts.tobytes())
     return ids, len(starts), table
 

@@ -208,9 +208,13 @@ def _cmd_invariants(args) -> int:
     if cc.dimension >= 2:
         verdict = orientability_2d(cc)
         report["orientability"] = verdict.verdict.value
-        boundary = boundary_edge_graph(cc)
-        report["boundary_cycle_lengths"] = cycle_lengths(boundary)
-        report["boundary_edge_count"] = len(boundary.edges)
+        try:
+            boundary = boundary_edge_graph(cc)
+        except CCError as exc:
+            report["boundary_cycle_lengths"] = report["boundary_edge_count"] = f"undefined ({exc})"
+        else:
+            report["boundary_cycle_lengths"] = cycle_lengths(boundary)
+            report["boundary_edge_count"] = len(boundary.edges)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

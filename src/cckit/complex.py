@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, total_ordering
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -749,13 +749,8 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 def parse_edge_list_blocks(text: str) -> list["SimpleGraph | ParseError"]:
-    """Lenient block-wise parse: a bad block yields a ParseError entry and the
-    scan resumes at the next block (the 'n m' header frames each block)."""
-    return list(_edge_list_blocks(text))
-
-
-def _edge_list_blocks(text: str) -> Iterator["SimpleGraph | ParseError"]:
-    """A graph or a ParseError per framed block, in order.
+    """Lenient block-wise parse: a graph or a ParseError per framed block, in
+    order.
 
     Each block is an 'n m' header and m edge lines; blank lines and '#'
     comments are skipped.  An error inside a block keeps the frame, so the
@@ -767,6 +762,7 @@ def _edge_list_blocks(text: str) -> Iterator["SimpleGraph | ParseError"]:
         for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
         if tokens and not tokens[0].startswith("#")
     ]
+    out: list[SimpleGraph | ParseError] = []
     pos = 0
     while pos < len(lines):
         lineno, header = lines[pos]
@@ -775,13 +771,14 @@ def _edge_list_blocks(text: str) -> Iterator["SimpleGraph | ParseError"]:
             if m < 0 or pos + 1 + m > len(lines):
                 raise ParseError(f"line {lineno}: header 'n m' = {n} {m} inconsistent with input")
         except ParseError as exc:
-            yield exc
-            return
+            out.append(exc)
+            break
         block, pos = lines[pos + 1 : pos + 1 + m], pos + 1 + m
         try:
-            yield _edge_block(lineno, n, block)
+            out.append(_edge_block(lineno, n, block))
         except ParseError as exc:
-            yield exc
+            out.append(exc)
+    return out
 
 
 def _int_row(lineno: int, tokens: list[str], what: str) -> tuple[int, int]:

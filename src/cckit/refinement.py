@@ -4,7 +4,7 @@ Message-passing updates with injective aggregation are abstracted to
 Weisfeiler-Leman style refinement, and every update is one operation: a row
 per cell holding its old color and one sorted neighbor-color multiset per
 configured neighborhood function, numbered jointly across the complexes being
-compared (:func:`intern_rows`).  Equal ids mean equal rows, so the color
+compared (:func:`number_keys`).  Equal ids mean equal rows, so the color
 histograms of different complexes are directly comparable.  Ids follow the
 sorted order of the distinct rows, so they are canonical: a complex refined
 alone numbers the same rows the same way, which lets :func:`distinguish`
@@ -60,7 +60,6 @@ from .invariants import shortest_paths  # noqa: F401  (perfbench/tracing.py wrap
 from ._rowkeys import (
     build_rows,
     index_dtype,
-    intern_rows,  # noqa: F401  (the public row numbering lives here)
     key_dtype,
     number_keys,
     padded_gather,
@@ -204,7 +203,7 @@ class CellColors:
     def number(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
         """Ids and class count of a key buffer of rows shifted by one (the -1
         pad is key 0), keeping the rows' table when tabulating."""
-        ids, k, self.table = number_keys(keys, -1, self.tabulate)
+        ids, k, self.table = number_keys(keys, self.tabulate)
         return ids, k
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
@@ -404,8 +403,6 @@ def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
                 for s in st.specs:
                     if not (0 <= s.r1 <= ell and 0 <= s.r2 <= ell):
                         raise RankOutOfRange(f"spec {s} beyond dimension {ell}")
-            if st.rounds is not None and st.rounds < 1:
-                raise RankOutOfRange("block rounds must be >= 1 or None")
         elif isinstance(st, SclBlock):
             if not 0 <= st.r1 <= st.r2:
                 raise RankOutOfRange(
@@ -416,8 +413,10 @@ def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
                     raise RankOutOfRange(
                         f"pair block ({st.r1},{st.r2}) beyond dimension {cc.dimension}"
                     )
-            if st.rounds is not None and st.rounds < 1:
-                raise RankOutOfRange("block rounds must be >= 1 or None")
+        else:
+            continue
+        if st.rounds is not None and st.rounds < 1:
+            raise RankOutOfRange("block rounds must be >= 1 or None")
 
 
 @lru_cache(maxsize=None)
@@ -630,7 +629,7 @@ class _Trace:
     ``tables[t]`` describes tick t: the skeleton sizes at tick 0, then the
     table of the rows the tick's update interned (the cells, or the live pair
     block): the distinct rows in id order and their counts.  Run alone,
-    a complex's ids are canonical (:func:`intern_rows`), so while two
+    a complex's ids are canonical (:func:`number_keys`), so while two
     complexes' tables agree their ids name the same rows and their next rows
     are the same function of them.  Their tables at a tick then agree exactly
     when the updated rows agree as multisets, which is when the snapshots of

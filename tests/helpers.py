@@ -171,15 +171,14 @@ def lifted_iso_graphs(count: int = 100, seed: int = 0) -> list[SimpleGraph]:
 def reference_intern(blocks, tabulate: bool = False):
     """Joint row numbering by lexsort over int64 rows padded with -1: ids per
     block, the class count, and with tabulate the distinct rows in id order
-    and their counts as int64 bytes.  Rows of width 0 are all the empty row
-    (np.lexsort takes no empty key sequence)."""
+    and their counts as int64 bytes."""
     sizes = [len(b) for b in blocks]
     rows = np.full((sum(sizes), max(b.shape[1] for b in blocks)), -1, dtype=np.int64)
     pos = 0
     for b in blocks:
         rows[pos : pos + len(b), : b.shape[1]] = b
         pos += len(b)
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     leader = np.ones(len(rows), dtype=bool)
     leader[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -198,7 +197,6 @@ def reference_cell_images(source, target, node_image):
     interning the target's padded rows jointly with the image rows: the
     assignment, or the message of the first image that is no target cell."""
     from cckit.complex import padded_rows
-    from cckit.refinement import intern_rows
 
     node_image = np.asarray(node_image, dtype=np.int64)
     pad = target.num_nodes
@@ -213,7 +211,7 @@ def reference_cell_images(source, target, node_image):
         img = np.sort(img, axis=1)
         img[img == pad] = -1
         targets = padded_rows(target.skeleton_arrays(r))
-        (target_ids, ids), k = intern_rows([targets, img])
+        (target_ids, ids), k, _ = reference_intern([targets, img])
         cell_of = np.full(k, -1, dtype=np.int64)
         cell_of[target_ids] = np.arange(len(targets))
         images = cell_of[ids]

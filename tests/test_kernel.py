@@ -32,17 +32,16 @@ from cckit.refinement import (
     SclBlock,
     _build_gathers,
     _marking_matrix,
-    intern_rows,
     run_diagram,
 )
 from cckit._rowkeys import (
-    _intern,
     build_rows,
     index_dtype,
     key_dtype,
     number_keys,
     padded_gather,
     row_span,
+    store_keys,
 )
 
 from helpers import (
@@ -64,22 +63,57 @@ def graphs(max_nodes=8, edge_prob=0.45):
     return build()
 
 
-# values at the edges of the narrow key dtypes, negatives, and the int64 extremes
-EDGE_VALUES = [-(2**63), -70000, -300, -2, -1, 0, 1, 254, 255, 256, 65534, 65535, 65536, 2**32, 2**63 - 1]
+# values at the edges of the key dtypes (a value is stored plus one) and the int64 maximum
+EDGE_VALUES = [-1, 0, 1, 254, 255, 65534, 65535, 2**32 - 2, 2**32 - 1, 2**63 - 1]
+KEY_DTYPES = [np.dtype(f"u{size}") for size in (1, 2, 4, 8)]
 
 
 def int_blocks():
-    """2-D int64 blocks of 0-6 rows and 0-5 columns, values small, at dtype
-    boundaries or extreme; empty and zero-width blocks included."""
+    """2-D int64 blocks of 0-6 rows and 1-5 columns, values at least -1:
+    small, at key dtype boundaries or the int64 maximum; empty blocks
+    included."""
 
     @st.composite
     def build(draw):
-        rows, width = draw(st.integers(0, 6)), draw(st.integers(0, 5))
-        values = st.one_of(st.integers(-3, 3), st.sampled_from(EDGE_VALUES))
+        rows, width = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+        values = st.one_of(st.integers(-1, 3), st.sampled_from(EDGE_VALUES))
         flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
         return np.array(flat, dtype=np.int64).reshape(rows, width)
 
     return build()
+
+
+def narrowest_key_dtype(blocks) -> np.dtype:
+    return key_dtype(max([0] + [int(b.max()) + 1 for b in blocks if b.size]))
+
+
+def key_blocks():
+    """1-4 int blocks and a key dtype that holds their keys: the narrowest
+    or any wider one."""
+
+    @st.composite
+    def build(draw):
+        blocks = draw(st.lists(int_blocks(), min_size=1, max_size=4))
+        least = narrowest_key_dtype(blocks).itemsize
+        return blocks, draw(st.sampled_from([d for d in KEY_DTYPES if d.itemsize >= least]))
+
+    return build()
+
+
+def number_blocks(blocks, tabulate=False, dtype=None):
+    """number_keys over the rows of 2-D blocks of values at least -1, stored
+    with store_keys into one key buffer of dtype (the narrowest that holds
+    them by default); narrower blocks keep the -1 pad's key 0 on the right.
+    Ids per block, class count and table."""
+    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
+    if dtype is None:
+        dtype = narrowest_key_dtype(blocks)
+    sizes = [len(b) for b in blocks]
+    keys = np.zeros((sum(sizes), max(b.shape[1] for b in blocks)), dtype=dtype)
+    for b, pos in zip(blocks, np.cumsum([0] + sizes)):
+        store_keys(keys[pos : pos + len(b), : b.shape[1]], b)
+    ids, k, table = number_keys(keys, tabulate)
+    return np.split(ids, np.cumsum(sizes)[:-1]), k, table
 
 
 def same_partition(a, b) -> bool:
@@ -198,35 +232,38 @@ def test_distance_marking(g):
 
 
 class TestInternRows:
+    """Row numbering through number_keys, on key buffers filled by store_keys."""
+
     def test_joint_sorted_order_ids(self):
         # distinct rows numbered in lexicographic order; the pad -1 sorts first
-        ids, k = intern_rows([np.array([[1, 2], [0, 5], [1, 2]]), np.array([[0], [1]])])
-        assert [i.tolist() for i in ids] == [[3, 1, 3], [0, 2]]
-        assert k == 4
+        blocks = [np.array([[1, 2], [0, 5], [1, 2]]), np.array([[0], [1]])]
+        for dtype in KEY_DTYPES:
+            ids, k, _ = number_blocks(blocks, dtype=dtype)
+            assert [i.tolist() for i in ids] == [[3, 1, 3], [0, 2]]
+            assert k == 4
 
     def test_ids_ignore_row_order_and_blocks(self):
         rows = np.array([[4, 1], [0, 2], [4, 1], [3, 3]])
-        (whole,), _ = intern_rows([rows])
-        shuffled, _ = intern_rows([rows[[3, 1]], rows[[2, 0]]])
+        (whole,), _, _ = number_blocks([rows])
+        shuffled, _, _ = number_blocks([rows[[3, 1]], rows[[2, 0]]])
         assert np.concatenate(shuffled).tolist() == whole[[3, 1, 2, 0]].tolist()
 
     def test_padding_does_not_merge_widths(self):
         # [7] padded to [7, -1] must differ from [7, 0]
-        ids, k = intern_rows([np.array([[7]]), np.array([[7, 0]])])
-        assert k == 2
+        for dtype in KEY_DTYPES:
+            _, k, _ = number_blocks([np.array([[7]]), np.array([[7, 0]])], dtype=dtype)
+            assert k == 2
 
     def test_empty_block(self):
-        ids, k = intern_rows([np.zeros((0, 3), dtype=np.int64)])
+        ids, k, table = number_blocks([np.zeros((0, 3), dtype=np.int64)], tabulate=True)
         assert k == 0 and ids[0].shape == (0,)
-
-    def test_zero_width_block_is_one_class(self):
-        ids, k = intern_rows([np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)])
-        assert k == 1 and [i.tolist() for i in ids] == [[0, 0, 0], [0, 0]]
+        assert table == (b"", b"")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(int_blocks(), min_size=1, max_size=4), st.booleans())
-    def test_matches_lexsort_reference(self, blocks, tabulate):
-        ids, k, table = _intern(blocks, tabulate)
+    @given(key_blocks(), st.booleans())
+    def test_matches_lexsort_reference(self, blocks_and_dtype, tabulate):
+        blocks, dtype = blocks_and_dtype
+        ids, k, table = number_blocks(blocks, tabulate, dtype)
         ref_ids, ref_k, ref_table = reference_intern(blocks, tabulate)
         assert k == ref_k
         assert [i.tolist() for i in ids] == [i.tolist() for i in ref_ids]
@@ -240,12 +277,14 @@ SPANS = [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
 class TestKeyDtypes:
     @pytest.mark.parametrize("span", SPANS)
     def test_intern_rows_at_span(self, span):
-        # values -1..span - 1: the shifted maximum is the span itself
+        # values -1..span - 1: the largest key is the span itself, in
+        # key_dtype(span)
         blocks = [
             np.array([[-1, span - 1], [span - 1, -1], [0, span - 2]]),
             np.array([[span - 1], [0], [span - 1]]),
         ]
-        ids, k, table = _intern(blocks, True)
+        assert narrowest_key_dtype(blocks) == key_dtype(span)
+        ids, k, table = number_blocks(blocks, True)
         ref_ids, ref_k, ref_table = reference_intern(blocks, True)
         assert (k, [i.tolist() for i in ids], table) == (ref_k, [i.tolist() for i in ref_ids], ref_table)
 
@@ -266,7 +305,7 @@ class TestKeyDtypes:
         keys = np.zeros((8, 1 + index.shape[1]), dtype=dtype)
         build_rows(keys, colors, ext.astype(dtype), index.astype(np.int32), segment, base)
         assert int(keys.max()) == span
-        ids, k, table = number_keys(keys, -1, True)
+        ids, k, table = number_keys(keys, True)
         rows = np.column_stack((colors, np.sort(ext[index] + segment * base, axis=1)))
         (ref_ids,), ref_k, ref_table = reference_intern([rows], True)
         assert (k, ids.tolist(), table) == (ref_k, ref_ids.tolist(), ref_table)
