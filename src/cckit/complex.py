@@ -397,7 +397,9 @@ class CombinatorialComplex:
         A count equal to the a-cell's size is incidence-up from a to b, one
         equal to the b-cell's size incidence-up from b to a, and for a = b any
         count between distinct cells is co-adjacency over rank 0.
-        Incidence-down is the transpose of incidence-up, adjacency joins two
+        Incidence-down is the transpose of incidence-up, except into rank 0:
+        the rank-0 cells inside a cell are its vertices, so that CSR is the
+        skeleton's own.  Adjacency joins two
         r1-cells inside a common r2-cell and co-adjacency two r1-cells over a
         common r2-cell.  Cached per spec.
         """
@@ -416,26 +418,28 @@ class CombinatorialComplex:
             self._fill_shared(min(r1, r2), max(r1, r2))
             return self._csr_cache[spec]
         if spec.kind is NeighborhoodKind.INCIDENCE_DOWN:
+            if r2 == 0:
+                return self._cells[r1]
             return _transpose(self.neighbor_csr(incidence_up(r2, r1)), n1)
         if spec.kind is NeighborhoodKind.ADJACENCY:
             return _pairs_within(self.neighbor_csr(incidence_down(r2, r1)), n1)
         if r2 == 0:
+            if r1 == 0:  # distinct nodes share no vertex
+                return _empty_csr(n1)
             self._fill_shared(r1, r1)
             return self._csr_cache[spec]
         return _pairs_within(self.neighbor_csr(incidence_up(r2, r1)), n1)
 
     def _fill_shared(self, a: int, b: int) -> None:
         """Cache incidence-up both ways between ranks a <= b (co-adjacency
-        over rank 0 when a = b), from one count of the vertices each a-cell x
-        shares with each b-cell y."""
+        over rank 0 when 0 < a = b), from one count of the vertices each
+        a-cell x shares with each b-cell y."""
         ptr_b, verts_b = self._cells[b]
         n_a, n_b = self.skeleton_size(a), self.skeleton_size(b)
         cache = self._csr_cache
         if a == 0:  # node v is the rank-0 cell v, inside every cell holding v
             cache.setdefault(incidence_up(0, b), _transpose((ptr_b, verts_b), self.num_nodes))
-            if b == 0:
-                cache.setdefault(co_adjacency(0, 0), _empty_csr(n_a))
-            else:  # a b-cell lies inside node v only as the singleton {v}
+            if b > 0:  # a b-cell lies inside node v only as the singleton {v}
                 single = np.flatnonzero(row_lengths(ptr_b) == 1)
                 cache.setdefault(incidence_up(b, 0), _csr(single, verts_b[ptr_b[single]], n_b))
             return

@@ -12,29 +12,52 @@ split into their components, which are matched in one pass, each component
 of one complex to the first unused isomorphic component of the other
 (isomorphism is an equivalence relation, so no choice needs undoing).  It
 decides each component pair by the identity map when the two have equal
-content, else by individualization-refinement: cells are partitioned by
-stable joint refinement colors over all natural neighborhoods, refined by
-the update loop that runs the diagrams of
-:mod:`cckit.refinement` on its state (:class:`~cckit.refinement.CellColors`).
-A cell of each complex in the smallest non-singleton class gets one fresh
-color and the partition is re-refined, backtracking as soon as the class
-sizes of the two complexes differ.  Positive answers carry a witness map of
-the whole complexes, assembled from the component maps and verified once
-before being returned by :func:`cckit.covering.check_isomorphism`, as a
-bijective covering; a discrete leaf of the search needs no check of its own
-(see :func:`_search`).
+content, else by individualization-refinement (:func:`_search`).
+
+The search refines the two components jointly, with the update loop that
+runs the diagrams of :mod:`cckit.refinement` on its state
+(:class:`~cckit.refinement.CellColors`), over the vertex-cell incidence
+alone: incidence_up(0, r) and incidence_down(r, 0) for every rank r, 2(d+1)
+specs for a d-complex, not all 4(d+1)**2 natural neighborhoods.  That is
+enough, because individualization-refinement is sound with any
+isomorphism-invariant refinement (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 2014), and incidence is defined by
+ranks and containment, which an isomorphism keeps:
+
+- Divergence pruning.  An isomorphism that respects the individualized
+  cells carries the refined colors of one complex onto the other's, so
+  class sizes that differ rule every such isomorphism out.
+- Completeness.  If an isomorphism respects the current colors, it maps the
+  individualized cell x of the first complex to some cell y of its class in
+  the second, and the branch that individualizes x against y keeps it.
+- Leaves.  At a discrete stable partition every color holds one cell of
+  each complex, and matched cells have equal rows.  A cell's row holds the
+  multiset of its vertex colors (incidence_down(r, 0) lists its vertices),
+  and each vertex color is one node per complex.  So the node bijection
+  read off rank 0 carries each cell's vertex set onto the vertex set of its
+  matched cell, of the same rank.  Cells within a rank have distinct vertex
+  sets, so each cell maps onto the cell on its relabeled vertex set, and
+  such a map preserves containment both ways: an isomorphism, by the
+  argument of :mod:`cckit.covering`.
+
+Positive answers carry a witness map of the whole complexes, assembled from
+the component maps and verified once before being returned by
+:func:`cckit.covering.check_isomorphism`, as a bijective covering; by the
+argument above a discrete leaf of the search needs no check of its own.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 # build_cc and check_isomorphism stay reachable as iso attributes, and
 # cc_isomorphic calls check_isomorphism through them: perfbench/tracing.py wraps both
 from .complex import CombinatorialComplex, build_cc, row_ids, row_lengths  # noqa: F401
+from .complex import incidence_down, incidence_up
 from .covering import CellMap, check_isomorphism
 from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
@@ -70,43 +93,67 @@ class _Counter:
             raise _Budget()
 
 
-def _search(state: CellColors, counter: _Counter) -> CellMap | None:
-    """Individualization-refinement over the joint colors of two connected
-    complexes: a witness, or None once every branch has diverged.
+@lru_cache(maxsize=None)
+def _incidence_block(ell: int) -> HompBlock:
+    """The search's refinement block: vertex-cell incidence both ways at every
+    rank, refined to stability.  One shared block per dimension, so every
+    node passes the same specs tuple, by which the state keeps its gathers."""
+    specs = tuple(
+        spec for r in range(ell + 1) for spec in (incidence_up(0, r), incidence_down(r, 0))
+    )
+    return HompBlock(specs, None)
 
-    Refinement runs to stability through the diagrams' update loop and stops
-    as soon as the two complexes' class sizes differ (colors only split, so a
-    divergence never heals).  A discrete partition that gets there pairs each
-    cell with the one cell of the same stable row, so the map it induces
-    carries every natural neighborhood onto its image's: an isomorphism.
+
+def _search(state: CellColors, counter: _Counter) -> CellMap | None:
+    """Individualization-refinement over the joint colors of two complexes: a
+    witness, or None once every branch has diverged.
+
+    Each node refines to stability over the vertex-cell incidence
+    (:func:`_incidence_block`) and is abandoned as soon as the two complexes'
+    class sizes differ (colors only split, so a divergence never heals).  Then
+    one cell of a in the smallest non-singleton class is individualized against
+    each cell of b in it, in order.  The search is depth-first with an explicit
+    stack of open branches: twins need one level each, more than the
+    interpreter's recursion allows.  A discrete partition is a witness (see
+    the module docstring).
     """
-    counter.spend()
-    if not all(state.agree() for _ in _updates(state, HompBlock(None, None))):
-        return None
-    colors, k = state.colors, state.classes
-    sizes = state.class_counts()[0]
+    block = _incidence_block(state.ell)
     in_a = state.owner == 0
-    if sizes.max() == 1:
-        where_b = np.empty(k, dtype=np.int64)
-        where_b[colors[~in_a]] = np.flatnonzero(~in_a)
-        image = where_b[colors]
-        a, b = state.ccs
-        mapping = tuple(
-            image[state.span(0, r)] - state.span(1, r).start for r in range(a.dimension + 1)
-        )
-        return CellMap(a, b, mapping)
-    # smallest non-singleton class, the lowest id (sorted-row order) on ties
-    split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
-    members = colors == split
-    x = np.flatnonzero(members & in_a)[0]
-    for y in np.flatnonzero(members & ~in_a):
+    branches = []  # per open node: its colors, class count, a's cell and b's cells left
+    while True:
+        counter.spend()
+        if all(state.agree() for _ in _updates(state, block)):
+            colors, k = state.colors, state.classes
+            sizes = state.class_counts()[0]
+            if sizes.max() == 1:
+                return _leaf_map(state)
+            # smallest non-singleton class, the lowest id (sorted-row order) on ties
+            split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
+            members = colors == split
+            x = np.flatnonzero(members & in_a)[0]
+            branches.append((colors, k, x, iter(np.flatnonzero(members & ~in_a))))
+        while branches and (y := next(branches[-1][3], None)) is None:
+            branches.pop()
+        if not branches:
+            return None
+        colors, k, x, _ = branches[-1]
         state.colors = colors.copy()
         state.colors[[x, y]] = k  # a fresh color individualizes both cells
         state.classes = k + 1
-        found = _search(state, counter)
-        if found is not None:
-            return found
-    return None
+
+
+def _leaf_map(state: CellColors) -> CellMap:
+    """The map of a discrete partition: each cell of a to the cell of b with
+    its color."""
+    colors = state.colors
+    in_b = state.owner == 1
+    where_b = np.empty(state.classes, dtype=np.int64)
+    where_b[colors[in_b]] = np.flatnonzero(in_b)
+    image = where_b[colors]
+    a, b = state.ccs
+    return CellMap(
+        a, b, tuple(image[state.span(0, r)] - state.span(1, r).start for r in range(a.dimension + 1))
+    )
 
 
 def node_components(cc: CombinatorialComplex) -> list[int]:

@@ -1,16 +1,31 @@
 import functools
+import inspect
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import build_cc, disjoint_union, disjoint_union_all, graph_as_cc
+from cckit.complex import (
+    NeighborhoodKind,
+    build_cc,
+    disjoint_union,
+    disjoint_union_all,
+    graph_as_cc,
+)
 from cckit.covering import CellMap, torus_mod_cover
 from cckit.errors import BadParams, DuplicateCell, RankViolation
 from cckit.generators import cycle_graph, cylinder, moebius, mog_example_pair, star_graph, torus
-from cckit.iso import _components, cc_isomorphic, check_isomorphism, split_components
+from cckit.iso import (
+    _component_witness,
+    _components,
+    _Counter,
+    cc_isomorphic,
+    check_isomorphism,
+    split_components,
+)
 from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 
 from helpers import (
@@ -153,6 +168,18 @@ class TestOracle:
         # search that branched on an unstable partition would visit more
         res = cc_isomorphic(torus(a), torus(b))
         assert (res.isomorphic, res.nodes_explored) == (isomorphic, nodes)
+
+    def test_twins_search_without_recursion(self):
+        # the leaves of a star are twins that no refinement splits, so the
+        # search individualizes them one level at a time, 99 levels deep
+        star = build_cc([((0, leaf), 1) for leaf in range(1, 101)], 101)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+        try:
+            res = cc_isomorphic(star, shuffled(star, 0))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.isomorphic, res.nodes_explored) == (True, 100)
 
     def test_budget_unknown(self):
         res = cc_isomorphic(torus((4, 10)), torus((5, 8)), budget=2)
@@ -307,6 +334,42 @@ class TestProperties:
         assert res.isomorphic is brute_isomorphic(a, b)
         if res.isomorphic:
             assert check_isomorphism(res.witness) is None
+
+
+class TestComponentWitness:
+    """Every witness of the incidence search is an isomorphism by itself,
+    before cc_isomorphic's final check of the assembled map."""
+
+    @staticmethod
+    def assert_witnesses(cc, seed):
+        for comp in split_components(cc):
+            c = comp.complex
+            witness = _component_witness(c, shuffled(c, seed), _Counter(10**6))
+            assert witness is not None
+            assert check_isomorphism(witness) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_complexes(), st.integers(0, 10**6))
+    def test_arbitrary_complexes(self, cc, seed):
+        self.assert_witnesses(cc, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_pooled_complexes_with_duplicate_vertex_sets(self, seed):
+        rng = random.Random(seed)
+        cc = mog_pool(random_graph(rng, rng.randint(3, 9), 0.4))
+        edges = set(cc.cells(1))
+        assume(any(verts in edges for verts in cc.cells(2)))
+        self.assert_witnesses(cc, seed)
+
+    def test_search_reads_only_incidence(self):
+        # fresh complexes, so no other caller has filled their caches
+        a, b = shuffled(torus((3, 4)), 1), shuffled(torus((3, 4)), 2)
+        res = cc_isomorphic(a, b)
+        assert res.isomorphic is True and res.nodes_explored > 0
+        incidence = {NeighborhoodKind.INCIDENCE_UP, NeighborhoodKind.INCIDENCE_DOWN}
+        for cc in (a, b):
+            assert {spec.kind for spec in cc._csr_cache} <= incidence
 
 
 class TestVF2Differential:
