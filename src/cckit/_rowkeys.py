@@ -103,9 +103,9 @@ def row_keys(rows: np.ndarray, width: int, span: int) -> np.ndarray:
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:
     """Neighbor CSRs as (n, w) index matrices, one per complex, with one
-    joint width w.  Short rows are padded with -1, which the caller's gather
-    maps onto a pad entry (a cell round appends one last); shifts offset each
-    complex's indices."""
+    joint width w.  Short rows are padded with -1, which reads the pad an
+    update appends after the last color (:func:`shifted_colors`); shifts
+    offset each complex's indices."""
     width = max((int(row_lengths(indptr).max(initial=0)) for indptr, _ in csrs), default=0)
     if shifts:
         csrs = [(indptr, indices + shift) for (indptr, indices), shift in zip(csrs, shifts)]
@@ -120,11 +120,11 @@ def row_span(base: int, segments: Sequence[np.ndarray]) -> int:
 
 
 def shifted_colors(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """values plus one in dtype, with one 0 appended along every axis,
-    flattened: the array an update's gathers read."""
-    ext = np.zeros(tuple(n + 1 for n in values.shape), dtype=dtype)
-    store_keys(ext[tuple(slice(0, n) for n in values.shape)], values)
-    return ext.ravel()
+    """values plus one in dtype, with one 0 appended: the array an update's
+    gathers read, a -1 index reading the 0 pad."""
+    ext = np.zeros(len(values) + 1, dtype=dtype)
+    store_keys(ext[:-1], values)
+    return ext
 
 
 def build_rows(

@@ -107,11 +107,7 @@ def _parse_spec(text: str) -> NeighborhoodSpec:
 
 def _parse_engine(text: str, rounds: int | None) -> Engine:
     if text == "homp":
-        if rounds is not None:
-            return Engine("homp", (HompBlock(None, rounds),))
-        return Engine.homp_full()
-    if text == "oracle":
-        return Engine.oracle()
+        return Engine.homp_full() if rounds is None else Engine("homp", (HompBlock(None, rounds),))
     if text.startswith("scl:"):
         try:
             r1, r2, mark = text[4:].split(",")
@@ -121,9 +117,11 @@ def _parse_engine(text: str, rounds: int | None) -> Engine:
             return Engine.scl(int(r1), int(r2), marking)
         except (ValueError, KeyError):
             raise ParseError(f"bad engine {text!r}; expected scl:R1,R2,dist|bin") from None
-    if text in ("smcn", "smcn:default"):
-        return Engine.smcn()
-    raise ParseError(f"unknown engine {text!r}")
+    if text not in ("oracle", "smcn", "smcn:default"):
+        raise ParseError(f"unknown engine {text!r}")
+    if rounds is not None:
+        raise ParseError(f"--rounds caps the homp and scl engines only, not {text!r}")
+    return Engine.oracle() if text == "oracle" else Engine.smcn()
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -168,8 +166,10 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_pool(args) -> int:
+    if (args.eta is None) != (args.eps is None):
+        raise ParseError("--eta and --eps go together: give both or neither")
     g = parse_edge_list(_read_arg(args.input))
-    if args.eta is None or args.eps is None:
+    if args.eta is None:
         cc = mog_pool(g)  # automatically fine cover
     else:
         try:

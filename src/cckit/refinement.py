@@ -9,11 +9,14 @@ histograms of different complexes are directly comparable.  Ids follow the
 sorted order of the distinct rows, so they are canonical: a complex refined
 alone numbers the same rows the same way, which lets :func:`distinguish`
 refine each complex once and compare per-tick tables across its partners.
-Cell rounds and pair rounds build their rows in one place: an index matrix
-gathers neighbor colors through padded neighbor rows (:func:`padded_gather`).
-A pair round is a cell round whose cells are the pairs (x, y) of
-X_{r1} x X_{r2}: it gathers the pairs with x or y swapped for a neighbor, by
-flat pair id.  Pair seeding and pooling intern their rows the same way.
+Cell rounds and pair rounds run one update routine
+(:meth:`CellColors.update`): an index matrix gathers neighbor colors through
+padded neighbor rows (:func:`padded_gather`), and a missing neighbor (-1)
+reads the one pad after the last color.  A pair round is a cell round whose
+cells are the pairs (x, y) of X_{r1} x X_{r2}: pair colors are one flat array
+like the cell colors, and a pair gathers the pairs with x or y swapped for a
+neighbor, by flat pair id.  Pair seeding and pooling number their rows the
+same way.
 
 Rows move only narrow bytes (:mod:`cckit._rowkeys` holds the gathers, row
 builders and numbering).  Gathers are int32 index matrices while the array
@@ -143,13 +146,21 @@ def _hist(colors: np.ndarray) -> Hist:
 
 @dataclass(slots=True)
 class _PairState:
-    """Live pair coloring of one SclBlock across all complexes."""
+    """Live pair coloring of one SclBlock across all complexes, stored as cell
+    colors are: one flat array, complex by complex, each complex's pairs
+    (x, y) row-major, with its class count."""
 
     r1: int
     r2: int
-    mats: list[np.ndarray]
-    num_colors: int
+    shapes: list[tuple[int, int]]
+    colors: np.ndarray
+    classes: int
     gathers: tuple | None = None
+
+    def matrices(self) -> list[np.ndarray]:
+        """Per complex, its (n1, n2) block of the colors, as a view."""
+        ends = accumulate(n1 * n2 for n1, n2 in self.shapes)
+        return [self.colors[end - n1 * n2 : end].reshape(n1, n2) for (n1, n2), end in zip(self.shapes, ends)]
 
 
 class CellColors:
@@ -157,9 +168,11 @@ class CellColors:
     the pair blocks run on them, refined by one kernel round.
 
     All cells sit in one array, rank by rank and within a rank complex by
-    complex.  Initial colors are the ranks; every row starts with the old
-    color, so each color stays inside one rank.  With ``tabulate`` set, every
-    update keeps the table of the rows it interned in ``table``.
+    complex; each pair coloring (:class:`_PairState`) is one array too, so a
+    cell round and a pair round are one update of a different coloring.
+    Initial colors are the ranks; every row starts with the old color, so
+    each color stays inside one rank.  With ``tabulate`` set, every update
+    keeps the table of the rows it numbered in ``table``.
     """
 
     def __init__(self, ccs: Sequence[CombinatorialComplex], ell: int):
@@ -192,19 +205,33 @@ class CellColors:
         m, k = len(self.ccs), int(self.colors.max()) + 1
         return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
 
-    def recolor(self, keys: np.ndarray) -> bool:
-        """New colors from a key buffer of one row per cell, in cell order;
-        True when the partition got finer."""
-        ids, k = self.number(keys)
-        changed = k > self.classes
-        self.colors, self.classes = ids, k
+    def recolor(self, coloring: CellColors | _PairState, keys: np.ndarray) -> bool:
+        """Number a key buffer of one row per cell of coloring (the cells, or
+        the pairs of a pair coloring), in its order, into its colors and class
+        count, keeping the rows' table when tabulating; True when the
+        partition got finer."""
+        ids, k, self.table = number_keys(keys, self.tabulate)
+        changed = k > coloring.classes
+        coloring.colors, coloring.classes = ids, k
         return changed
 
-    def number(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
-        """Ids and class count of a key buffer of rows shifted by one (the -1
-        pad is key 0), keeping the rows' table when tabulating."""
-        ids, k, self.table = number_keys(keys, self.tabulate)
-        return ids, k
+    def update(self, coloring: CellColors | _PairState, gathers: list[tuple]) -> bool:
+        """One simultaneous update of coloring: for each (span, index,
+        segment), the rows of the span's cells read the colors its index
+        matrix gathers, a -1 reading the pad after the last color; True when
+        the partition got finer."""
+        colors = coloring.colors
+        # the largest color, not the class count: initial rank colors skip a
+        # rank without cells; an empty coloring (unsigned once compacted) has none
+        base = int(colors.max()) + 2 if len(colors) else 1
+        dtype = key_dtype(row_span(base, [segment for _, _, segment in gathers]))
+        width = 1 + max(index.shape[1] for _, index, _ in gathers)
+        keys = np.zeros((len(colors), width), dtype=dtype)
+        ext = shifted_colors(colors, dtype)
+        for span, index, segment in gathers:
+            build_rows(keys[span], colors[span], ext, index, segment, base)
+        del ext  # out of numbering's peak
+        return self.recolor(coloring, keys)
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
         """One simultaneous update; returns False once the partition is stable."""
@@ -213,17 +240,7 @@ class CellColors:
         entry = self._gathers.get(id(specs))
         if entry is None:
             entry = self._gathers[id(specs)] = (specs, self._build(specs))
-        gathers = entry[1]
-        base = int(self.colors.max()) + 2
-        dtype = key_dtype(row_span(base, [segment for _, segment in gathers]))
-        width = 1 + max(index.shape[1] for index, _ in gathers)
-        keys = np.zeros((len(self.colors), width), dtype=dtype)
-        # colors shifted to 1.., 0 is the pad the gathers' -1 entries read
-        ext = shifted_colors(self.colors, dtype)
-        for r, (index, segment) in enumerate(gathers):
-            span = self.rank_span(r)
-            build_rows(keys[span], self.colors[span], ext, index, segment, base)
-        return self.recolor(keys)
+        return self.update(self, [(self.rank_span(r), *gather) for r, gather in enumerate(entry[1])])
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
         """Per rank: the gather matrix over all complexes and each column's
@@ -250,7 +267,7 @@ class CellColors:
     def view(self, ci: int, top: int) -> tuple:
         """Rank histograms 0..top plus live pair histograms of one complex."""
         ranks = tuple(_hist(self.colors[self.span(ci, r)]) for r in range(top + 1))
-        return ranks, tuple(_hist(ps.mats[ci]) for ps in self.pair_states)
+        return ranks, tuple(_hist(ps.matrices()[ci]) for ps in self.pair_states)
 
     def snapshot(self) -> list[tuple]:
         """Comparable view per complex."""
@@ -264,7 +281,7 @@ class CellColors:
         if not np.array_equal(counts[0], counts[1]):
             return False
         return all(
-            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.num_colors) for m in ps.mats))
+            np.array_equal(*(np.bincount(m.ravel(), minlength=ps.classes) for m in ps.matrices()))
             for ps in self.pair_states
         )
 
@@ -275,8 +292,7 @@ class CellColors:
         self._gathers.clear()
         for ps in self.pair_states:
             ps.gathers = None
-            dtype = np.min_scalar_type(max(ps.num_colors - 1, 0))
-            ps.mats = [m.astype(dtype, copy=False) for m in ps.mats]
+            ps.colors = ps.colors.astype(np.min_scalar_type(max(ps.classes - 1, 0)), copy=False)
 
     # -- pair refinement --------------------------------------------------------
 
@@ -293,9 +309,8 @@ class CellColors:
             columns = (self.colors[self.span(ci, r1), None], self.colors[self.span(ci, r2)], mark)
             for col, values in enumerate(columns):
                 store_keys(rows[..., col], values)
-        ids, num_colors = self.number(keys)
-        mats = _matrices(ids, marks)
-        state = _PairState(r1, r2, mats, num_colors)
+        state = _PairState(r1, r2, [m.shape for m in marks], np.empty(0, dtype=np.int64), 0)
+        self.recolor(state, keys)
         self.pair_states.append(state)
         return state
 
@@ -303,21 +318,7 @@ class CellColors:
         """One pair-space update: a cell round whose cells are the pairs."""
         if state.gathers is None:  # built on the first round: many runs end at the seed
             state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
-        indices, segment = state.gathers
-        base = state.num_colors + 1  # every complex lifts by the same base
-        dtype = key_dtype(row_span(base, [segment]))
-        sizes = [C.size for C in state.mats]
-        keys = np.zeros((sum(sizes), 1 + len(segment)), dtype=dtype)
-        for C, index, start in zip(state.mats, indices, accumulate(sizes, initial=0)):
-            # colors shifted to 1.. with a pad row and column of 0s, which the
-            # gathers' wrapped -1 pads read
-            ext = shifted_colors(C, dtype)
-            build_rows(keys[start : start + C.size], C.ravel(), ext, index, segment, base)
-        ids, num_colors = self.number(keys)
-        state.mats = _matrices(ids, state.mats)
-        changed = num_colors > state.num_colors
-        state.num_colors = num_colors
-        return changed
+        return self.update(state, [(slice(None), *state.gathers)])
 
     def pool(self) -> None:
         """Fold the latest pair coloring into the cell colors of its two ranks."""
@@ -328,24 +329,18 @@ class CellColors:
         # a rank-r1 row holds its cell's color and the multiset of its row of
         # pair colors, a rank-r2 row the multiset of its column, after the row
         # multiset when r1 = r2; other rows hold the color alone
-        width = 1 + max(sum(C.shape) if r1 == r2 else max(C.shape) for C in state.mats)
-        span = max(int(self.colors.max()), state.num_colors - 1) + 1
+        width = 1 + max(sum(shape) if r1 == r2 else max(shape) for shape in state.shapes)
+        span = max(int(self.colors.max()), state.classes - 1) + 1
         keys = np.zeros((len(self.colors), width), dtype=key_dtype(span))
         store_keys(keys[:, 0], self.colors)
-        for ci, C in enumerate(state.mats):
+        for ci, C in enumerate(state.matrices()):
             n1, n2 = C.shape
             col = 1 + n2 if r1 == r2 else 1
             rows, columns = keys[self.span(ci, r1), 1 : 1 + n2], keys[self.span(ci, r2), col : col + n1]
             for multisets, part in ((rows, C), (columns, C.T)):
                 store_keys(multisets, part)
                 multisets.sort(axis=1)
-        self.recolor(keys)
-
-
-def _matrices(ids: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """ids cut into consecutive matrices of the shapes of like."""
-    ends = accumulate(m.size for m in like)
-    return [ids[end - m.size : end].reshape(m.shape) for m, end in zip(like, ends)]
+        self.recolor(self, keys)
 
 
 def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) -> np.ndarray:
@@ -369,31 +364,35 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
 
 
 def _build_gathers(ccs, r1: int, r2: int, ell: int):
-    """Per complex, the flat ids of the pairs each pair (x, y) reads, as one
-    (n1 * n2, W) matrix into its colors padded to (n1 + 1) x (n2 + 1), and
-    each column's position in ``sides``; widths are joint across complexes.
-    A -1 pad wraps onto a pad entry: x' = -1 onto the pad row, y' = -1 onto
-    the pad column of the row before (of the last row when x = 0)."""
+    """The flat ids of the pairs each pair (x, y) reads, as one (pairs, W)
+    matrix over the flat pair colors of all complexes (see
+    :class:`_PairState`), and each column's position in ``sides``; widths are
+    joint across complexes.  A missing neighbor is -1, which reads the pad
+    after the last pair, as in a cell round's gathers."""
     # (spec, keyed by x, swaps x): (x', y) for x' adjacent or co-adjacent to x,
     # (x, y') likewise for y, (x, y') for y' containing x, (x', y) for x' inside y
     sides = [(f(r1, r), True, True) for r in range(ell + 1) for f in (adjacency, co_adjacency)]
     sides += [(f(r2, r), False, False) for r in range(ell + 1) for f in (adjacency, co_adjacency)]
     sides += [(incidence_up(r1, r2), True, False), (incidence_down(r2, r1), False, True)]
     per_side = [padded_gather([cc.neighbor_csr(spec) for cc in ccs]) for spec, _, _ in sides]
-    segment = np.repeat(np.arange(len(sides)), [mats[0].shape[1] for mats in per_side])
-    indices = []
-    for ci, cc in enumerate(ccs):
+    widths = [mats[0].shape[1] for mats in per_side]
+    segment = np.repeat(np.arange(len(sides)), widths)
+    sizes = [cc.skeleton_size(r1) * cc.skeleton_size(r2) for cc in ccs]
+    dtype = index_dtype(sum(sizes) + 1)  # the gathers read the pair colors and a pad
+    index = np.empty((sum(sizes), len(segment)), dtype=dtype)
+    columns = list(accumulate(widths, initial=0))
+    for ci, (cc, start) in enumerate(zip(ccs, accumulate(sizes, initial=0))):
         n1, n2 = cc.skeleton_size(r1), cc.skeleton_size(r2)
-        dtype = index_dtype((n1 + 1) * (n2 + 1))
+        block = index[start : start + n1 * n2].reshape(n1, n2, len(segment))
         x, y = np.arange(n1, dtype=dtype)[:, None, None], np.arange(n2, dtype=dtype)[None, :, None]
-        parts = []
-        for (_, by_x, swap_x), mats in zip(sides, per_side):
+        for (_, by_x, swap_x), mats, lo, hi in zip(sides, per_side, columns, columns[1:]):
             nb = mats[ci].astype(dtype)
             nb = nb[:, None, :] if by_x else nb[None, :, :]
-            ids = nb * (n2 + 1) + y if swap_x else x * (n2 + 1) + nb
-            parts.append(np.broadcast_to(ids, (n1, n2, nb.shape[2])))
-        indices.append(np.concatenate(parts, axis=2).reshape(n1 * n2, len(segment)))
-    return indices, segment
+            row, col = (nb, y) if swap_x else (x, nb)
+            # a pair's id is start + x * n2 + y; a missing neighbor reads the pad
+            np.add(row * n2 + start, col, out=block[..., lo:hi])
+            np.copyto(block[..., lo:hi], -1, where=nb < 0)
+    return index, segment
 
 
 def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
@@ -442,7 +441,7 @@ def _updates(state: CellColors, stage: Stage) -> Iterator[None]:
         pair = state.seed_pairs(stage)
         yield
         step = partial(state.scl_round, pair)
-        bound = sum(m.size for m in pair.mats)
+        bound = len(pair.colors)
         fault = "pair refinement exceeded the pair-space bound"
     else:
         specs = tuple(stage.specs) if stage.specs is not None else _natural_specs(state.ell)
@@ -537,7 +536,7 @@ def scl_refine(
 ) -> PairColoring:
     """Pair-space refinement of a single complex, seeded from rank colors."""
     state = _final_state([cc], (SclBlock(r1, r2, marking, rounds),))
-    mat = state.pair_states[-1].mats[0]
+    mat = state.pair_states[-1].matrices()[0]
     return PairColoring(r1, r2, tuple(tuple(row) for row in mat.tolist()))
 
 
@@ -627,7 +626,7 @@ class _Trace:
     """One complex's run of one diagram, advanced tick by tick on demand.
 
     ``tables[t]`` describes tick t: the skeleton sizes at tick 0, then the
-    table of the rows the tick's update interned (the cells, or the live pair
+    table of the rows the tick's update numbered (the cells, or the live pair
     block): the distinct rows in id order and their counts.  Run alone,
     a complex's ids are canonical (:func:`number_keys`), so while two
     complexes' tables agree their ids name the same rows and their next rows

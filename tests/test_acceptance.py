@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations_with_replacement
@@ -40,9 +41,9 @@ def report(name: str, seconds: float, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def torus_dataset(tmp_path_factory):
-    """Generate the dataset through the CLI command the criterion names."""
-    from cckit.bench import read_dataset
+def torus_dataset_file(tmp_path_factory):
+    """Generate the dataset through the CLI command the criterion names:
+    exit code, file path and seconds."""
     from cckit.cli import main as cli_main
 
     path = tmp_path_factory.mktemp("dataset") / "pairs.jsonl"
@@ -50,10 +51,25 @@ def torus_dataset(tmp_path_factory):
     code = cli_main(
         ["gen-torus-dataset", "18", "40", "3", "-o", str(path), "--expect-pairs", "223"]
     )
-    seconds = time.perf_counter() - t0
+    return code, path, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def torus_dataset(torus_dataset_file):
+    """The generated dataset's records, with the exit code and seconds."""
+    from cckit.bench import read_dataset
+
+    code, path, seconds = torus_dataset_file
     with open(path) as fp:
         records = read_dataset(fp)
     return code, records, seconds
+
+
+def test_torus_dataset_bytes(torus_dataset_file):
+    """The dataset file is pinned byte for byte: pair order, cell order and
+    certificates are outputs."""
+    _, path, _ = torus_dataset_file
+    assert hashlib.md5(path.read_bytes()).hexdigest() == "21e68c1fce4d9d14503391ef7913e86c"
 
 
 def test_criterion_01_torus_dataset_reproduction(torus_dataset):

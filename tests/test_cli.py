@@ -500,6 +500,24 @@ class TestHostileInputs:
         self.assert_error_line(code, err)
         assert "--eta" in err
 
+    @pytest.mark.parametrize("given", [("--eta", "1/2"), ("--eps", "1/2")])
+    def test_pool_eta_without_eps(self, capsys, tmp_path, given):
+        # one of the two would silently fall back to the automatic fine cover
+        path = tmp_path / "path.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        code, out, err = run(capsys, "pool", *given, "-i", str(path))
+        self.assert_error_line(code, err)
+        assert err == "error: --eta and --eps go together: give both or neither\n" and out == ""
+
+    @pytest.mark.parametrize("engine", ["smcn", "smcn:default", "oracle"])
+    def test_rounds_for_engine_without_rounds(self, capsys, cyl_file, mob_file, engine):
+        code, out, err = run(
+            capsys, "distinguish", cyl_file, mob_file, "--engine", engine, "--rounds", "1"
+        )
+        self.assert_error_line(code, err)
+        assert err == f"error: --rounds caps the homp and scl engines only, not {engine!r}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("expect", ["homp=x", "nonsense"])
     def test_expect_not_engine_count(self, capsys, dataset_file, expect):
         code, _, err = run(

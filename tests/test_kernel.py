@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cckit.complex import (
     SimpleGraph,
+    build_cc,
     disjoint_union,
     disjoint_union_all,
     graph_as_cc,
@@ -32,6 +33,7 @@ from cckit.refinement import (
     SclBlock,
     _build_gathers,
     _marking_matrix,
+    distinguish,
     run_diagram,
 )
 from cckit._rowkeys import (
@@ -141,7 +143,7 @@ def assert_kernel_matches_reference(ccs, engine):
         tick, _, state = ours
         assert same_partition(kernel_cells(state), reference_cells(ref)), f"cells at tick {tick}"
         if state.pair_states:
-            pairs = [c for m in state.pair_states[-1].mats for c in m.ravel().tolist()]
+            pairs = state.pair_states[-1].colors.tolist()
             ref_pairs = [c for per_cc in ref.pairs for row in per_cc for c in row]
             assert same_partition(pairs, ref_pairs), f"pairs at tick {tick}"
 
@@ -218,6 +220,33 @@ def test_graph_partitions(engine, g, h):
         ccs = [triangular_lift(with_triangle(g)), triangular_lift(with_triangle(h))]
     assume(top_pair_rank(eng) <= min(cc.dimension for cc in ccs))
     assert_kernel_matches_reference(ccs, eng)
+
+
+def empty_pair_space_pair():
+    """A 2-complex without rank-1 cells, so X_0 x X_1 and X_1 x X_2 are
+    empty, and the same cells plus the edges (0, 1) and (1, 2)."""
+    cells = [((0, 1, 2), 2), ((2, 3, 4), 2)]
+    return build_cc(cells, 5), build_cc(cells + [((0, 1), 1), ((1, 2), 1)], 5)
+
+
+EMPTY_PAIR_SPACE_STAGES = {
+    "scl_01_bin_pool": (SclBlock(0, 1, "binary", None), PoolStage()),
+    "scl_01_dist_pool_homp": (SclBlock(0, 1, "distance", 2), PoolStage(), HompBlock(None, 1)),
+    "scl_12_bin": (SclBlock(1, 2, "binary", None),),
+}
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+@pytest.mark.parametrize("name", sorted(EMPTY_PAIR_SPACE_STAGES))
+def test_empty_pair_space_beside_a_full_one(name, empty_first):
+    # one complex takes no positions in the flat pair colors, so the other's
+    # pairs start at 0 or right after nothing, and the pad follows them
+    empty, full = empty_pair_space_pair()
+    a, b = (empty, full) if empty_first else (full, empty)
+    engine = Engine.smcn(EMPTY_PAIR_SPACE_STAGES[name])
+    assert_kernel_matches_reference([a, b], engine)
+    joint = distinguish(a, b, engine)
+    assert distinguish(a, b, engine) == joint  # the second call compares traces
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,8 +353,8 @@ class TestKeyDtypes:
         ccs = [torus((3, 4)), cyclic_lift(random_graph(random.Random(3), 9, 0.5), 8)]
         state = CellColors(ccs, 2)
         assert {index.dtype for index, _ in state._build(tuple(natural_specs(2)))} == {np.dtype(np.int32)}
-        indices, _ = _build_gathers(ccs, 0, 1, 2)
-        assert {index.dtype for index in indices} == {np.dtype(np.int32)}
+        index, _ = _build_gathers(ccs, 0, 1, 2)
+        assert index.dtype == np.int32
 
 
 class TestGathers:
@@ -366,7 +395,7 @@ def run_digest(cc, stages) -> str:
         rows, counts = state.table
         digest.update(f"{len(rows)},{len(counts)};".encode())
         digest.update(rows + counts)
-        for ids in [state.colors, *(m.ravel() for ps in state.pair_states for m in ps.mats)]:
+        for ids in [state.colors, *(ps.colors for ps in state.pair_states)]:
             digest.update(np.asarray(ids, dtype=np.int64).tobytes())
     return digest.hexdigest()
 
