@@ -48,7 +48,7 @@ from .invariants import (
     orientability_2d,
 )
 from .lifting import CyclicLiftParams, MogParams, cyclic_lift, mog_pool, triangular_lift
-from .refinement import Engine, HompBlock, PoolStage, SclBlock, distinguish, homp_refine
+from .refinement import Engine, HompBlock, PoolStage, SclBlock, distinguish, smcn_refine
 
 USAGE_ERROR, VALIDATION_ERROR, EXPECTATION_ERROR = 1, 2, 3
 
@@ -229,10 +229,10 @@ def _cmd_distinguish(args) -> int:
     verdict = distinguish(a, b, engine)
     print(str(verdict))
     if args.emit_colors and engine.stages is not None:
-        colorings = homp_refine([a, b])
+        # the engine's own stages, run jointly to their end
         dump = [
             {"rank_histograms": [list(map(list, h)) for h in fp.rank_histograms]}
-            for _, fp in colorings
+            for fp in smcn_refine([a, b], engine.stages)
         ]
         print(json.dumps(dump))
     return 0

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,11 +92,9 @@ class _Counter:
             raise _Budget()
 
 
-@lru_cache(maxsize=None)
 def _incidence_block(ell: int) -> HompBlock:
     """The search's refinement block: vertex-cell incidence both ways at every
-    rank, refined to stability.  One shared block per dimension, so every
-    node passes the same specs tuple, by which the state keeps its gathers."""
+    rank, refined to stability."""
     specs = tuple(
         spec for r in range(ell + 1) for spec in (incidence_up(0, r), incidence_down(r, 0))
     )
@@ -109,13 +106,14 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
     witness, or None once every branch has diverged.
 
     Each node refines to stability over the vertex-cell incidence
-    (:func:`_incidence_block`) and is abandoned as soon as the two complexes'
-    class sizes differ (colors only split, so a divergence never heals).  Then
-    one cell of a in the smallest non-singleton class is individualized against
-    each cell of b in it, in order.  The search is depth-first with an explicit
-    stack of open branches: twins need one level each, more than the
-    interpreter's recursion allows.  A discrete partition is a witness (see
-    the module docstring).
+    (:func:`_incidence_block`, built once per search; the state builds its
+    gathers at the first node and reuses them) and is abandoned as soon as
+    the two complexes' class sizes differ (colors only split, so a divergence
+    never heals).  Then one cell of a in the smallest non-singleton class is
+    individualized against each cell of b in it, in order.  The search is
+    depth-first with an explicit stack of open branches: twins need one level
+    each, more than the interpreter's recursion allows.  A discrete partition
+    is a witness (see the module docstring).
     """
     block = _incidence_block(state.ell)
     in_a = state.owner == 0

@@ -50,6 +50,7 @@ import numpy as np
 from .complex import (
     CombinatorialComplex,
     NeighborhoodSpec,
+    _runs,
     adjacency,
     co_adjacency,
     incidence_down,
@@ -90,7 +91,7 @@ class PairColoring:
     colors: tuple[tuple[int, ...], ...]
 
     def histogram(self) -> Hist:
-        return _hist(c for row in self.colors for c in row)
+        return _hist(np.array(self.colors, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,15 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class HompBlock:
-    """Cell-refinement stage; specs None means every natural neighborhood."""
+    """Cell-refinement stage; specs None means every natural neighborhood.
+    Any spec sequence is held as a tuple, so equal blocks hash equally."""
 
     specs: tuple[NeighborhoodSpec, ...] | None = None
     rounds: int | None = 1  # None = refine to stability
+
+    def __post_init__(self) -> None:
+        if self.specs is not None:
+            object.__setattr__(self, "specs", tuple(self.specs))
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ def default_smcn_diagram() -> tuple[Stage, ...]:
 
 
 def _hist(colors: np.ndarray) -> Hist:
-    values, counts = np.unique(colors, return_counts=True)
+    values, counts = _runs(colors.ravel())
     return tuple(zip(values.tolist(), counts.tolist()))
 
 
@@ -148,14 +154,13 @@ def _hist(colors: np.ndarray) -> Hist:
 class _PairState:
     """Live pair coloring of one SclBlock across all complexes, stored as cell
     colors are: one flat array, complex by complex, each complex's pairs
-    (x, y) row-major, with its class count."""
+    (x, y) row-major, with its class count.  The state caches its gathers."""
 
     r1: int
     r2: int
     shapes: list[tuple[int, int]]
     colors: np.ndarray
     classes: int
-    gathers: tuple | None = None
 
     def matrices(self) -> list[np.ndarray]:
         """Per complex, its (n1, n2) block of the colors, as a view."""
@@ -172,7 +177,9 @@ class CellColors:
     cell round and a pair round are one update of a different coloring.
     Initial colors are the ranks; every row starts with the old color, so
     each color stays inside one rank.  With ``tabulate`` set, every update
-    keeps the table of the rows it numbered in ``table``.
+    keeps the table of the rows it numbered in ``table``.  Gathers depend on
+    a round's value alone, so one cache holds them, keyed by a cell round's
+    specs tuple or a pair round's ranks (r1, r2): equal rounds share a build.
     """
 
     def __init__(self, ccs: Sequence[CombinatorialComplex], ell: int):
@@ -185,7 +192,7 @@ class CellColors:
         self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
         # one class per rank with a cell in any complex
         self.classes = sum(self.starts[(r + 1) * m] > self.starts[r * m] for r in range(ell + 1))
-        self._gathers: dict[int, tuple[tuple[NeighborhoodSpec, ...], list]] = {}
+        self._gathers: dict[tuple, list[tuple]] = {}  # update-ready (span, index, segment) lists
         self.pair_states: list[_PairState] = []
         self.tabulate = False
         self.table: tuple | None = None
@@ -234,13 +241,13 @@ class CellColors:
         return self.recolor(coloring, keys)
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
-        """One simultaneous update; returns False once the partition is stable."""
-        # gathers are keyed by the tuple's identity (the entry keeps the tuple
-        # alive): hashing it would hash every spec on every round
-        entry = self._gathers.get(id(specs))
-        if entry is None:
-            entry = self._gathers[id(specs)] = (specs, self._build(specs))
-        return self.update(self, [(self.rank_span(r), *gather) for r, gather in enumerate(entry[1])])
+        """One simultaneous update over the specs; returns False once the
+        partition is stable."""
+        gathers = self._gathers.get(specs)
+        if gathers is None:
+            gathers = [(self.rank_span(r), *gather) for r, gather in enumerate(self._build(specs))]
+            self._gathers[specs] = gathers
+        return self.update(self, gathers)
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
         """Per rank: the gather matrix over all complexes and each column's
@@ -286,12 +293,11 @@ class CellColors:
         )
 
     def compact(self) -> None:
-        """Shrink a paused run: forget the gather matrices (the next round
+        """Shrink a paused run: forget the gather cache (the next round
         rebuilds what it needs) and hold pair colors in the smallest integer
         type that fits them (rounds widen them again)."""
         self._gathers.clear()
         for ps in self.pair_states:
-            ps.gathers = None
             ps.colors = ps.colors.astype(np.min_scalar_type(max(ps.classes - 1, 0)), copy=False)
 
     # -- pair refinement --------------------------------------------------------
@@ -315,10 +321,13 @@ class CellColors:
         return state
 
     def scl_round(self, state: _PairState) -> bool:
-        """One pair-space update: a cell round whose cells are the pairs."""
-        if state.gathers is None:  # built on the first round: many runs end at the seed
-            state.gathers = _build_gathers(self.ccs, state.r1, state.r2, self.ell)
-        return self.update(state, [(slice(None), *state.gathers)])
+        """One pair-space update: a cell round whose cells are the pairs.  The
+        gathers are built on the first round, as many runs end at the seed."""
+        key = state.r1, state.r2
+        gathers = self._gathers.get(key)
+        if gathers is None:
+            gathers = self._gathers[key] = [(slice(None), *_build_gathers(self.ccs, *key, self.ell))]
+        return self.update(state, gathers)
 
     def pool(self) -> None:
         """Fold the latest pair coloring into the cell colors of its two ranks."""
@@ -420,7 +429,8 @@ def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
 
 @lru_cache(maxsize=None)
 def _natural_specs(ell: int) -> tuple[NeighborhoodSpec, ...]:
-    """One shared tuple per dimension: every paused run keeps its specs."""
+    """The natural specs of a dimension, memoized: listing them anew at every
+    stage was measurably slower than this one lookup."""
     return tuple(natural_specs(ell))
 
 
@@ -444,7 +454,7 @@ def _updates(state: CellColors, stage: Stage) -> Iterator[None]:
         bound = len(pair.colors)
         fault = "pair refinement exceeded the pair-space bound"
     else:
-        specs = tuple(stage.specs) if stage.specs is not None else _natural_specs(state.ell)
+        specs = stage.specs if stage.specs is not None else _natural_specs(state.ell)
         step = partial(state.cell_round, specs)
         bound = len(state.colors)
         fault = "refinement exceeded the cell-count bound"
@@ -478,25 +488,12 @@ def run_diagram(
 
 
 def _final_state(ccs, stages) -> CellColors:
-    state = None
-    for _, _, state in run_diagram(ccs, stages):
-        pass
-    assert state is not None
+    *_, (_, _, state) = run_diagram(ccs, stages)
     return state
 
 
 def _fingerprints_of(state: CellColors) -> list[Fingerprint]:
-    out = []
-    for ci, cc in enumerate(state.ccs):
-        ranks, pairs = state.view(ci, cc.dimension)
-        out.append(
-            Fingerprint(
-                skeleton_sizes=cc.skeleton_sizes(),
-                rank_histograms=ranks,
-                pair_histograms=pairs,
-            )
-        )
-    return out
+    return [Fingerprint(cc.skeleton_sizes(), *state.view(ci, cc.dimension)) for ci, cc in enumerate(state.ccs)]
 
 
 def homp_refine(
@@ -563,10 +560,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Engine:
-    """Distinguishability engine name plus its stages (None for the oracle)."""
+    """Distinguishability engine name plus its stages (None for the oracle).
+    Any stage sequence is held as a tuple, so every engine's stages hash."""
 
     name: str
     stages: tuple[Stage, ...] | None
+
+    def __post_init__(self) -> None:
+        if self.stages is not None:
+            object.__setattr__(self, "stages", tuple(self.stages))
 
     @staticmethod
     def homp_full() -> "Engine":
@@ -583,7 +585,7 @@ class Engine:
     def smcn(stages: Sequence[Stage] | None = None) -> "Engine":
         return Engine(
             "smcn:default" if stages is None else "smcn:custom",
-            tuple(stages) if stages is not None else default_smcn_diagram(),
+            stages if stages is not None else default_smcn_diagram(),
         )
 
     @staticmethod
@@ -667,11 +669,9 @@ def _admitted_traces(a, b, stages) -> tuple[_Trace, _Trace] | None:
     """Both complexes' traces of the stages, once either complex has been
     compared under them before and the dimensions agree; otherwise None, and
     both complexes are marked as compared.  A complex compared once (every
-    pair of a one-to-one workload) thus never pays for a trace."""
-    try:
-        seen = stages in a._traces or stages in b._traces
-    except TypeError:  # unhashable stages (a spec list in a block) are not cached
-        return None
+    pair of a one-to-one workload) thus never pays for a trace.  Stages are
+    tuples of hashable values, so every engine's runs can be traced."""
+    seen = stages in a._traces or stages in b._traces
     if not seen or a.dimension != b.dimension:
         a._traces.setdefault(stages, None)
         b._traces.setdefault(stages, None)

@@ -10,6 +10,7 @@ from cckit.complex import build_cc, decode_json, encode_json, graph_as_cc, parse
 from cckit.covering import cell_map_from_node_map, strip_covers
 from cckit.generators import cycle_graph, cylinder, mog_example_pair, moebius, torus
 from cckit.lifting import MogParams, mog_pool, triangular_lift
+from cckit.refinement import Engine, HompBlock, smcn_refine
 
 
 def run(capsys, *argv):
@@ -228,6 +229,36 @@ class TestDistinguishCmd:
         )
         assert code == 0
         assert "rank_histograms" in out
+
+    @pytest.mark.parametrize(
+        "argv, stages",
+        [
+            (["homp"], Engine.homp_full().stages),
+            (["homp", "--rounds", "1"], (HompBlock(None, 1),)),
+            (["scl:0,1,dist"], Engine.scl(0, 1, "distance").stages),
+            (["smcn"], Engine.smcn().stages),
+        ],
+        ids=["homp", "homp_rounds_1", "scl_01_dist", "smcn"],
+    )
+    def test_emit_colors_of_the_engine_run(self, capsys, cyl_file, mob_file, argv, stages):
+        code, out, _ = run(capsys, "distinguish", cyl_file, mob_file, "--engine", *argv, "--emit-colors")
+        assert code == 0
+        emitted = json.loads(out.splitlines()[1])
+        ccs = [decode_json(open(path, "rb").read()) for path in (cyl_file, mob_file)]
+        expected = [
+            {"rank_histograms": [list(map(list, h)) for h in fp.rank_histograms]}
+            for fp in smcn_refine(ccs, stages)
+        ]
+        assert emitted == expected
+        if argv == ["smcn"]:  # smcn separates the strips by their cell colors
+            assert emitted[0] != emitted[1]
+
+    def test_emit_colors_oracle_prints_none(self, capsys, cyl_file, mob_file):
+        code, out, _ = run(
+            capsys, "distinguish", cyl_file, mob_file, "--engine", "oracle", "--emit-colors"
+        )
+        assert code == 0
+        assert out == "distinguished (engine oracle, round None)\n"
 
 
 class TestCoverCmds:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cckit import refinement
 from cckit.complex import (
     SimpleGraph,
     build_cc,
@@ -247,6 +248,35 @@ def test_empty_pair_space_beside_a_full_one(name, empty_first):
     assert_kernel_matches_reference([a, b], engine)
     joint = distinguish(a, b, engine)
     assert distinguish(a, b, engine) == joint  # the second call compares traces
+
+
+@pytest.mark.parametrize("fixture", ["torus_18", "strips"])
+def test_equal_rounds_share_one_gather_build(monkeypatch, fixture):
+    # gathers are keyed by value: pair blocks on the same ranks share one
+    # build, and so do a None spec block and its natural specs as a list
+    counts = {"_build_gathers": 0, "_build": 0}
+    build_gathers, build = refinement._build_gathers, CellColors._build
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(refinement, "_build_gathers", counted("_build_gathers", build_gathers))
+    monkeypatch.setattr(CellColors, "_build", counted("_build", build))
+    stages = (
+        SclBlock(0, 1, "binary", 2),
+        PoolStage(),
+        HompBlock(None, 1),
+        SclBlock(0, 1, "distance", None),
+        PoolStage(),
+        HompBlock(list(natural_specs(2)), 1),
+    )
+    ccs = list(FIXTURES[fixture]())
+    assert {cc.dimension for cc in ccs} == {2}
+    assert_kernel_matches_reference(ccs, Engine.smcn(stages))
+    assert counts == {"_build_gathers": 1, "_build": 1}
 
 
 @settings(max_examples=40, deadline=None)

@@ -86,6 +86,14 @@ class TestSclRefine:
         assert len(colors[False]) == 1
         assert colors[True] != colors[False]
 
+    def test_histogram(self):
+        # the distinct pair colors, ascending, with their counts; the 16
+        # pairs of a 4-cycle split into 8 incident and 8 other pairs
+        pc = scl_refine(graph_as_cc(cycle_graph(4)), 0, 1, marking="binary")
+        flat = [c for row in pc.colors for c in row]
+        assert pc.histogram() == tuple((c, flat.count(c)) for c in sorted(set(flat)))
+        assert sorted(n for _, n in pc.histogram()) == [8, 8]
+
     def test_dims(self):
         cc = cylinder((3, 4))
         pc = scl_refine(cc, 0, 2, marking="distance", rounds=2)

@@ -219,6 +219,20 @@ class TestAdmission:
         assert not has_trace(y, engine)
         assert has_trace(x, engine) and has_trace(z, engine)
 
+    def test_list_spec_stages_are_traced(self):
+        # a spec list is held as a tuple, so the block equals and hashes as
+        # its tuple form, and its engine reuses traces like any other
+        specs = [adjacency(0, 1), adjacency(1, 2)]
+        block, as_tuple = HompBlock(specs, None), HompBlock(tuple(specs), None)
+        assert block == as_tuple and hash(block) == hash(as_tuple)
+        engine = Engine("homp:list", [block])
+        assert engine.stages == (as_tuple,)
+        ccs = [fresh(torus((3, 6))), disjoint_union(torus((3, 3)), torus((3, 3))), fresh(torus((3, 6)))]
+        for a, b in [(ccs[0], ccs[1]), (ccs[0], ccs[2]), (ccs[1], ccs[2])]:
+            assert verdict(a, b, engine) == joint_verdict(a, b, engine.stages)
+        assert all(has_trace(cc, engine) for cc in ccs)
+        assert all(has_trace(cc, Engine("homp:tuple", (as_tuple,))) for cc in ccs)
+
     def test_engines_trace_separately(self):
         a, b, c = (fresh(torus((3, 6))) for _ in range(3))
         distinguish(a, b, ENGINES["homp"])
@@ -243,11 +257,3 @@ class TestErrors:
             with pytest.raises(MarkingUnsupported):
                 distinguish(a, b, engine)
         assert not any(has_trace(cc, engine) for cc in ccs)
-
-    def test_unhashable_stages_run_jointly(self):
-        # a spec list makes the stages unhashable: nothing is cached
-        engine = Engine("homp:list", (HompBlock([adjacency(0, 1), adjacency(1, 2)], None),))
-        ccs = [fresh(torus((3, 6))), disjoint_union(torus((3, 3)), torus((3, 3))), fresh(torus((3, 6)))]
-        for a, b in [(ccs[0], ccs[1]), (ccs[0], ccs[2]), (ccs[1], ccs[2])]:
-            assert verdict(a, b, engine) == joint_verdict(a, b, engine.stages)
-        assert all(not cc._traces for cc in ccs)
