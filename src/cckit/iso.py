@@ -40,6 +40,17 @@ ranks and containment, which an isomorphism keeps:
   such a map preserves containment both ways: an isomorphism, by the
   argument of :mod:`cckit.covering`.
 
+Siblings are batched.  Once the first sibling of a branch point (x against
+the first cell of its class in b) has failed, the remaining siblings are
+refined together as one state over a and copies of b, each copy with its own
+cell individualized against x (:class:`_Batch`).  Color refinement of a
+disjoint union restricts to each part (Grohe, Kersting, Mladenov &
+Schweitzer, "Color Refinement and Its Applications", 2021), so each copy
+ends in the stable colors, or the divergence, of its sibling's own run.  The
+siblings are then taken in order, one node each, and the batch's speculative
+refinement counts no node: node counts, witnesses, verdicts and the node at
+which a budget runs out are those of refining each sibling alone.
+
 Positive answers carry a witness map of the whole complexes, assembled from
 the component maps and verified once before being returned by
 :func:`cckit.covering.check_isomorphism`, as a bijective covering; by the
@@ -48,6 +59,7 @@ argument above a discrete leaf of the search needs no check of its own.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -61,9 +73,11 @@ from .covering import CellMap, check_isomorphism
 from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
 from .refinement import CellColors, HompBlock, _updates
+from ._rowkeys import index_dtype
 
 DEFAULT_BUDGET = 200_000
 BUDGET_ENV_VAR = "CCKIT_ORACLE_BUDGET"
+BATCH_CELLS = 1 << 16  # cells of one batch of siblings (see _Batch)
 
 
 @dataclass(frozen=True)
@@ -109,19 +123,24 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
     (:func:`_incidence_block`, built once per search; the state builds its
     gathers at the first node and reuses them) and is abandoned as soon as
     the two complexes' class sizes differ (colors only split, so a divergence
-    never heals).  Then one cell of a in the smallest non-singleton class is
-    individualized against each cell of b in it, in order.  The search is
-    depth-first with an explicit stack of open branches: twins need one level
-    each, more than the interpreter's recursion allows.  A discrete partition
-    is a witness (see the module docstring).
+    never heals).  Then one cell x of a in the smallest non-singleton class is
+    individualized against each cell y of b in it, in order.  The first
+    sibling runs alone, as most positive searches end below it; once its
+    subtree has failed, the remaining siblings are refined together in
+    batches (:class:`_Batch`) and then taken in order, one budget unit each,
+    exactly as if each had been refined alone.  The search is depth-first
+    with an explicit stack of open branch points: twins need one level each,
+    more than the interpreter's recursion allows.  A discrete partition is a
+    witness (see the module docstring).
     """
     block = _incidence_block(state.ell)
     in_a = state.owner == 0
-    branches = []  # per open node: its colors, class count, a's cell and b's cells left
+    branches: list[_Branch] = []
+    counter.spend()
+    agrees = _refine(state, block)
     while True:
-        counter.spend()
-        if all(state.agree() for _ in _updates(state, block)):
-            colors, k = state.colors, state.classes
+        if agrees:
+            colors = state.colors
             sizes = state.class_counts()[0]
             if sizes.max() == 1:
                 return _leaf_map(state)
@@ -129,15 +148,146 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
             split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
             members = colors == split
             x = np.flatnonzero(members & in_a)[0]
-            branches.append((colors, k, x, iter(np.flatnonzero(members & ~in_a))))
-        while branches and (y := next(branches[-1][3], None)) is None:
-            branches.pop()
-        if not branches:
+            branches.append(_Branch(colors, state.classes, x, np.flatnonzero(members & ~in_a)))
+        agrees = None
+        while agrees is None:
+            if not branches:
+                return None
+            agrees = branches[-1].next_sibling(state, block, counter)
+            if agrees is None:
+                branches.pop()
+
+
+def _refine(state: CellColors, block: HompBlock) -> bool:
+    """Refine state to stability, stopping at the first tick whose class
+    sizes differ between the two complexes; True when they never did."""
+    return all(state.agree() for _ in _updates(state, block))
+
+
+class _Branch:
+    """An open branch point: its stable colors and class count, a's cell x,
+    the cells ys of b in x's class, the index of the next y, and the batch
+    holding the refined siblings the search is taking."""
+
+    __slots__ = ("colors", "classes", "x", "ys", "next", "batch")
+
+    def __init__(self, colors: np.ndarray, classes: int, x: int, ys: np.ndarray):
+        self.colors, self.classes, self.x, self.ys = colors, classes, x, ys
+        self.next = 0
+        self.batch: _Batch | None = None
+
+    def next_sibling(self, state: CellColors, block: HompBlock, counter: _Counter) -> bool | None:
+        """Take the next sibling as one search node: leave its stable colors
+        in state and return True, return False when it diverged, or None when
+        every sibling has been taken."""
+        i = self.next
+        if i == len(self.ys):
             return None
-        colors, k, x, _ = branches[-1]
-        state.colors = colors.copy()
-        state.colors[[x, y]] = k  # a fresh color individualizes both cells
-        state.classes = k + 1
+        self.next += 1
+        counter.spend()
+        if i > 0 and (self.batch is None or i == self.batch.stop):
+            # (copies + 1) * size cells, a and b having equal skeleton sizes
+            copies = min(BATCH_CELLS // (len(state.colors) // 2) - 1, len(self.ys) - i)
+            self.batch = _Batch(state, block, self, i, copies) if copies > 1 else None
+        if self.batch is not None:
+            return self.batch.restore(i, state)
+        # the first sibling, or a batch of one: the pair run itself
+        state.colors = self.colors.copy()
+        state.colors[[self.x, self.ys[i]]] = self.classes  # a fresh color individualizes both
+        state.classes = self.classes + 1
+        return _refine(state, block)
+
+
+class _Batch:
+    """The siblings ys[start:stop] of a branch point, refined as one state
+    over [a, b, ..., b]: a with x individualized, and copy j of b with
+    ys[start + j] individualized, all to the branch's fresh color.
+
+    Refinement of a disjoint union restricts to each part: restricted to a
+    and one copy, each tick's partition is that of the pair run of its
+    sibling, and the pair run is stable once the restricted partition is.
+    Rows compare by the order of the colors they hold, so ids restricted to a
+    and the copy are the pair run's ids in the same order, and their dense
+    renumbering is the pair run's colors.  A copy whose class sizes ever
+    differ from a's is the pair run that diverged.  A batch holds at most
+    BATCH_CELLS cells and at least two copies; a sibling that would be the
+    only copy of its batch runs alone, as the pair run.
+
+    The batch reads its gathers from the pair state's, with each position of
+    b moved to its copy; it builds no neighborhood of its own.
+    """
+
+    __slots__ = ("start", "stop", "offset", "stride", "colors", "classes", "diverged")
+
+    def __init__(self, state: CellColors, block: HompBlock, branch: _Branch, start: int, copies: int):
+        a, b = state.ccs
+        self.start, self.stop = start, start + copies
+        batch = CellColors([a] + [b] * copies, state.ell)
+        # pair position p lies at offset[p] + j * stride[p] in copy j of b (see
+        # positions); the appended entry maps the -1 pad to itself
+        self.offset = np.full(len(state.colors) + 1, -1, dtype=np.int64)
+        self.stride = np.zeros(len(state.colors) + 1, dtype=np.int64)
+        for r in range(state.ell + 1):
+            for ci in (0, 1):
+                own = batch.span(ci, r)
+                self.offset[state.span(ci, r)] = np.arange(own.start, own.stop)
+            self.stride[state.span(1, r)] = own.stop - own.start  # copy 0 of b
+        dtype = index_dtype(len(batch.colors) + 1)
+        gathers = []
+        for r, (span, index, segment) in enumerate(state.cell_gathers(block.specs)):
+            half = (span.stop - span.start) // 2  # a's rows, then b's
+            tiled = self.positions(np.arange(copies)[:, None, None], index[half:])
+            rows = np.concatenate([self.offset[index[:half]], tiled.reshape(-1, index.shape[1])])
+            gathers.append((batch.rank_span(r), rows.astype(dtype), segment))
+        batch._gathers[block.specs] = gathers  # so the batch builds none of its own
+        k = branch.classes
+        colors = np.empty(len(batch.colors), dtype=np.int64)
+        colors[self.positions(np.arange(copies)[:, None], slice(-1))] = branch.colors
+        ys = branch.ys[start : self.stop]
+        colors[self.positions(np.arange(copies), ys)] = k
+        colors[self.offset[branch.x]] = k
+        batch.colors, batch.classes = colors, k + 1
+        # one row per copy of b: its class sizes differed from a's at some tick
+        self.diverged = np.zeros(copies, dtype=bool)
+        for _ in _updates(batch, block):
+            self.diverged |= _disagreeing(batch)
+            if self.diverged.all():
+                break
+        self.colors, self.classes = batch.colors, batch.classes
+
+    def positions(self, j, p) -> np.ndarray:
+        """Batch positions of pair positions p (indices into offset, whose last
+        entry is the pad) in copies j of b."""
+        return self.offset[p] + j * self.stride[p]
+
+    def restore(self, i: int, state: CellColors) -> bool:
+        """Leave sibling i's stable pair colors in state, or return False
+        when its pair run diverged."""
+        j = i - self.start
+        if self.diverged[j]:
+            return False
+        colors = self.colors[self.positions(j, slice(-1))]
+        present = np.zeros(self.classes, dtype=bool)
+        present[colors] = True
+        state.colors = (np.cumsum(present) - 1)[colors]
+        state.classes = int(np.count_nonzero(present))
+        return True
+
+
+def _disagreeing(batch: CellColors) -> np.ndarray:
+    """Per copy of b in a batch: whether its class sizes differ from a's.
+
+    Colors a lacks share one extra column, so the count matrix has a column
+    per color of a plus one: at most one entry per cell of the batch, where a
+    column per batch color could grow with the square of the copies."""
+    colors, parts = batch.colors, len(batch.ccs)
+    present = np.zeros(batch.classes, dtype=bool)
+    present[colors[batch.owner == 0]] = True
+    width = int(np.count_nonzero(present)) + 1
+    column = np.where(present, np.cumsum(present) - 1, width - 1)[colors]
+    counts = np.bincount(batch.owner * width + column, minlength=parts * width)
+    counts = counts.reshape(parts, width)
+    return (counts[1:] != counts[0]).any(axis=1)
 
 
 def _leaf_map(state: CellColors) -> CellMap:
@@ -256,11 +406,16 @@ def cc_isomorphic(
 
     The search budget caps explored refinement nodes; on exhaustion the
     result is unknown (isomorphic=None) rather than hanging.  Budget defaults
-    to the CCKIT_ORACLE_BUDGET environment variable (:func:`env_budget`).
+    to the CCKIT_ORACLE_BUDGET environment variable (:func:`env_budget`); an
+    explicit one that is not a non-negative integer raises BadParams.
     Complexes whose skeleton sizes or component signatures differ are
     rejected with no node explored.
     """
-    counter = _Counter(env_budget() if budget is None else budget)
+    if budget is None:
+        budget = env_budget()
+    elif isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 0:
+        raise BadParams(f"budget={budget!r} is not a non-negative integer")
+    counter = _Counter(int(budget))
     if a.dimension != b.dimension or a.skeleton_sizes() != b.skeleton_sizes():
         return IsoResult(isomorphic=False)
     if _components(a)[1] != _components(b)[1]:

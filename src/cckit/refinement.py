@@ -243,11 +243,16 @@ class CellColors:
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
         """One simultaneous update over the specs; returns False once the
         partition is stable."""
+        return self.update(self, self.cell_gathers(specs))
+
+    def cell_gathers(self, specs: tuple[NeighborhoodSpec, ...]) -> list[tuple]:
+        """The (span, index, segment) gathers of a cell round over the specs,
+        one per rank, built on first use."""
         gathers = self._gathers.get(specs)
         if gathers is None:
             gathers = [(self.rank_span(r), *gather) for r, gather in enumerate(self._build(specs))]
             self._gathers[specs] = gathers
-        return self.update(self, gathers)
+        return gathers
 
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
         """Per rank: the gather matrix over all complexes and each column's
@@ -555,6 +560,8 @@ class Verdict:
     def __str__(self) -> str:
         if self.distinguished:
             return f"distinguished (engine {self.engine}, round {self.round})"
+        if self.engine == "oracle:unknown":  # the budget ran out: neither verdict holds
+            return f"unknown (engine {self.engine})"
         return f"indistinguishable (engine {self.engine})"
 
 

@@ -8,7 +8,9 @@ neighborhood / rank / cycle machinery, so tests cross two separate routes.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations, permutations, product
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -27,8 +29,9 @@ from cckit.complex import (
 )
 from cckit.errors import RankViolation
 from cckit.invariants import INFINITE, Orientability, OrientabilityVerdict
+from cckit import iso
 from cckit.iso import _assemble_witness, _component_witness, _Counter, split_components
-from cckit.refinement import HompBlock, SclBlock
+from cckit.refinement import CellColors, HompBlock, SclBlock, _updates
 
 
 def brute_neighborhood(
@@ -529,6 +532,78 @@ def reference_witness(a: CombinatorialComplex, b: CombinatorialComplex):
     if matching is None:
         return None
     return _assemble_witness(a, b, comps_a, comps_b, matching).images
+
+
+def sequential_search(state: CellColors, counter: _Counter):
+    """The oracle's search with every sibling of a branch point refined alone,
+    as cckit.iso ran it before it batched siblings: the reference for the
+    batched search's node counts, witnesses and verdicts."""
+    block = iso._incidence_block(state.ell)
+    in_a = state.owner == 0
+    branches = []  # per open node: its colors, class count, a's cell and b's cells left
+    while True:
+        counter.spend()
+        if all(state.agree() for _ in _updates(state, block)):
+            colors, k = state.colors, state.classes
+            sizes = state.class_counts()[0]
+            if sizes.max() == 1:
+                return iso._leaf_map(state)
+            split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
+            members = colors == split
+            x = np.flatnonzero(members & in_a)[0]
+            branches.append((colors, k, x, iter(np.flatnonzero(members & ~in_a))))
+        while branches and (y := next(branches[-1][3], None)) is None:
+            branches.pop()
+        if not branches:
+            return None
+        colors, k, x, _ = branches[-1]
+        state.colors = colors.copy()
+        state.colors[[x, y]] = k
+        state.classes = k + 1
+
+
+@contextmanager
+def sequential_oracle():
+    """cckit.iso with sequential_search in place of its batched search."""
+    with mock.patch.object(iso, "_search", sequential_search):
+        yield
+
+
+def cfi_pair(edges: list[tuple[int, int]]) -> tuple[CombinatorialComplex, CombinatorialComplex]:
+    """The Cai-Fuerer-Immerman graphs of a connected graph, untwisted and
+    twisted at its first edge, as 1-complexes.
+
+    Each vertex v becomes the middle nodes m(v, S) for the even-size subsets
+    S of its edges, then the end nodes a(v, e, 0) and a(v, e, 1) for each
+    edge e at v; m(v, S) joins a(v, e, 1) for e in S and a(v, e, 0)
+    otherwise.  An edge {u, v} joins a(u, e, i) to a(v, e, i), or to
+    a(v, e, 1 - i) where it is twisted.  The two graphs are not isomorphic.
+    """
+    incident: dict[int, list[int]] = {}
+    for e, (u, v) in enumerate(edges):
+        incident.setdefault(u, []).append(e)
+        incident.setdefault(v, []).append(e)
+    ends: dict[tuple[int, int, int], int] = {}
+    nodes = 0
+    gadget = []
+    for v, es in sorted(incident.items()):
+        subsets = [c for size in range(0, len(es) + 1, 2) for c in combinations(es, size)]
+        first_end = nodes + len(subsets)
+        for k, (e, i) in enumerate(product(es, (0, 1))):
+            ends[v, e, i] = first_end + k
+        for m, chosen in enumerate(subsets, start=nodes):
+            gadget += [(m, ends[v, e, int(e in chosen)]) for e in es]
+        nodes = first_end + 2 * len(es)
+
+    def build(twisted: bool) -> CombinatorialComplex:
+        links = [
+            (ends[u, e, i], ends[v, e, i ^ (twisted and e == 0)])
+            for e, (u, v) in enumerate(edges)
+            for i in (0, 1)
+        ]
+        return build_cc([(tuple(sorted(pair)), 1) for pair in gadget + links], nodes)
+
+    return build(False), build(True)
 
 
 def reference_components(cc: CombinatorialComplex):

@@ -260,6 +260,18 @@ class TestDistinguishCmd:
         assert code == 0
         assert out == "distinguished (engine oracle, round None)\n"
 
+    def test_oracle_unknown(self, capsys, monkeypatch, tmp_path):
+        # a search whose budget runs out decides nothing: it prints "unknown",
+        # never "indistinguishable", and still exits 0
+        paths = []
+        for periods in ((4, 10), (5, 8)):
+            paths.append(tmp_path / f"torus{periods[0]}x{periods[1]}.json")
+            paths[-1].write_bytes(encode_json(torus(periods)))
+        monkeypatch.setenv("CCKIT_ORACLE_BUDGET", "3")
+        code, out, _ = run(capsys, "distinguish", *map(str, paths), "--engine", "oracle")
+        assert code == 0
+        assert out == "unknown (engine oracle:unknown)\n"
+
 
 class TestCoverCmds:
     def test_verify_cover_ok(self, capsys, tmp_path):

@@ -2,6 +2,8 @@ import functools
 import inspect
 import random
 import sys
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cckit.complex import (
     disjoint_union_all,
     graph_as_cc,
 )
+from cckit import bench, iso
 from cckit.covering import CellMap, torus_mod_cover
 from cckit.errors import BadParams, DuplicateCell, RankViolation
 from cckit.generators import cycle_graph, cylinder, moebius, mog_example_pair, star_graph, torus
@@ -31,11 +34,13 @@ from cckit.lifting import cyclic_lift, mog_pool, triangular_lift
 from helpers import (
     arbitrary_complexes,
     brute_isomorphic,
+    cfi_pair,
     random_graph,
     random_split_graph,
     reference_components,
     reference_witness,
     relabel_complex,
+    sequential_oracle,
 )
 
 
@@ -197,6 +202,47 @@ class TestOracle:
             cc_isomorphic(torus((4, 10)), torus((5, 8)))
         # an explicit budget does not read the variable
         assert cc_isomorphic(torus((3, 4)), torus((4, 3)), budget=10).isomorphic is True
+
+    @pytest.mark.parametrize("budget", [-5, 2.5, True, "10"])
+    def test_budget_not_a_non_negative_integer(self, budget):
+        with pytest.raises(BadParams, match=f"budget={budget!r}"):
+            cc_isomorphic(torus((4, 10)), torus((5, 8)), budget=budget)
+
+    def test_numpy_integer_budget(self):
+        res = cc_isomorphic(torus((4, 10)), torus((5, 8)), budget=np.int64(40))
+        assert (res.isomorphic, res.nodes_explored) == (None, 41)
+
+
+CFI_BASES = {
+    "K4": list(combinations(range(4), 2)),
+    "prism": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+    "K33": [(u, v) for u in range(3) for v in range(3, 6)],
+    "petersen": [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+}
+
+
+class TestCFI:
+    """Cai-Fuerer-Immerman pairs, twisted against untwisted: refinement never
+    separates them, so a non-isomorphic pair walks the whole search tree."""
+
+    @pytest.mark.parametrize("base, nodes", [("K4", 185), ("prism", 397)])
+    def test_not_isomorphic(self, base, nodes):
+        res = cc_isomorphic(*cfi_pair(CFI_BASES[base]))
+        assert (res.isomorphic, res.nodes_explored) == (False, nodes)
+
+    @pytest.mark.parametrize("base", ["K33", "petersen"])
+    def test_small_budget_ends_unknown(self, base):
+        res = cc_isomorphic(*cfi_pair(CFI_BASES[base]), budget=50)
+        assert (res.isomorphic, res.nodes_explored) == (None, 51)
+
+    @pytest.mark.parametrize("base", ["K4", "petersen"])
+    def test_relabeling_is_isomorphic(self, base):
+        twisted = cfi_pair(CFI_BASES[base])[1]
+        res = cc_isomorphic(twisted, shuffled(twisted, 7))
+        assert res.isomorphic is True
+        assert check_isomorphism(res.witness) is None
 
 
 class TestComponentMatching:
@@ -370,6 +416,92 @@ class TestComponentWitness:
         incidence = {NeighborhoodKind.INCIDENCE_UP, NeighborhoodKind.INCIDENCE_DOWN}
         for cc in (a, b):
             assert {spec.kind for spec in cc._csr_cache} <= incidence
+
+
+def outcome(res) -> tuple:
+    images = None if res.witness is None else [row.tolist() for row in res.witness.images]
+    return res.isomorphic, res.nodes_explored, images
+
+
+def assert_matches_sequential(a, b, budget=None) -> None:
+    """The batched search agrees with the search that refines every sibling
+    alone: verdict, node count and witness."""
+    batched = outcome(cc_isomorphic(a, b, budget))
+    with sequential_oracle():
+        assert batched == outcome(cc_isomorphic(a, b, budget))
+
+
+class TestBatchedSearch:
+    """The siblings of a branch point refined as one batch: differential
+    against the sequential search, and the batch's cell cap."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def torus_pairs():
+        groups = [us for us in bench.enumerate_torus_unions(bench.TorusDatasetSpec(18, 40, 3)).values() if len(us) > 1]
+        ccs = {u: bench.build_union(u) for us in groups for u in us}
+        pairs = [(ccs[a], ccs[b]) for us in groups for a, b in combinations(us, 2)]
+        return list(ccs.values()), pairs
+
+    def test_torus_pairs(self):
+        unions, pairs = self.torus_pairs()
+        assert len(pairs) == 223
+        with mock.patch.object(iso, "_Batch", wraps=iso._Batch) as batches:
+            for seed, (a, b) in enumerate(pairs):
+                assert_matches_sequential(a, b)
+                assert_matches_sequential(shuffled(a, seed), shuffled(b, seed + 1))
+        assert batches.call_count > 0
+        for seed, cc in enumerate(unions):
+            assert_matches_sequential(cc, shuffled(cc, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_complexes(), st.integers(0, 10**6))
+    def test_relabelings(self, cc, seed):
+        assert_matches_sequential(cc, shuffled(cc, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_pairs())
+    def test_non_isomorphic_pairs(self, pair):
+        assert_matches_sequential(*pair)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lifts_and_pools(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(4, 9), 0.45)
+        h = random_graph(rng, g.num_nodes, 0.45)
+        for make in (lambda g: cyclic_lift(g, 6), mog_pool):
+            cc = make(g)
+            assert_matches_sequential(cc, shuffled(cc, seed))
+            assert_matches_sequential(cc, make(h))
+
+    @pytest.mark.parametrize("a, b, nodes", [((4, 10), (5, 8), 41), ((3, 12), (6, 6), 37)])
+    def test_unknown_at_the_same_node(self, a, b, nodes):
+        a, b = torus(a), torus(b)
+        with mock.patch.object(iso, "_Batch", wraps=iso._Batch) as batches:
+            for budget in range(nodes + 1):
+                assert_matches_sequential(a, b, budget)
+        assert batches.call_count > 0
+
+    @pytest.mark.parametrize("cap, most", [(None, 112), (1, 0), (2, 2), (3, 3), (5, 5)])
+    def test_batch_cap(self, monkeypatch, cap, most):
+        """Every batch holds at most BATCH_CELLS cells, here the default or
+        room for cap copies of a 160-cell torus next to the other; a batch
+        holds at least two copies, so a cap of one batches nothing."""
+        a, b = (torus((4, 10)), torus((5, 8))) if cap else (torus((12, 12)), torus((9, 16)))
+        if cap:
+            monkeypatch.setattr(iso, "BATCH_CELLS", (cap + 1) * 160 + 159)
+        sizes = []
+
+        class Recorded(iso.CellColors):
+            def __init__(self, ccs, ell):
+                super().__init__(ccs, ell)
+                sizes.append((len(ccs) - 1, len(self.colors)))
+
+        monkeypatch.setattr(iso, "CellColors", Recorded)
+        assert_matches_sequential(a, b)
+        batches = [(copies, cells) for copies, cells in sizes if copies > 1]
+        assert all(cells <= iso.BATCH_CELLS for _, cells in batches)
+        assert max((copies for copies, _ in batches), default=0) == most
 
 
 class TestVF2Differential:
