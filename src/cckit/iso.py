@@ -73,7 +73,6 @@ from .covering import CellMap, check_isomorphism
 from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
 from .refinement import CellColors, HompBlock, _updates
-from ._rowkeys import index_dtype
 
 DEFAULT_BUDGET = 200_000
 BUDGET_ENV_VAR = "CCKIT_ORACLE_BUDGET"
@@ -185,12 +184,15 @@ class _Branch:
             return None
         self.next += 1
         counter.spend()
-        if i > 0 and (self.batch is None or i == self.batch.stop):
+        if i > 0 and self.batch is None:
             # (copies + 1) * size cells, a and b having equal skeleton sizes
             copies = min(BATCH_CELLS // (len(state.colors) // 2) - 1, len(self.ys) - i)
             self.batch = _Batch(state, block, self, i, copies) if copies > 1 else None
         if self.batch is not None:
-            return self.batch.restore(i, state)
+            batch = self.batch
+            if i + 1 == batch.stop:
+                self.batch = None  # its last sibling: held no longer while the search descends
+            return batch.restore(i, state)
         # the first sibling, or a batch of one: the pair run itself
         state.colors = self.colors.copy()
         state.colors[[self.x, self.ys[i]]] = self.classes  # a fresh color individualizes both
@@ -213,60 +215,44 @@ class _Batch:
     BATCH_CELLS cells and at least two copies; a sibling that would be the
     only copy of its batch runs alone, as the pair run.
 
-    The batch reads its gathers from the pair state's, with each position of
-    b moved to its copy; it builds no neighborhood of its own.
+    The batch state reads gathers tiled from the pair state's
+    (:meth:`~cckit.refinement.CellColors.tiled`) and builds no neighborhood
+    of its own.  Once refined, only the stable colors of the copies that
+    agreed are kept, one row of the pair's size each, and the branch drops
+    the batch when it takes its last sibling.
     """
 
-    __slots__ = ("start", "stop", "offset", "stride", "colors", "classes", "diverged")
+    __slots__ = ("start", "stop", "rows", "stable", "classes")
 
     def __init__(self, state: CellColors, block: HompBlock, branch: _Branch, start: int, copies: int):
-        a, b = state.ccs
         self.start, self.stop = start, start + copies
-        batch = CellColors([a] + [b] * copies, state.ell)
-        # pair position p lies at offset[p] + j * stride[p] in copy j of b (see
-        # positions); the appended entry maps the -1 pad to itself
-        self.offset = np.full(len(state.colors) + 1, -1, dtype=np.int64)
-        self.stride = np.zeros(len(state.colors) + 1, dtype=np.int64)
-        for r in range(state.ell + 1):
-            for ci in (0, 1):
-                own = batch.span(ci, r)
-                self.offset[state.span(ci, r)] = np.arange(own.start, own.stop)
-            self.stride[state.span(1, r)] = own.stop - own.start  # copy 0 of b
-        dtype = index_dtype(len(batch.colors) + 1)
-        gathers = []
-        for r, (span, index, segment) in enumerate(state.cell_gathers(block.specs)):
-            half = (span.stop - span.start) // 2  # a's rows, then b's
-            tiled = self.positions(np.arange(copies)[:, None, None], index[half:])
-            rows = np.concatenate([self.offset[index[:half]], tiled.reshape(-1, index.shape[1])])
-            gathers.append((batch.rank_span(r), rows.astype(dtype), segment))
-        batch._gathers[block.specs] = gathers  # so the batch builds none of its own
+        batch, offset, stride = state.tiled(copies, block.specs)
+        copy = np.arange(copies)
+        ys = branch.ys[start : self.stop]
         k = branch.classes
         colors = np.empty(len(batch.colors), dtype=np.int64)
-        colors[self.positions(np.arange(copies)[:, None], slice(-1))] = branch.colors
-        ys = branch.ys[start : self.stop]
-        colors[self.positions(np.arange(copies), ys)] = k
-        colors[self.offset[branch.x]] = k
+        colors[offset + copy[:, None] * stride] = branch.colors
+        colors[offset[ys] + copy * stride[ys]] = k
+        colors[offset[branch.x]] = k
         batch.colors, batch.classes = colors, k + 1
-        # one row per copy of b: its class sizes differed from a's at some tick
-        self.diverged = np.zeros(copies, dtype=bool)
+        # per copy of b: its class sizes differed from a's at some tick
+        diverged = np.zeros(copies, dtype=bool)
         for _ in _updates(batch, block):
-            self.diverged |= _disagreeing(batch)
-            if self.diverged.all():
+            diverged |= _disagreeing(batch)
+            if diverged.all():
                 break
-        self.colors, self.classes = batch.colors, batch.classes
-
-    def positions(self, j, p) -> np.ndarray:
-        """Batch positions of pair positions p (indices into offset, whose last
-        entry is the pad) in copies j of b."""
-        return self.offset[p] + j * self.stride[p]
+        agreed = np.flatnonzero(~diverged)
+        self.rows = np.where(diverged, -1, np.cumsum(~diverged) - 1)  # per copy: its row of stable
+        self.stable = batch.colors[offset + agreed[:, None] * stride]
+        self.classes = batch.classes
 
     def restore(self, i: int, state: CellColors) -> bool:
         """Leave sibling i's stable pair colors in state, or return False
         when its pair run diverged."""
-        j = i - self.start
-        if self.diverged[j]:
+        row = self.rows[i - self.start]
+        if row < 0:
             return False
-        colors = self.colors[self.positions(j, slice(-1))]
+        colors = self.stable[row]
         present = np.zeros(self.classes, dtype=bool)
         present[colors] = True
         state.colors = (np.cumsum(present) - 1)[colors]

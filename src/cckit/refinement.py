@@ -254,6 +254,40 @@ class CellColors:
             self._gathers[specs] = gathers
         return gathers
 
+    def tiled(
+        self, copies: int, specs: tuple[NeighborhoodSpec, ...]
+    ) -> tuple[CellColors, np.ndarray, np.ndarray]:
+        """From a state over two complexes (a, b): a state over [a, b, ..., b]
+        with copies of b, holding the gathers of a cell round over the specs,
+        tiled from this state's own by index arithmetic, so the batch builds
+        no neighborhood; and the map of positions, position p of this state
+        lying at offset[p] + j * stride[p] in the batch state (in copy j of b
+        for b's cells; a's cells have stride 0).  Colors are left initial."""
+        a, b = self.ccs
+        batch = type(self)([a] + [b] * copies, self.ell)
+        n = len(self.colors)
+        # the appended entry maps the -1 pad of a gather to the batch's pad
+        offset = np.full(n + 1, -1, dtype=np.int64)
+        stride = np.zeros(n + 1, dtype=np.int64)
+        for r in range(self.ell + 1):
+            for ci in (0, 1):
+                own = batch.span(ci, r)
+                offset[self.span(ci, r)] = np.arange(own.start, own.stop)
+            stride[self.span(1, r)] = own.stop - own.start  # copy 0 of b
+        dtype = index_dtype(len(batch.colors) + 1)
+        gathers = []
+        for r, (_, index, segment) in enumerate(self.cell_gathers(specs)):
+            own = self.span(0, r)  # the rank's rows: a's, then b's
+            na = own.stop - own.start
+            tail = index[na:]
+            copied = offset[tail] + np.arange(copies)[:, None, None] * stride[tail]
+            # explicit sizes: a rank without cells or neighbors has size 0
+            copied = copied.reshape(copies * len(tail), index.shape[1])
+            rows = np.concatenate([offset[index[:na]], copied]).astype(dtype)
+            gathers.append((batch.rank_span(r), rows, segment))
+        batch._gathers[specs] = gathers
+        return batch, offset[:n], stride[:n]
+
     def _build(self, specs: tuple[NeighborhoodSpec, ...]) -> list:
         """Per rank: the gather matrix over all complexes and each column's
         spec, as the spec's position among that rank's specs.  A spec without

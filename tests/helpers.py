@@ -655,6 +655,22 @@ def example_two_dim_complex() -> CombinatorialComplex:
     return build_cc(cells, 8)
 
 
+def klein_bottle(n: int, m: int) -> CombinatorialComplex:
+    """The n x m square grid on the Klein bottle: the torus grid with column
+    m glued to column 0 upside down, (i, m) ~ (-i, 0).  Its skeleton sizes,
+    degrees and squares per cell are the torus((n, m)) ones."""
+
+    def node(i: int, j: int) -> int:
+        return (-i % n) * m if j == m else (i % n) * m + j
+
+    cells = []
+    for i, j in product(range(n), range(m)):
+        square = (node(i, j), node(i + 1, j), node(i + 1, j + 1), node(i, j + 1))
+        cells += [(tuple(sorted(square[:2])), 1), (tuple(sorted(square[::3])), 1)]
+        cells.append((tuple(sorted(square)), 2))
+    return build_cc(cells, n * m)
+
+
 def random_graph(rng, num_nodes: int, edge_prob: float) -> SimpleGraph:
     edges = [
         (u, v)

@@ -35,6 +35,7 @@ from helpers import (
     arbitrary_complexes,
     brute_isomorphic,
     cfi_pair,
+    klein_bottle,
     random_graph,
     random_split_graph,
     reference_components,
@@ -453,6 +454,39 @@ class TestBatchedSearch:
         assert batches.call_count > 0
         for seed, cc in enumerate(unions):
             assert_matches_sequential(cc, shuffled(cc, seed))
+
+    def test_empty_middle_rank(self):
+        """Batches tile a rank without cells: the cube and the Moebius ladder
+        on 8 vertices, both cubic, with their edges as rank-2 cells and no
+        rank-1 cells; the vertex class has 8 siblings, so 7 are batched."""
+        cube = [((u, u ^ 1 << k), 2) for u in range(8) for k in range(3) if u < u ^ 1 << k]
+        ladder = [((i, (i + 1) % 8), 2) for i in range(8)] + [((i, i + 4), 2) for i in range(4)]
+        a, b = build_cc(cube, 8), build_cc(ladder, 8)
+        assert a.skeleton_sizes() == b.skeleton_sizes() == (8, 0, 12)
+        with mock.patch.object(iso, "_Batch", wraps=iso._Batch) as batches:
+            assert_matches_sequential(a, b)
+            assert_matches_sequential(a, shuffled(a, 0))
+        assert batches.call_count > 0
+        assert cc_isomorphic(a, b).isomorphic is False
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (8, 10)])
+    def test_torus_against_klein_bottle(self, n, m):
+        """The n x m torus against the Klein bottle grid: equal skeleton sizes
+        and GF(2) Betti numbers, and batched siblings that agree with a's and
+        are restored to descend, which no torus pair has."""
+        a, b = torus((n, m)), klein_bottle(n, m)
+        restored = []
+        restore = iso._Batch.restore
+
+        def spy(batch, i, state):
+            restored.append(restore(batch, i, state))
+            return restored[-1]
+
+        with mock.patch.object(iso._Batch, "restore", spy):
+            assert_matches_sequential(a, b)
+        assert cc_isomorphic(a, b).isomorphic is False
+        assert any(restored) and not all(restored)
+        assert_matches_sequential(b, shuffled(b, n))
 
     @settings(max_examples=200, deadline=None)
     @given(arbitrary_complexes(), st.integers(0, 10**6))
