@@ -188,8 +188,14 @@ def write_dataset(pairs: Sequence[LabeledPair], fp) -> None:
 
 
 def read_dataset(fp) -> list[tuple[CombinatorialComplex, CombinatorialComplex, dict]]:
-    """Parse a dataset JSONL stream back into complex pairs plus metadata."""
+    """Parse a dataset JSONL stream back into complex pairs plus metadata.
+
+    Equal complexes come back as one object (complexes are read-only and
+    compare by content), so a union shared by several pairs is refined once
+    and its traces are reused (:func:`cckit.refinement.distinguish`).
+    """
     out = []
+    seen: dict[CombinatorialComplex, CombinatorialComplex] = {}
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
@@ -203,7 +209,7 @@ def read_dataset(fp) -> list[tuple[CombinatorialComplex, CombinatorialComplex, d
             ) from None
         except (json.JSONDecodeError, ParseError) as exc:
             raise ParseError(f"dataset line {lineno}: {exc}") from exc
-        out.append((left, right, doc))
+        out.append((seen.setdefault(left, left), seen.setdefault(right, right), doc))
     return out
 
 

@@ -285,9 +285,10 @@ class CombinatorialComplex:
     strictly increasing, and the cells are in lexicographic order.  Every
     index used by matrices, graphs and colorings derives from that order, so
     all outputs are deterministic.  Neighborhoods are CSR arrays too
-    (:meth:`neighbor_csr`); the tuple forms (:attr:`skeletons`,
-    :meth:`neighbor_lists`) are cached views built on first use.  All arrays
-    are read-only, since several callers may share one complex.  Use
+    (:meth:`neighbor_csr`).  The tuple forms (:attr:`skeletons`, :meth:`cells`,
+    :meth:`neighbor_lists`, :meth:`cell_position`) are cached views built
+    only when a caller asks; no constructor keeps them.  All arrays are
+    read-only, since several callers may share one complex.  Use
     :func:`build_cc` instead of calling this directly.
     """
 
@@ -304,16 +305,11 @@ class CombinatorialComplex:
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        num_nodes: int,
-        cells: tuple[Csr, ...],
-        skeletons: tuple[tuple[Verts, ...], ...] | None = None,
-    ):
+    def __init__(self, num_nodes: int, cells: tuple[Csr, ...]):
         self.num_nodes = num_nodes
         self.dimension = len(cells) - 1
         self._cells = tuple(_frozen(*csr) for csr in cells)
-        self._skeletons = skeletons
+        self._skeletons: tuple[tuple[Verts, ...], ...] | None = None
         self._index: dict[tuple[Verts, int], int] | None = None
         self._csr_cache: dict[NeighborhoodSpec, Csr] = {}
         self._lists_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
@@ -496,6 +492,8 @@ def build_cc(
     """
     if num_nodes < 1:
         raise OutOfRangeNode("a complex needs at least one node")
+    if num_nodes >= 2**63:  # node ids are int64
+        raise OutOfRangeNode(f"num_nodes {num_nodes} does not fit int64 node ids")
 
     seen: dict[tuple[Verts, int], None] = {}
     max_rank = 0
@@ -526,7 +524,7 @@ def build_cc(
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         verts = np.fromiter(chain.from_iterable(sk), dtype=np.int64, count=int(indptr[-1]))
         cells.append((indptr, verts))
-    return _validated(num_nodes, cells, tuple(map(tuple, skeletons)))
+    return _validated(num_nodes, cells)
 
 
 def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> CombinatorialComplex:
@@ -546,8 +544,8 @@ def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> Com
     return _validated(num_nodes, cells)
 
 
-def _validated(num_nodes: int, cells, skeletons=None) -> CombinatorialComplex:
-    cc = CombinatorialComplex(num_nodes, tuple(cells), skeletons)
+def _validated(num_nodes: int, cells) -> CombinatorialComplex:
+    cc = CombinatorialComplex(num_nodes, tuple(cells))
     _check_rank_monotonicity(cc)
     return cc
 
@@ -796,6 +794,8 @@ def _int_row(lineno: int, tokens: list[str], what: str) -> tuple[int, int]:
 def _edge_block(lineno: int, n: int, lines: list[tuple[int, list[str]]]) -> SimpleGraph:
     if n < 0:
         raise ParseError(f"line {lineno}: header 'n m' = {n} {len(lines)} inconsistent with input")
+    if n >= 2**63:  # node ids are int64
+        raise ParseError(f"line {lineno}: node count {n} does not fit int64 node ids")
     edges = []
     for edge_lineno, tokens in lines:
         u, v = _int_row(edge_lineno, tokens, "edge 'u v'")

@@ -426,7 +426,7 @@ def _component_witness(a, b, counter: _Counter) -> CellMap | None:
     identity when their content is equal, else the search's."""
     if a == b:
         return CellMap(a, b, tuple(np.arange(a.skeleton_size(r)) for r in range(a.dimension + 1)))
-    return _search(CellColors([a, b], a.dimension), counter)
+    return _search(CellColors([a, b]), counter)
 
 
 def _match_components(comps_a, comps_b, counter):

@@ -175,23 +175,25 @@ class CellColors:
     All cells sit in one array, rank by rank and within a rank complex by
     complex; each pair coloring (:class:`_PairState`) is one array too, so a
     cell round and a pair round are one update of a different coloring.
-    Initial colors are the ranks; every row starts with the old color, so
-    each color stays inside one rank.  With ``tabulate`` set, every update
+    Initial colors number the ranks holding a cell densely, so the colors
+    are 0..classes - 1 at every tick; every row starts with the old color,
+    so each color stays inside one rank.  With ``tabulate`` set, every update
     keeps the table of the rows it numbered in ``table``.  Gathers depend on
     a round's value alone, so one cache holds them, keyed by a cell round's
     specs tuple or a pair round's ranks (r1, r2): equal rounds share a build.
     """
 
-    def __init__(self, ccs: Sequence[CombinatorialComplex], ell: int):
+    def __init__(self, ccs: Sequence[CombinatorialComplex]):
         self.ccs = list(ccs)
-        self.ell = ell
+        self.ell = ell = max(cc.dimension for cc in self.ccs)
         m = len(self.ccs)
         sizes = [cc.skeleton_size(r) for r in range(ell + 1) for cc in self.ccs]
         self.starts = list(accumulate(sizes, initial=0))
         self.owner = np.tile(np.arange(m), ell + 1).repeat(sizes)
-        self.colors = np.arange(ell + 1).repeat(m).repeat(sizes)
-        # one class per rank with a cell in any complex
-        self.classes = sum(self.starts[(r + 1) * m] > self.starts[r * m] for r in range(ell + 1))
+        # one class per rank with a cell in any complex, numbered in rank order
+        held = np.cumsum([self.starts[(r + 1) * m] > self.starts[r * m] for r in range(ell + 1)])
+        self.colors = (held - 1).repeat(m).repeat(sizes)
+        self.classes = int(held[-1])
         self._gathers: dict[tuple, list[tuple]] = {}  # update-ready (span, index, segment) lists
         self.pair_states: list[_PairState] = []
         self.tabulate = False
@@ -209,7 +211,7 @@ class CellColors:
 
     def class_counts(self) -> np.ndarray:
         """(complexes, colors) matrix of class sizes."""
-        m, k = len(self.ccs), int(self.colors.max()) + 1
+        m, k = len(self.ccs), self.classes
         return np.bincount(self.owner * k + self.colors, minlength=m * k).reshape(m, k)
 
     def recolor(self, coloring: CellColors | _PairState, keys: np.ndarray) -> bool:
@@ -228,9 +230,7 @@ class CellColors:
         matrix gathers, a -1 reading the pad after the last color; True when
         the partition got finer."""
         colors = coloring.colors
-        # the largest color, not the class count: initial rank colors skip a
-        # rank without cells; an empty coloring (unsigned once compacted) has none
-        base = int(colors.max()) + 2 if len(colors) else 1
+        base = coloring.classes + 1
         dtype = key_dtype(row_span(base, [segment for _, _, segment in gathers]))
         width = 1 + max(index.shape[1] for _, index, _ in gathers)
         keys = np.zeros((len(colors), width), dtype=dtype)
@@ -264,7 +264,7 @@ class CellColors:
         lying at offset[p] + j * stride[p] in the batch state (in copy j of b
         for b's cells; a's cells have stride 0).  Colors are left initial."""
         a, b = self.ccs
-        batch = type(self)([a] + [b] * copies, self.ell)
+        batch = type(self)([a] + [b] * copies)
         n = len(self.colors)
         # the appended entry maps the -1 pad of a gather to the batch's pad
         offset = np.full(n + 1, -1, dtype=np.int64)
@@ -346,7 +346,7 @@ class CellColors:
         the marking of (x, y) (at least -1)."""
         r1, r2 = block.r1, block.r2
         marks = [_marking_matrix(cc, r1, r2, block.marking) for cc in self.ccs]
-        span = max([int(self.colors.max()) + 1] + [int(m.max(initial=0)) + 1 for m in marks])
+        span = max([self.classes] + [int(m.max(initial=0)) + 1 for m in marks])
         sizes = [m.size for m in marks]
         keys = np.zeros((sum(sizes), 3), dtype=key_dtype(span))
         for ci, (mark, start) in enumerate(zip(marks, accumulate(sizes, initial=0))):
@@ -365,7 +365,7 @@ class CellColors:
         key = state.r1, state.r2
         gathers = self._gathers.get(key)
         if gathers is None:
-            gathers = self._gathers[key] = [(slice(None), *_build_gathers(self.ccs, *key, self.ell))]
+            gathers = self._gathers[key] = [(slice(None), *_build_gathers(self.ccs, *key))]
         return self.update(state, gathers)
 
     def pool(self) -> None:
@@ -378,7 +378,7 @@ class CellColors:
         # pair colors, a rank-r2 row the multiset of its column, after the row
         # multiset when r1 = r2; other rows hold the color alone
         width = 1 + max(sum(shape) if r1 == r2 else max(shape) for shape in state.shapes)
-        span = max(int(self.colors.max()), state.classes - 1) + 1
+        span = max(self.classes, state.classes)
         keys = np.zeros((len(self.colors), width), dtype=key_dtype(span))
         store_keys(keys[:, 0], self.colors)
         for ci, C in enumerate(state.matrices()):
@@ -411,12 +411,13 @@ def _marking_matrix(cc: CombinatorialComplex, r1: int, r2: int, marking: str) ->
     raise MarkingUnsupported(f"unknown marking {marking!r}")
 
 
-def _build_gathers(ccs, r1: int, r2: int, ell: int):
+def _build_gathers(ccs, r1: int, r2: int):
     """The flat ids of the pairs each pair (x, y) reads, as one (pairs, W)
     matrix over the flat pair colors of all complexes (see
     :class:`_PairState`), and each column's position in ``sides``; widths are
     joint across complexes.  A missing neighbor is -1, which reads the pad
     after the last pair, as in a cell round's gathers."""
+    ell = max(cc.dimension for cc in ccs)
     # (spec, keyed by x, swaps x): (x', y) for x' adjacent or co-adjacent to x,
     # (x, y') likewise for y, (x, y') for y' containing x, (x', y) for x' inside y
     sides = [(f(r1, r), True, True) for r in range(ell + 1) for f in (adjacency, co_adjacency)]
@@ -443,7 +444,8 @@ def _build_gathers(ccs, r1: int, r2: int, ell: int):
     return index, segment
 
 
-def _validate_stages(ccs, stages: Sequence[Stage], ell: int) -> None:
+def _validate_stages(ccs, stages: Sequence[Stage]) -> None:
+    ell = max(cc.dimension for cc in ccs)
     for st in stages:
         if isinstance(st, HompBlock):
             if st.specs is not None:
@@ -518,8 +520,8 @@ def run_diagram(
     one histogram per rank and pair block, and most consumers never read
     them (:meth:`CellColors.agree` compares the same thing from class sizes).
     """
-    state = CellColors(ccs, max(cc.dimension for cc in ccs))
-    _validate_stages(ccs, stages, state.ell)
+    _validate_stages(ccs, stages)
+    state = CellColors(ccs)
     yield 0, state.snapshot, state
     updates = chain.from_iterable(_updates(state, st) for st in stages)
     for tick, _ in enumerate(updates, 1):
@@ -655,7 +657,7 @@ def distinguish(
             return Verdict(distinguished=False, round=None, engine="oracle:unknown")
         return Verdict(distinguished=not res.isomorphic, round=None, engine="oracle")
     stages = engine.stages
-    _validate_stages([a, b], stages, max(a.dimension, b.dimension))
+    _validate_stages([a, b], stages)
     traces = _admitted_traces(a, b, stages)
     if traces is not None:
         return _compare_traces(a, b, stages, traces, engine.name)

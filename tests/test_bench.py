@@ -1,5 +1,6 @@
 import io
 import json
+from itertools import chain
 
 import pytest
 
@@ -164,6 +165,30 @@ class TestFullDatasetProperties:
         assert len(records) == 223
         for (left, right, _), pair in zip(records, dataset):
             assert left == pair.left and right == pair.right
+
+    def test_read_interns_equal_complexes(self, dataset):
+        buf = io.StringIO()
+        write_dataset(dataset, buf)
+        buf.seek(0)
+        sides = [cc for left, right, _ in read_dataset(buf) for cc in (left, right)]
+        # 446 sides, 75 distinct unions: each union is one object
+        assert len(sides) == 446
+        assert len({id(cc) for cc in sides}) == len(set(sides)) == 75
+
+    def test_interned_benchmark_matches_uninterned(self, dataset):
+        """Interning changes only the time: reading each line alone interns
+        nothing across pairs, and gives the same reports but for seconds."""
+        buf = io.StringIO()
+        write_dataset(dataset, buf)
+        lines = buf.getvalue().splitlines()
+        interned = [(left, right) for left, right, _ in read_dataset(lines)]
+        apart = [read_dataset([line])[0][:2] for line in lines]
+        engines = [Engine.homp_full(), Engine.smcn(), Engine.oracle()]
+        reports = [run_benchmark(pairs, engines) for pairs in (interned, apart)]
+        for report in chain(*reports):
+            report.seconds = 0.0
+        assert reports[0] == reports[1]
+        assert [r.separated for r in reports[0]] == [0, 223, 223]
 
     def test_diameter_labels_match_bfs(self, dataset):
         # formula-derived component diameters vs the metric recomputed on the

@@ -89,6 +89,12 @@ class TestBuild:
         with pytest.raises(OutOfRangeNode):
             build_cc([((0, 5), 1)], 3)
 
+    @pytest.mark.parametrize("num_nodes", [2**63, 2**64])
+    def test_node_count_beyond_int64(self, num_nodes):
+        # rejected before the singleton cells are listed
+        with pytest.raises(OutOfRangeNode, match=f"num_nodes {num_nodes} does not fit int64"):
+            build_cc([], num_nodes)
+
     def test_equal_set_different_rank_allowed(self):
         # pooling produces rank-2 cells sharing an edge's vertex set
         cc = build_cc([((0, 1), 1), ((0, 1), 2)], 2)
@@ -430,3 +436,61 @@ class TestEdgeList:
     def test_self_loop(self):
         with pytest.raises(ParseError):
             parse_edge_list("2 1\n1 1\n")
+
+    @pytest.mark.parametrize("n", [2**63, 2**70])
+    def test_node_count_beyond_int64(self, n):
+        with pytest.raises(ParseError, match=f"line 1: node count {n} does not fit int64"):
+            parse_edge_list(f"{n} 0\n")
+
+
+def test_hot_paths_read_arrays_only():
+    """Construction, refinement, the oracle, covering checks and Betti numbers
+    read the skeleton and neighborhood arrays alone: no tuple view (skeletons,
+    neighbor lists, the cell index) is built on a complex the library made.
+
+    relabel_complex reads its source's skeletons, so it relabels a copy
+    sharing the arrays.  Tori are shared while held, so these periods are
+    used by no other test."""
+    from cckit.complex import CombinatorialComplex
+    from cckit.covering import torus_union_certificate, verify_covering
+    from cckit.errors import NotAChainComplex
+    from cckit.invariants import betti_gf2
+    from cckit.iso import cc_isomorphic
+    from cckit.lifting import cyclic_lift, mog_pool
+    from cckit.refinement import Engine, distinguish
+    from helpers import relabel_complex
+
+    g = random_graph(random.Random(5), 8, 0.5)
+    built = [
+        build_cc(FILLED_TRIANGLE + [((2, 3), 1)], 4),
+        cyclic_lift(g, 8),
+        mog_pool(g),
+        decode_json(encode_json(torus((3, 4)))),
+        torus((5, 7)),
+    ]
+    rng = random.Random(0)
+    checked = []
+    for cc in built:
+        copy = CombinatorialComplex(cc.num_nodes, tuple(map(cc.skeleton_arrays, range(cc.dimension + 1))))
+        perm = list(range(cc.num_nodes))
+        rng.shuffle(perm)
+        relabeled = relabel_complex(copy, perm)
+        checked += [cc, relabeled]
+        assert cc_isomorphic(cc, relabeled).isomorphic
+        try:
+            betti_gf2(relabeled)
+        except NotAChainComplex:  # some lifts and pools; the check reads arrays too
+            pass
+        for engine in (Engine.homp_full(), Engine.smcn(), Engine.oracle()):
+            assert not distinguish(cc, relabeled, engine).distinguished
+    # second comparisons run on the complexes' traces
+    for engine in (Engine.homp_full(), Engine.smcn()):
+        for a in checked:
+            for b in checked:
+                distinguish(a, b, engine)
+    cert = torus_union_certificate([(5, 7), (5, 7)], [(5, 14)])
+    for m in cert.left_maps + cert.right_maps:
+        assert verify_covering(m) is None
+        checked += [m.source, m.target]
+    for cc in checked:
+        assert cc._skeletons is None and not cc._lists_cache and not cc._index

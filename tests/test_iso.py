@@ -527,8 +527,8 @@ class TestBatchedSearch:
         sizes = []
 
         class Recorded(iso.CellColors):
-            def __init__(self, ccs, ell):
-                super().__init__(ccs, ell)
+            def __init__(self, ccs):
+                super().__init__(ccs)
                 sizes.append((len(ccs) - 1, len(self.colors)))
 
         monkeypatch.setattr(iso, "CellColors", Recorded)

@@ -381,9 +381,9 @@ class TestKeyDtypes:
 
     def test_gathers_are_int32(self):
         ccs = [torus((3, 4)), cyclic_lift(random_graph(random.Random(3), 9, 0.5), 8)]
-        state = CellColors(ccs, 2)
+        state = CellColors(ccs)
         assert {index.dtype for index, _ in state._build(tuple(natural_specs(2)))} == {np.dtype(np.int32)}
-        index, _ = _build_gathers(ccs, 0, 1, 2)
+        index, _ = _build_gathers(ccs, 0, 1)
         assert index.dtype == np.int32
 
 
@@ -394,7 +394,7 @@ class TestGathers:
         # positions of the specs they gather
         ccs = [cyclic_lift(random_graph(random.Random(s), 10, 0.5), 8) for s in (1, 2)]
         assert all(cc.dimension == 2 for cc in ccs)
-        kernel = CellColors(ccs, 2)
+        kernel = CellColors(ccs)
         specs = tuple(natural_specs(2))
         for r, (index, segment) in enumerate(kernel._build(specs)):
             mine = [s for s in specs if s.r1 == r]
