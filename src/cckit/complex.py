@@ -487,14 +487,11 @@ def build_cc(
 
     Rank-0 singletons are inserted automatically when missing.  Cells are
     deduplicated vertex-wise, sorted lexicographically within each skeleton.
+    This is the one entry point for cells from outside the library.
 
     Raises EmptyCell, OutOfRangeNode, DuplicateCell, or RankViolation.
     """
-    if num_nodes < 1:
-        raise OutOfRangeNode("a complex needs at least one node")
-    if num_nodes >= 2**63:  # node ids are int64
-        raise OutOfRangeNode(f"num_nodes {num_nodes} does not fit int64 node ids")
-
+    singletons = _singletons(num_nodes)
     seen: dict[tuple[Verts, int], None] = {}
     max_rank = 0
     for verts_in, rank in raw_cells:
@@ -516,26 +513,28 @@ def build_cc(
     skeletons: list[list[Verts]] = [[] for _ in range(max_rank + 1)]
     for verts, rank in seen:
         skeletons[rank].append(verts)
-    skeletons[0] = [(v,) for v in range(num_nodes)]  # rank 0 is every singleton
-    cells = []
-    for sk in skeletons:
-        sk.sort()
-        lengths = np.fromiter(map(len, sk), dtype=np.int64, count=len(sk))
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        verts = np.fromiter(chain.from_iterable(sk), dtype=np.int64, count=int(indptr[-1]))
-        cells.append((indptr, verts))
-    return _validated(num_nodes, cells)
+    # rank 0 is every singleton, whichever of them the input listed
+    return _validated(num_nodes, [singletons, *(_rows_csr(sorted(sk)) for sk in skeletons[1:])])
+
+
+def _rows_csr(rows: Sequence[Verts]) -> Csr:
+    """CSR of one skeleton given as canonical rows: strictly increasing,
+    in-range vertex tuples, distinct and in lexicographic order."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return indptr, np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
 
 
 def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> CombinatorialComplex:
     """Complex from one (cells, width) int array per rank 1, 2, ...
 
     Each row lists the distinct in-range vertices of one cell in any order,
-    and no cell repeats within a rank; array-built generators guarantee that
-    by construction.  Rows are sorted and put in canonical order here, and
-    rank monotonicity is checked as in :func:`build_cc`.
+    and no cell repeats within a rank; the array-built generators
+    (`generators._grid_complex`, behind `torus`, `cylinder` and `moebius`)
+    guarantee that by construction.  Rows are sorted and put in canonical
+    order here, and rank monotonicity is checked as in :func:`build_cc`.
     """
-    cells = [(np.arange(num_nodes + 1, dtype=np.int64), np.arange(num_nodes, dtype=np.int64))]
+    cells = [_singletons(num_nodes)]
     for rows in rows_by_rank:
         rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
         rows = rows[np.lexsort(rows.T[::-1])]
@@ -544,7 +543,29 @@ def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> Com
     return _validated(num_nodes, cells)
 
 
-def _validated(num_nodes: int, cells) -> CombinatorialComplex:
+def _singletons(num_nodes: int) -> Csr:
+    """The rank-0 skeleton, every node once, after the node-count checks
+    that every constructor shares."""
+    if num_nodes < 1:
+        raise OutOfRangeNode("a complex needs at least one node")
+    if num_nodes >= 2**63:  # node ids are int64
+        raise OutOfRangeNode(f"num_nodes {num_nodes} does not fit int64 node ids")
+    indptr = np.arange(num_nodes + 1, dtype=np.int64)
+    if len(indptr) != num_nodes + 1:  # np.arange sizes in floating point: [] near 2**63
+        raise MemoryError(f"cannot allocate {num_nodes} nodes")
+    return indptr, indptr[:-1]
+
+
+def _validated(num_nodes: int, cells: list[Csr]) -> CombinatorialComplex:
+    """The complex of canonical CSR skeletons, rank 0 first (from
+    :func:`_singletons`) and the last rank non-empty, after the one check
+    the cells cannot carry by construction: rank monotonicity.
+
+    Callers: :func:`build_cc` once its per-cell checks pass,
+    :func:`from_uniform_rows` for the array-built generators, and
+    `lifting.cyclic_lift` (so `triangular_lift`) and `lifting.mog_pool`,
+    whose cells are canonical by construction.
+    """
     cc = CombinatorialComplex(num_nodes, tuple(cells))
     _check_rank_monotonicity(cc)
     return cc

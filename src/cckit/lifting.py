@@ -11,7 +11,9 @@ from math import ceil, floor
 
 import numpy as np
 
-from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc
+# build_cc stays reachable as lifting.build_cc: perfbench/tracing.py wraps that name
+from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc  # noqa: F401
+from .complex import _rows_csr, _singletons, _validated
 from .errors import BadParams, DegenerateCover
 from .invariants import component_labels, distance_blocks, graph_edges, symmetric_arcs
 
@@ -52,35 +54,72 @@ def triangular_lift(g: SimpleGraph) -> CombinatorialComplex:
 def chordless_cycles(g: SimpleGraph, max_len: int) -> list[Verts]:
     """All induced simple cycles with 3..max_len vertices, as sorted vertex tuples.
 
-    DFS from each minimal vertex s over paths held as int bitmasks; a path is
-    extended only through vertices larger than s and non-adjacent to the path
-    interior (the blocked mask ORs in each vertex that becomes interior), so
-    every recorded cycle is chordless.  Direction duplicates are removed by
-    requiring the second vertex to be smaller than the last.  This is the
-    bitmask path extension of Dias, Castonguay, Longo & Jradi, "Efficient
-    enumeration of chordless cycles in graphs" (arXiv:1309.1051).
+    A vertex of degree <= 1 lies on no cycle and ends no chord of one (a
+    chord joins two cycle vertices), and removing it keeps every cycle of the
+    rest, so the graph is first peeled to its 2-core (the k = 2
+    case of Batagelj & Zaversnik's core decomposition, arXiv:cs/0310049).
+    The survivors are renumbered monotonically to local ids 0..k-1, so masks
+    and lists are sized by the core, never by isolated or pendant nodes, and
+    every order below is the order of the original ids.
+
+    From each minimal vertex s, a DFS extends paths held as int bitmasks
+    through vertices larger than s, off the path and non-adjacent to its
+    interior: ``allowed = adj[last] & ~excluded``, where `excluded` holds
+    every vertex up to s, the path, and the neighbors of each vertex that
+    became interior.  Walking `last`'s neighbor list and testing one bit of
+    `allowed` per neighbor visits exactly those vertices, and no mask is
+    decoded per path.  A neighbor of s closes a cycle, which is chordless by
+    construction; requiring it to exceed the second vertex removes the
+    reverse direction.  This is the path extension of Dias, Castonguay,
+    Longo & Jradi, "Efficient enumeration of chordless cycles in graphs"
+    (arXiv:1309.1051).
     """
-    adj = [0] * g.num_nodes
+    nbrs: dict[int, list[int]] = {}
     for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    degree = {v: len(ns) for v, ns in nbrs.items()}
+    peel = [v for v, d in degree.items() if d < 2]
+    peeled = set(peel)
+    while peel:
+        for u in nbrs[peel.pop()]:
+            if u not in peeled:
+                degree[u] -= 1
+                if degree[u] < 2:
+                    peeled.add(u)
+                    peel.append(u)
+    core = sorted(v for v in nbrs if v not in peeled)
+    local = {v: i for i, v in enumerate(core)}
+    nbr = [sorted(local[u] for u in nbrs[v] if u in local) for v in core]
+    adj = [sum(1 << u for u in ns) for ns in nbr]
+
     found: set[int] = set()
-    for s in range(g.num_nodes):
-        above, closing = -1 << (s + 1), adj[s]
-        for v in _bits(adj[s] & above):
-            after_v = -1 << (v + 1)
-            # (last vertex, path mask, blocked mask, path length)
-            stack = [(v, 1 << s | 1 << v, 0, 2)]
+    for s, ns in enumerate(nbr):
+        below, closing = (1 << (s + 1)) - 1, adj[s]
+        for v in ns:
+            if v < s:
+                continue
+            # (last vertex, path mask, excluded = path | blocked | below, path length)
+            stack = [(v, 1 << s | 1 << v, below | 1 << v, 2)]
             while stack:
-                last, path, blocked, length = stack.pop()
-                nxt = adj[last] & above & ~path & ~blocked
-                for w in _bits(nxt & closing & after_v):
-                    found.add(path | 1 << w)
-                if length + 1 < max_len:  # a closing w is never passed: w-s would be a chord
-                    blocked |= adj[last]
-                    for w in _bits(nxt & ~closing):
-                        stack.append((w, path | 1 << w, blocked, length + 1))
-    return sorted(tuple(_bits(mask)) for mask in found)
+                last, path, excluded, length = stack.pop()
+                allowed = adj[last] & ~excluded
+                if not allowed:
+                    continue
+                # a closing w is never passed on: w-s would be a chord
+                deeper = length + 1 < max_len
+                excluded |= adj[last]
+                for w in nbr[last]:
+                    if allowed >> w & 1:
+                        if closing >> w & 1:
+                            if w > v:
+                                found.add(path | 1 << w)
+                        elif deeper:
+                            stack.append((w, path | 1 << w, excluded, length + 1))
+    # tuples from lists, at their final size: tuples that CPython resizes while
+    # a generator fills them pile up in its tuple free lists (about 1 MiB here
+    # over the 600 lifts of one perfbench lifted_iso set-up)
+    return sorted(tuple([core[i] for i in _bits(mask)]) for mask in found)
 
 
 def _bits(mask: int) -> list[int]:
@@ -94,12 +133,33 @@ def _bits(mask: int) -> list[int]:
 
 
 def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParams()) -> CombinatorialComplex:
-    """Add every chordless cycle of bounded length as a 2-cell."""
+    """Add every chordless cycle of bounded length as a 2-cell.
+
+    The cells go straight to the validator (:func:`_with_two_cells`), not
+    through `build_cc`: the edges of a `SimpleGraph` and the sorted output of
+    :func:`chordless_cycles` are already canonical.
+    """
     if isinstance(params, int):
         params = CyclicLiftParams(params)
-    cells: list[tuple[Verts, int]] = [(e, 1) for e in g.sorted_edges()]
-    cells.extend((cyc, 2) for cyc in chordless_cycles(g, params.max_len))
-    return build_cc(cells, g.num_nodes)
+    return _with_two_cells(g, chordless_cycles(g, params.max_len))
+
+
+def _with_two_cells(g: SimpleGraph, two_cells: list[Verts]) -> CombinatorialComplex:
+    """The graph as ranks 0-1 and `two_cells` as rank 2, as CSR arrays handed
+    to `complex._validated` without `build_cc`'s per-cell tuple checks.
+
+    The cells are canonical by construction: a validated `SimpleGraph` holds
+    distinct in-range edges, and the 2-cells arrive as sorted, distinct
+    tuples of its nodes.  Node counts are checked as `build_cc` checks them,
+    and rank monotonicity still runs.  A rank-2 cell needs an edge inside
+    it, so an empty rank ends the complex as it does in `build_cc`.
+    """
+    cells = [_singletons(g.num_nodes)]
+    for rows in (g.sorted_edges(), two_cells):
+        if not rows:
+            break
+        cells.append(_rows_csr(rows))
+    return _validated(g.num_nodes, cells)
 
 
 def avg_spd_lens(g: SimpleGraph) -> list[Fraction]:
@@ -136,7 +196,10 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     Preimages are taken over every interval (eta*i, eta*i+eps) with i ranging
     over all integers; duplicate 2-cells from overlapping intervals are
     deduplicated, and single-node components are dropped (a one-vertex rank-2
-    cell cannot satisfy rank monotonicity next to the node's edges).
+    cell cannot satisfy rank monotonicity next to the node's edges).  Each
+    component lists its nodes in ascending order, so the sorted, distinct
+    cells go straight to the validator (:func:`_with_two_cells`), not through
+    `build_cc`.
     """
     if g.num_nodes == 0:
         raise BadParams("pooling needs a non-empty graph")
@@ -165,7 +228,4 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     for node, comp in zip(flat.tolist(), labels[flat].tolist()):
         groups.setdefault(comp, []).append(node % n)
     pooled = {tuple(group) for group in groups.values() if len(group) > 1}
-
-    cells: list[tuple[Verts, int]] = [(e, 1) for e in g.sorted_edges()]
-    cells.extend((verts, 2) for verts in sorted(pooled))
-    return build_cc(cells, g.num_nodes)
+    return _with_two_cells(g, sorted(pooled))

@@ -73,14 +73,15 @@ def brute_neighborhood(
 
 
 def brute_induced_cycles(g: SimpleGraph, max_len: int) -> set[tuple[int, ...]]:
-    """All chordless cycle vertex sets by checking every subset up to max_len."""
-    adj = {v: set() for v in range(g.num_nodes)}
+    """All chordless cycle vertex sets by checking every subset up to max_len
+    of the nodes that have an edge (ids may be scattered over a large range)."""
+    adj: dict[int, set[int]] = {}
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     out = set()
-    for size in range(3, min(max_len, g.num_nodes) + 1):
-        for subset in combinations(range(g.num_nodes), size):
+    for size in range(3, min(max_len, len(adj)) + 1):
+        for subset in combinations(sorted(adj), size):
             inside = [
                 (u, v) for u, v in combinations(subset, 2) if v in adj[u]
             ]
@@ -116,11 +117,12 @@ def reference_chordless_cycles(g: SimpleGraph, max_len: int) -> list[tuple[int, 
     """Chordless cycles by recursive DFS over Python sets: from each minimal
     vertex, extend through larger vertices non-adjacent to the path interior,
     record a cycle when the next vertex closes it with the second vertex
-    smaller than the last."""
-    adj = [set() for _ in range(g.num_nodes)]
+    smaller than the last.  Only nodes with an edge are visited, so ids may
+    be scattered over a large range."""
+    adj: dict[int, set[int]] = {}
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     out: list[tuple[int, ...]] = []
 
     def extend(path: list[int]) -> None:
@@ -138,7 +140,7 @@ def reference_chordless_cycles(g: SimpleGraph, max_len: int) -> list[tuple[int, 
             if len(path) + 1 < max_len:
                 extend(path + [w])
 
-    for s in range(g.num_nodes):
+    for s in sorted(adj):
         for v in sorted(adj[s]):
             if v > s:
                 extend([s, v])

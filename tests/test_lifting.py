@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import SimpleGraph, adjacency, disjoint_union, encode_json
-from cckit.errors import BadParams, DegenerateCover
+from cckit.complex import SimpleGraph, adjacency, build_cc, disjoint_union, encode_json
+from cckit.errors import BadParams, DegenerateCover, OutOfRangeNode
 from cckit.generators import cycle_graph, mog_example_pair, star_graph
 from cckit.invariants import INFINITE, cross_diameter
 from cckit.lifting import (
@@ -38,6 +38,57 @@ def graphs(max_nodes=8, edge_prob=0.5):
         n = draw(st.integers(2, max_nodes))
         seed = draw(st.integers(0, 10**6))
         return random_graph(random.Random(seed), n, edge_prob)
+
+    return build()
+
+
+def cored_graphs(max_nodes=14, id_ranges=(None, 10**6, 2**40)):
+    """Graphs whose 2-core is a proper part: cyclic blocks (a cycle with random
+    chords) meeting at cut vertices or joined by bridges, pendant trees and
+    isolated nodes.  Ids are scattered over one of `id_ranges` (None: 0..n-1)."""
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        size = draw(st.integers(1, max_nodes))
+        edges: list[tuple[int, int]] = []
+        count = 1
+        while count < size:
+            piece = rng.choice(["block", "block", "pendant", "isolated"])
+            k = rng.randint(3, 6)
+            bridge = rng.random() < 0.5  # else the block meets the rest at a cut vertex
+            if piece == "block" and count + k - (not bridge) <= size:
+                anchor = rng.randrange(count)
+                members = list(range(count, count + k - (not bridge)))
+                count += len(members)
+                if bridge:
+                    edges.append((anchor, members[0]))
+                else:
+                    members.append(anchor)
+                rng.shuffle(members)
+                edges += zip(members, members[1:] + members[:1])
+                chords = [(a, b) for i, a in enumerate(members) for b in members[i + 2 :]]
+                edges += [e for e in chords if rng.random() < 0.3]
+            else:
+                if piece == "pendant":
+                    edges.append((rng.randrange(count), count))
+                count += 1
+        id_range = draw(st.sampled_from(id_ranges)) or size
+        ids = rng.sample(range(id_range), size)
+        return SimpleGraph.from_edges(id_range, [(ids[a], ids[b]) for a, b in edges])
+
+    return build()
+
+
+def forests(max_nodes=10):
+    """Acyclic graphs, isolated nodes included."""
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        n = draw(st.integers(1, max_nodes))
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        return SimpleGraph.from_edges(n, edges)
 
     return build()
 
@@ -92,13 +143,13 @@ class TestCyclicLift:
             CyclicLiftParams(2)
 
     @settings(max_examples=40, deadline=None)
-    @given(graphs(max_nodes=8))
+    @given(st.one_of(graphs(max_nodes=8), cored_graphs(max_nodes=8)))
     def test_matches_brute_force(self, g):
         got = set(chordless_cycles(g, 8))
         assert got == brute_induced_cycles(g, 8)
 
     @settings(max_examples=25, deadline=None)
-    @given(graphs(max_nodes=7), st.integers(3, 6))
+    @given(st.one_of(graphs(max_nodes=7), cored_graphs(max_nodes=7)), st.integers(3, 6))
     def test_bounded_matches_brute_force(self, g, max_len):
         got = set(chordless_cycles(g, max_len))
         assert got == brute_induced_cycles(g, max_len)
@@ -107,10 +158,39 @@ class TestCyclicLift:
         for g in lifted_iso_graphs():
             assert chordless_cycles(g, 18) == reference_chordless_cycles(g, 18)
 
-    @settings(max_examples=60, deadline=None)
-    @given(graphs(max_nodes=14, edge_prob=0.35), st.sampled_from([3, 4, 5, 8, 18]))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(graphs(max_nodes=14, edge_prob=0.35), cored_graphs(max_nodes=20)),
+        st.sampled_from([3, 4, 5, 8, 18]),
+    )
     def test_matches_reference(self, g, max_len):
         assert chordless_cycles(g, max_len) == reference_chordless_cycles(g, max_len)
+
+    def test_huge_sparse_node_count(self):
+        # nothing is sized by the 2**40 node ids, only by the eight on cycles
+        a, b, c = 7, 2**39, 2**40 - 1
+        ring = [2**40 - 2, 3, 2**20, 11, 2**38]
+        edges = [(a, b), (b, c), (a, c), *zip(ring, ring[1:] + ring[:1])]
+        g = SimpleGraph.from_edges(2**40, edges)
+        for max_len in (3, 4, 5, 8, 18):
+            want = [(a, b, c)] + ([tuple(sorted(ring))] if max_len >= 5 else [])
+            assert chordless_cycles(g, max_len) == sorted(want)
+            assert reference_chordless_cycles(g, max_len) == sorted(want)
+
+    @pytest.mark.parametrize("lift", [triangular_lift, cyclic_lift])
+    @pytest.mark.parametrize(
+        "num_nodes,error,message",
+        [
+            (0, OutOfRangeNode, "a complex needs at least one node"),
+            (2**63, OutOfRangeNode, "does not fit int64 node ids"),
+            # numpy 2 sizes np.arange(2**63) as empty: the lift must raise, not
+            # return a complex without nodes (older numpy may raise ValueError)
+            (2**63 - 1, (MemoryError, ValueError), None),
+        ],
+    )
+    def test_node_count_checked(self, lift, num_nodes, error, message):
+        with pytest.raises(error, match=message):
+            lift(SimpleGraph(num_nodes, frozenset()))
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -128,6 +208,40 @@ class TestCyclicLift:
     def test_restriction_is_graph(self, g):
         cc = cyclic_lift(g, 18)
         assert set(cc.cells(1)) == set(g.edges)
+
+
+def _lift_inputs():
+    edgeless = st.integers(1, 6).map(lambda n: SimpleGraph(n, frozenset()))
+    cored = cored_graphs(max_nodes=16, id_ranges=(None, 40))
+    return st.one_of(edgeless, forests(), graphs(max_nodes=10), cored)
+
+
+class TestHandoff:
+    """Lifts and pools hand their canonical cells straight to the validator;
+    the complex must equal `build_cc` over the same cell list."""
+
+    @staticmethod
+    def _assert_built_alike(cc, g, two_cells):
+        cells = [(e, 1) for e in g.sorted_edges()] + [(c, 2) for c in two_cells]
+        want = build_cc(cells, g.num_nodes)
+        assert cc == want
+        assert encode_json(cc) == encode_json(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lift_inputs(), st.sampled_from([3, 4, 5, 8, 18]))
+    def test_cyclic_lift(self, g, max_len):
+        self._assert_built_alike(cyclic_lift(g, max_len), g, chordless_cycles(g, max_len))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_lift_inputs())
+    def test_triangular_lift(self, g):
+        self._assert_built_alike(triangular_lift(g), g, chordless_cycles(g, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_lift_inputs())
+    def test_mog_pool(self, g):
+        cc = mog_pool(g)
+        self._assert_built_alike(cc, g, cc.cells(2))
 
 
 class TestLens:
@@ -175,6 +289,10 @@ class TestMogPool:
     def test_single_edge(self):
         cc = mog_pool(SimpleGraph.from_edges(2, [(0, 1)]))
         assert cc.cells(2) == ((0, 1),)
+
+    def test_empty_graph(self):
+        with pytest.raises(BadParams, match="pooling needs a non-empty graph"):
+            mog_pool(SimpleGraph(0, frozenset()))
 
     def test_degenerate_cover(self):
         with pytest.raises(DegenerateCover):
