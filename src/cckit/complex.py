@@ -545,14 +545,22 @@ def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> Com
 
 def _singletons(num_nodes: int) -> Csr:
     """The rank-0 skeleton, every node once, after the node-count checks
-    that every constructor shares."""
+    that every constructor shares.
+
+    A count numpy refuses to allocate is OutOfRangeNode too: numpy raises
+    ValueError or MemoryError (OverflowError in older releases) for an
+    impossible size before it touches memory.
+    """
     if num_nodes < 1:
         raise OutOfRangeNode("a complex needs at least one node")
     if num_nodes >= 2**63:  # node ids are int64
         raise OutOfRangeNode(f"num_nodes {num_nodes} does not fit int64 node ids")
-    indptr = np.arange(num_nodes + 1, dtype=np.int64)
-    if len(indptr) != num_nodes + 1:  # np.arange sizes in floating point: [] near 2**63
-        raise MemoryError(f"cannot allocate {num_nodes} nodes")
+    try:
+        indptr = np.arange(num_nodes + 1, dtype=np.int64)
+        if len(indptr) != num_nodes + 1:  # np.arange sizes in floating point: [] near 2**63
+            raise MemoryError
+    except (ValueError, MemoryError, OverflowError):
+        raise OutOfRangeNode(f"cannot allocate {num_nodes} nodes") from None
     return indptr, indptr[:-1]
 
 

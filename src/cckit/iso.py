@@ -11,8 +11,8 @@ once and keeps them (:func:`_components`).  Only then are both complexes
 split into their components, which are matched in one pass, each component
 of one complex to the first unused isomorphic component of the other
 (isomorphism is an equivalence relation, so no choice needs undoing).  It
-decides each component pair by the identity map when the two have equal
-content, else by individualization-refinement (:func:`_search`).
+decides each component pair by the identity node map when the two have
+equal content, else by individualization-refinement (:func:`_search`).
 
 The search refines the two components jointly, with the update loop that
 runs the diagrams of :mod:`cckit.refinement` on its state
@@ -38,7 +38,8 @@ ranks and containment, which an isomorphism keeps:
   matched cell, of the same rank.  Cells within a rank have distinct vertex
   sets, so each cell maps onto the cell on its relabeled vertex set, and
   such a map preserves containment both ways: an isomorphism, by the
-  argument of :mod:`cckit.covering`.
+  argument of :mod:`cckit.covering`.  The node bijection alone fixes it, so
+  a leaf returns just that.
 
 Siblings are batched.  Once the first sibling of a branch point (x against
 the first cell of its class in b) has failed, the remaining siblings are
@@ -51,8 +52,10 @@ siblings are then taken in order, one node each, and the batch's speculative
 refinement counts no node: node counts, witnesses, verdicts and the node at
 which a budget runs out are those of refining each sibling alone.
 
-Positive answers carry a witness map of the whole complexes, assembled from
-the component maps and verified once before being returned by
+Positive answers carry a witness map of the whole complexes: the component
+node maps joined through each component's parent nodes, extended to every
+cell by :func:`cckit.covering.cell_map_from_node_map` as covers are, and
+verified once before being returned by
 :func:`cckit.covering.check_isomorphism`, as a bijective covering; by the
 argument above a discrete leaf of the search needs no check of its own.
 """
@@ -69,7 +72,7 @@ import numpy as np
 # cc_isomorphic calls check_isomorphism through them: perfbench/tracing.py wraps both
 from .complex import CombinatorialComplex, build_cc, row_ids, row_lengths  # noqa: F401
 from .complex import incidence_down, incidence_up
-from .covering import CellMap, check_isomorphism
+from .covering import CellMap, cell_map_from_node_map, check_isomorphism
 from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
 from .refinement import CellColors, HompBlock, _updates
@@ -114,9 +117,9 @@ def _incidence_block(ell: int) -> HompBlock:
     return HompBlock(specs, None)
 
 
-def _search(state: CellColors, counter: _Counter) -> CellMap | None:
+def _search(state: CellColors, counter: _Counter) -> np.ndarray | None:
     """Individualization-refinement over the joint colors of two complexes: a
-    witness, or None once every branch has diverged.
+    node map of an isomorphism, or None once every branch has diverged.
 
     Each node refines to stability over the vertex-cell incidence
     (:func:`_incidence_block`, built once per search; the state builds its
@@ -129,8 +132,9 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
     batches (:class:`_Batch`) and then taken in order, one budget unit each,
     exactly as if each had been refined alone.  The search is depth-first
     with an explicit stack of open branch points: twins need one level each,
-    more than the interpreter's recursion allows.  A discrete partition is a
-    witness (see the module docstring).
+    more than the interpreter's recursion allows.  A discrete partition
+    gives the node bijection read off rank 0 (:func:`_leaf_nodes`), which
+    extends to an isomorphism (see the module docstring).
     """
     block = _incidence_block(state.ell)
     in_a = state.owner == 0
@@ -142,7 +146,7 @@ def _search(state: CellColors, counter: _Counter) -> CellMap | None:
             colors = state.colors
             sizes = state.class_counts()[0]
             if sizes.max() == 1:
-                return _leaf_map(state)
+                return _leaf_nodes(state)
             # smallest non-singleton class, the lowest id (sorted-row order) on ties
             split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
             members = colors == split
@@ -276,18 +280,13 @@ def _disagreeing(batch: CellColors) -> np.ndarray:
     return (counts[1:] != counts[0]).any(axis=1)
 
 
-def _leaf_map(state: CellColors) -> CellMap:
-    """The map of a discrete partition: each cell of a to the cell of b with
-    its color."""
-    colors = state.colors
-    in_b = state.owner == 1
+def _leaf_nodes(state: CellColors) -> np.ndarray:
+    """The node bijection of a discrete partition: each node of a to the node
+    of b with its color, read off rank 0, whose cells are the nodes in order."""
+    a, b = (state.colors[state.span(ci, 0)] for ci in (0, 1))
     where_b = np.empty(state.classes, dtype=np.int64)
-    where_b[colors[in_b]] = np.flatnonzero(in_b)
-    image = where_b[colors]
-    a, b = state.ccs
-    return CellMap(
-        a, b, tuple(image[state.span(0, r)] - state.span(1, r).start for r in range(a.dimension + 1))
-    )
+    where_b[b] = np.arange(len(b))
+    return where_b[a]
 
 
 def node_components(cc: CombinatorialComplex) -> list[int]:
@@ -321,30 +320,34 @@ def _components(cc: CombinatorialComplex) -> tuple[np.ndarray, bytes]:
 
 @dataclass(frozen=True)
 class _Component:
+    """A node-connectivity component as a complex of its own, and its nodes
+    in the parent: local node i is parent node nodes[i]."""
+
     complex: CombinatorialComplex
-    cell_parent: tuple[np.ndarray, ...]         # per rank, local -> parent index
+    nodes: np.ndarray
 
 
 def split_components(cc: CombinatorialComplex) -> list[_Component]:
     """The node-connectivity components, as complexes sliced from the parent's
-    skeleton arrays.
+    skeleton arrays, each with its parent nodes in ascending order.
 
     A cell belongs to the component of its first vertex.  Stable sorts by
     component keep each component's cells in parent order, and the vertex
     renumbering preserves order within a component, so every slice is already
     canonical and needs no re-validation.  Ranks past a component's top
-    non-empty rank are dropped from its complex.
+    non-empty rank are dropped from its complex.  The node lists are all a
+    witness needs: a node map of each component extends to the parent's
+    cells (:func:`cc_isomorphic`).
     """
     labels = _components(cc)[0]
     count = int(labels.max()) + 1
     if count == 1:
-        ident = tuple(np.arange(cc.skeleton_size(r)) for r in range(cc.dimension + 1))
-        return [_Component(cc, ident)]
+        return [_Component(cc, np.arange(cc.num_nodes))]
     nodes = np.argsort(labels, kind="stable")  # grouped by component, ascending within
     node_starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=count))))
     local = np.empty(cc.num_nodes, dtype=np.int64)
     local[nodes] = np.arange(cc.num_nodes) - node_starts[labels[nodes]]
-    ranks = []  # per rank: parent cells by component, their indptr and local vertices
+    ranks = []  # per rank: the indptr and local vertices of its cells by component
     for r in range(cc.dimension + 1):
         indptr, verts = cc.skeleton_arrays(r)
         lengths = row_lengths(indptr)
@@ -353,18 +356,17 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
         flat = local[verts[np.argsort(np.repeat(comp, lengths), kind="stable")]]
         ptr = np.concatenate(([0], np.cumsum(lengths[cells])))
         starts = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=count))))
-        ranks.append((cells, ptr, flat, starts))
+        ranks.append((ptr, flat, starts))
     comps = []
     for c in range(count):
-        skeletons, parents = [], []
-        for cells, ptr, flat, starts in ranks:
+        skeletons = []
+        for ptr, flat, starts in ranks:
             lo, hi = starts[c], starts[c + 1]
             skeletons.append((ptr[lo : hi + 1] - ptr[lo], flat[ptr[lo] : ptr[hi]]))
-            parents.append(cells[lo:hi])
         while len(skeletons[-1][0]) == 1:  # no cells at the top rank
             skeletons.pop()
-        sub = CombinatorialComplex(int(node_starts[c + 1] - node_starts[c]), tuple(skeletons))
-        comps.append(_Component(sub, tuple(parents)))
+        members = nodes[node_starts[c] : node_starts[c + 1]]
+        comps.append(_Component(CombinatorialComplex(len(members), tuple(skeletons)), members))
     return comps
 
 
@@ -414,18 +416,22 @@ def cc_isomorphic(
         return IsoResult(isomorphic=None, nodes_explored=counter.used)
     if matching is None:
         return IsoResult(isomorphic=False, nodes_explored=counter.used)
-    witness = _assemble_witness(a, b, comps_a, comps_b, matching)
+    node_image = np.empty(a.num_nodes, dtype=np.int64)
+    for i, j, nodes in matching:
+        node_image[comps_a[i].nodes] = comps_b[j].nodes[nodes]
+    witness = cell_map_from_node_map(a, b, node_image)
     violation = check_isomorphism(witness)
     if violation is not None:
         raise MapNotWellDefined(f"search produced an invalid witness: {violation}")
     return IsoResult(isomorphic=True, witness=witness, nodes_explored=counter.used)
 
 
-def _component_witness(a, b, counter: _Counter) -> CellMap | None:
-    """A witness for two connected complexes of equal skeleton sizes: the
-    identity when their content is equal, else the search's."""
+def _component_witness(a, b, counter: _Counter) -> np.ndarray | None:
+    """The node map of an isomorphism between two connected complexes of equal
+    skeleton sizes: the identity when their content is equal, else the
+    search's; None when the search finds none."""
     if a == b:
-        return CellMap(a, b, tuple(np.arange(a.skeleton_size(r)) for r in range(a.dimension + 1)))
+        return np.arange(a.num_nodes)
     return _search(CellColors([a, b]), counter)
 
 
@@ -434,7 +440,7 @@ def _match_components(comps_a, comps_b, counter):
     b.  Isomorphism is an equivalence relation, so no assignment ever needs
     undoing: a matching exists exactly when this one pass completes."""
     free = list(range(len(comps_b)))
-    matching: list[tuple[int, int, CellMap]] = []
+    matching: list[tuple[int, int, np.ndarray]] = []
     for i, comp in enumerate(comps_a):
         ca = comp.complex
         for j in free:
@@ -449,13 +455,3 @@ def _match_components(comps_a, comps_b, counter):
         else:
             return None
     return matching
-
-
-def _assemble_witness(a, b, comps_a, comps_b, matching) -> CellMap:
-    images = [np.zeros(a.skeleton_size(r), dtype=np.int64) for r in range(a.dimension + 1)]
-    for i, j, w in matching:
-        parent_a, parent_b = comps_a[i].cell_parent, comps_b[j].cell_parent
-        # a component's map stops at its own top rank, above which it has no cells
-        for r, row in enumerate(w.images):
-            images[r][parent_a[r]] = parent_b[r][row]
-    return CellMap(a, b, tuple(images))

@@ -203,6 +203,7 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     """
     if g.num_nodes == 0:
         raise BadParams("pooling needs a non-empty graph")
+    _singletons(g.num_nodes)  # the node-count checks, before the lens allocates per node
     lens = avg_spd_lens(g)
     if params is None:
         params = _fine_params(lens)

@@ -27,10 +27,11 @@ from cckit.complex import (
     incidence_up,
     natural_specs,
 )
+from cckit.covering import cell_map_from_node_map
 from cckit.errors import RankViolation
 from cckit.invariants import INFINITE, Orientability, OrientabilityVerdict
 from cckit import iso
-from cckit.iso import _assemble_witness, _component_witness, _Counter, split_components
+from cckit.iso import _component_witness, _Counter, split_components
 from cckit.refinement import CellColors, HompBlock, SclBlock, _updates
 
 
@@ -533,7 +534,10 @@ def reference_witness(a: CombinatorialComplex, b: CombinatorialComplex):
     matching = reference_match_components(comps_a, comps_b, _Counter(10**6))
     if matching is None:
         return None
-    return _assemble_witness(a, b, comps_a, comps_b, matching).images
+    node_image = np.empty(a.num_nodes, dtype=np.int64)
+    for i, j, nodes in matching:
+        node_image[comps_a[i].nodes] = comps_b[j].nodes[nodes]
+    return cell_map_from_node_map(a, b, node_image).images
 
 
 def sequential_search(state: CellColors, counter: _Counter):
@@ -549,7 +553,7 @@ def sequential_search(state: CellColors, counter: _Counter):
             colors, k = state.colors, state.classes
             sizes = state.class_counts()[0]
             if sizes.max() == 1:
-                return iso._leaf_map(state)
+                return iso._leaf_nodes(state)
             split = int(np.argmin(np.where(sizes > 1, sizes, len(colors))))
             members = colors == split
             x = np.flatnonzero(members & in_a)[0]
@@ -609,11 +613,10 @@ def cfi_pair(edges: list[tuple[int, int]]) -> tuple[CombinatorialComplex, Combin
 
 
 def reference_components(cc: CombinatorialComplex):
-    """(complex, parent cell indices per rank) of each cells-share-a-vertex
-    component, from the cell tuples by union-find: components ordered by
-    smallest node, nodes renumbered in order and cells kept in parent order.
-    A component's complex stops at its own top non-empty rank; its parent
-    indices cover every rank of the parent."""
+    """(complex, parent nodes) of each cells-share-a-vertex component, from
+    the cell tuples by union-find: components ordered by smallest node, nodes
+    renumbered in order and cells kept in parent order.  A component's
+    complex stops at its own top non-empty rank."""
     root = list(range(cc.num_nodes))
 
     def find(x: int) -> int:
@@ -632,13 +635,13 @@ def reference_components(cc: CombinatorialComplex):
     out = []
     for nodes in groups.values():
         local = {v: i for i, v in enumerate(nodes)}
-        cells, parents = [], []
-        for r in range(cc.dimension + 1):
-            rows = [i for i, verts in enumerate(cc.skeletons[r]) if verts[0] in local]
-            parents.append(rows)
-            if r >= 1:
-                cells.extend((tuple(local[v] for v in cc.skeletons[r][i]), r) for i in rows)
-        out.append((build_cc(cells, len(nodes)), parents))
+        cells = [
+            (tuple(local[v] for v in verts), r)
+            for r in range(1, cc.dimension + 1)
+            for verts in cc.skeletons[r]
+            if verts[0] in local
+        ]
+        out.append((build_cc(cells, len(nodes)), nodes))
     return out
 
 

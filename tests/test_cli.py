@@ -679,18 +679,51 @@ class TestHostileInputs:
         self.assert_error_line(code, err)
         assert err == "error: num_nodes 18446744073709551616 does not fit int64 node ids\n"
 
+    # every count in [2**60, 2**63) fails numpy's own size check, or gives an
+    # empty arange, before any memory is touched
+    UNALLOCATABLE = [2**60, 2**62, 2**63 - 1]
+
+    @pytest.mark.parametrize("count", UNALLOCATABLE)
+    @pytest.mark.parametrize(
+        "command", [("lift", "--method", "cyclic"), ("lift", "--method", "triangular"), ("pool",)]
+    )
+    def test_edge_list_node_count_numpy_refuses(self, capsys, tmp_path, command, count):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"{count} 0\n")
+        code, out, err = run(capsys, *command, "-i", str(path))
+        self.assert_error_line(code, err)
+        assert err == f"error: cannot allocate {count} nodes\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("count", UNALLOCATABLE)
+    def test_label_lifted_node_count_numpy_refuses(self, capsys, tmp_path, count):
+        path = tmp_path / "graphs.txt"
+        path.write_text(f"{count} 0\n")
+        code, out, err = run(capsys, "label-lifted", "-i", str(path))
+        assert code == 2
+        assert err == f"record 0: cannot allocate {count} nodes\n"
+        assert json.loads(out) == {"index": 0, "error": f"cannot allocate {count} nodes"}
+
+    def test_json_node_count_numpy_refuses(self, capsys, tmp_path):
+        path = tmp_path / "cc.json"
+        path.write_text(f'{{"dimension": 0, "num_nodes": {2**62}, "cells": [null]}}')
+        code, _, err = run(capsys, "invariants", str(path))
+        self.assert_error_line(code, err)
+        assert err == f"error: cannot allocate {2**62} nodes\n"
+
 
 # -- bounded fuzzing ------------------------------------------------------------
 #
 # Random small inputs through every command that reads one.  Node counts are at
-# most 6 or at least 2**63 (past the int64 node ids).  Counts between 2**20 and
-# 2**63 are left out until an input size cap exists: without one a count such as
-# 10**9 allocates gigabytes before any check (ROADMAP, array-native
+# most 6, in [2**60, 2**63) (which numpy refuses to allocate before it touches
+# memory), or at least 2**63 (past the int64 node ids).  Counts between 2**20
+# and 2**60 are left out until an input size cap exists: without one a count
+# such as 10**9 allocates gigabytes before any check (ROADMAP, array-native
 # construction with an input cap).  Examples are derandomized, so the suite is
 # repeatable.
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
-NODE_COUNTS = st.one_of(st.integers(-1, 6), st.integers(2**63, 2**66))
+NODE_COUNTS = st.one_of(st.integers(-1, 6), st.integers(2**60, 2**66))
 JUNK = st.one_of(
     st.just(-1), st.just(2**64), st.booleans(), st.floats(), st.none(), st.text(max_size=2)
 )
@@ -758,7 +791,9 @@ def edge_lists(draw):
             edges = draw(st.lists(pair, max_size=8, unique_by=tuple))
             m = len(edges)
         else:
-            n = draw(st.one_of(st.integers(-1, 6), st.sampled_from([2**63, 2**70])))
+            n = draw(
+                st.one_of(st.integers(-1, 6), st.integers(2**60, 2**63 - 1), st.sampled_from([2**63, 2**70]))
+            )
             edges = draw(st.lists(st.tuples(token, token), max_size=6))
             m = draw(st.sampled_from([len(edges)] * 3 + [len(edges) + 1, len(edges) - 1]))
         lines += [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]

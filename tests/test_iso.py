@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import random
 import sys
@@ -18,7 +19,7 @@ from cckit.complex import (
     graph_as_cc,
 )
 from cckit import bench, iso
-from cckit.covering import CellMap, torus_mod_cover
+from cckit.covering import CellMap, cell_map_from_node_map, torus_mod_cover
 from cckit.errors import BadParams, DuplicateCell, RankViolation
 from cckit.generators import cycle_graph, cylinder, moebius, mog_example_pair, star_graph, torus
 from cckit.iso import (
@@ -36,6 +37,7 @@ from helpers import (
     brute_isomorphic,
     cfi_pair,
     klein_bottle,
+    lifted_iso_graphs,
     random_graph,
     random_split_graph,
     reference_components,
@@ -160,6 +162,26 @@ class TestOracle:
         assert res.isomorphic is True and res.nodes_explored > 0
         assert check_isomorphism(res.witness) is None
         assert res.witness.assignment[0][9:] == tuple(range(9, a.num_nodes))
+
+    def test_pinned_witnesses(self):
+        """The witness images of the benchmark's lifts, pools and torus unions,
+        each against a relabeling, pinned by one digest."""
+        ccs = []
+        for g in lifted_iso_graphs(100, 0):
+            ccs += [cyclic_lift(g, 18), mog_pool(g)]
+        groups = bench.enumerate_torus_unions(bench.TorusDatasetSpec(18, 40, 3)).values()
+        ccs += [bench.build_union(u) for us in groups if len(us) > 1 for u in us]
+        rng = random.Random(7)
+        digest, nodes = hashlib.sha256(), 0
+        for cc in ccs:
+            perm = list(range(cc.num_nodes))
+            rng.shuffle(perm)
+            res = cc_isomorphic(cc, relabel_complex(cc, perm))
+            nodes += res.nodes_explored
+            for row in res.witness.images:
+                digest.update(row.astype(np.int64).tobytes())
+        assert (len(ccs), nodes) == (275, 969)
+        assert digest.hexdigest() == "c21498bfeb50ec11d7c0e27e09239117483a40e603b99a2c8bf54b59e2097862"
 
     @pytest.mark.parametrize(
         "a, b, isomorphic, nodes",
@@ -336,13 +358,13 @@ class TestComponentSignature:
         ids=["torus-union", "split-lift", "pooled", "connected"],
     )
     def test_split_components_matches_reference(self, cc):
-        got = [(c.complex, [p.tolist() for p in c.cell_parent]) for c in split_components(cc)]
+        got = [(c.complex, c.nodes.tolist()) for c in split_components(cc)]
         assert got == reference_components(cc)
 
     @settings(max_examples=100, deadline=None)
     @given(arbitrary_complexes())
     def test_split_components_matches_reference_on_arbitrary_complexes(self, cc):
-        got = [(c.complex, [p.tolist() for p in c.cell_parent]) for c in split_components(cc)]
+        got = [(c.complex, c.nodes.tolist()) for c in split_components(cc)]
         assert got == reference_components(cc)
 
 
@@ -384,16 +406,17 @@ class TestProperties:
 
 
 class TestComponentWitness:
-    """Every witness of the incidence search is an isomorphism by itself,
-    before cc_isomorphic's final check of the assembled map."""
+    """Every node map of the incidence search extends to an isomorphism by
+    itself, before cc_isomorphic's final check of the joined map."""
 
     @staticmethod
     def assert_witnesses(cc, seed):
         for comp in split_components(cc):
             c = comp.complex
-            witness = _component_witness(c, shuffled(c, seed), _Counter(10**6))
+            d = shuffled(c, seed)
+            witness = _component_witness(c, d, _Counter(10**6))
             assert witness is not None
-            assert check_isomorphism(witness) is None
+            assert check_isomorphism(cell_map_from_node_map(c, d, witness)) is None
 
     @settings(max_examples=200, deadline=None)
     @given(arbitrary_complexes(), st.integers(0, 10**6))
