@@ -259,10 +259,11 @@ def _pairs_within(groups: Csr, n: int) -> Csr:
     return _from_keys(keys, n, n)
 
 
-def _tuple_rows(csr: Csr) -> list[tuple[int, ...]]:
+def _csr_rows(csr: Csr, row=tuple) -> list:
+    """Every row of a CSR, as a `row` of Python ints."""
     indptr, indices = csr
     flat, bounds = indices.tolist(), indptr.tolist()
-    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [row(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def padded_rows(csr: Csr, width: int | None = None) -> np.ndarray:
@@ -324,7 +325,7 @@ class CombinatorialComplex:
     def skeletons(self) -> tuple[tuple[Verts, ...], ...]:
         """Vertex tuples per rank, in skeleton order."""
         if self._skeletons is None:
-            self._skeletons = tuple(tuple(_tuple_rows(csr)) for csr in self._cells)
+            self._skeletons = tuple(tuple(_csr_rows(csr)) for csr in self._cells)
         return self._skeletons
 
     def skeleton_arrays(self, rank: int) -> Csr:
@@ -460,7 +461,7 @@ class CombinatorialComplex:
         a cached view of :meth:`neighbor_csr`."""
         lists = self._lists_cache.get(spec)
         if lists is None:
-            lists = _tuple_rows(self.neighbor_csr(spec))
+            lists = _csr_rows(self.neighbor_csr(spec))
             self._lists_cache[spec] = lists
         return lists
 
@@ -491,7 +492,7 @@ def build_cc(
 
     Raises EmptyCell, OutOfRangeNode, DuplicateCell, or RankViolation.
     """
-    singletons = _singletons(num_nodes)
+    _singletons(num_nodes)  # node-count errors come before cell errors
     seen: dict[tuple[Verts, int], None] = {}
     max_rank = 0
     for verts_in, rank in raw_cells:
@@ -514,15 +515,7 @@ def build_cc(
     for verts, rank in seen:
         skeletons[rank].append(verts)
     # rank 0 is every singleton, whichever of them the input listed
-    return _validated(num_nodes, [singletons, *(_rows_csr(sorted(sk)) for sk in skeletons[1:])])
-
-
-def _rows_csr(rows: Sequence[Verts]) -> Csr:
-    """CSR of one skeleton given as canonical rows: strictly increasing,
-    in-range vertex tuples, distinct and in lexicographic order."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    return indptr, np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    return _from_skeletons(num_nodes, [sorted(sk) for sk in skeletons[1:]])
 
 
 def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> CombinatorialComplex:
@@ -534,13 +527,13 @@ def from_uniform_rows(num_nodes: int, rows_by_rank: Sequence[np.ndarray]) -> Com
     guarantee that by construction.  Rows are sorted and put in canonical
     order here, and rank monotonicity is checked as in :func:`build_cc`.
     """
-    cells = [_singletons(num_nodes)]
+    skeletons = []
     for rows in rows_by_rank:
         rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
         rows = rows[np.lexsort(rows.T[::-1])]
         n, width = rows.shape
-        cells.append((np.arange(0, n * width + 1, width, dtype=np.int64), rows.ravel()))
-    return _validated(num_nodes, cells)
+        skeletons.append((np.arange(0, n * width + 1, width, dtype=np.int64), rows.ravel()))
+    return _from_skeletons(num_nodes, skeletons)
 
 
 def _singletons(num_nodes: int) -> Csr:
@@ -564,16 +557,29 @@ def _singletons(num_nodes: int) -> Csr:
     return indptr, indptr[:-1]
 
 
-def _validated(num_nodes: int, cells: list[Csr]) -> CombinatorialComplex:
-    """The complex of canonical CSR skeletons, rank 0 first (from
-    :func:`_singletons`) and the last rank non-empty, after the one check
-    the cells cannot carry by construction: rank monotonicity.
+def _from_skeletons(num_nodes: int, skeletons: Sequence[Csr | list[Verts]]) -> CombinatorialComplex:
+    """The complex of canonical skeletons of ranks 1, 2, ...: the entry every
+    constructor ends in.  A skeleton is a list of canonical rows (strictly
+    increasing, in-range vertex tuples, distinct and in lexicographic order)
+    or those rows as a CSR pair.  Rank 0 is every singleton
+    (:func:`_singletons`), trailing empty ranks are dropped, and rank
+    monotonicity, the one check canonical cells do not carry by
+    construction, runs last.
 
     Callers: :func:`build_cc` once its per-cell checks pass,
-    :func:`from_uniform_rows` for the array-built generators, and
-    `lifting.cyclic_lift` (so `triangular_lift`) and `lifting.mog_pool`,
-    whose cells are canonical by construction.
+    :func:`from_uniform_rows`, :func:`graph_as_cc`, `lifting.cyclic_lift`
+    (so `triangular_lift`) and `lifting.mog_pool`.  Disjoint unions and
+    component splits slice complexes that passed through here.
     """
+    cells = [_singletons(num_nodes)]
+    for rows in skeletons:
+        if isinstance(rows, list):
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            rows = indptr, np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+        cells.append(rows)
+    while len(cells) > 1 and len(cells[-1][0]) == 1:
+        cells.pop()
     cc = CombinatorialComplex(num_nodes, tuple(cells))
     _check_rank_monotonicity(cc)
     return cc
@@ -597,18 +603,24 @@ def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
             if strict.size:
                 i, j = subs[strict[0]], sups[strict[0]]
                 raise RankViolation(
-                    f"rank-{r_high} cell {cc.skeletons[r_high][i]} is contained in "
-                    f"rank-{r_low} cell {cc.skeletons[r_low][j]}"
+                    f"rank-{r_high} cell {cell_verts(cc, r_high, i)} is contained in "
+                    f"rank-{r_low} cell {cell_verts(cc, r_low, j)}"
                 )
 
 
 def graph_as_cc(g: SimpleGraph) -> CombinatorialComplex:
     """View a graph as a complex: nodes at rank 0, edges at rank 1."""
-    cells: list[tuple[Verts, int]] = [(e, 1) for e in g.sorted_edges()]
-    return build_cc(cells, g.num_nodes)
+    return _from_skeletons(g.num_nodes, [g.sorted_edges()])
 
 
 # -- per-cell operations -----------------------------------------------------------
+
+
+def cell_verts(cc: CombinatorialComplex, rank: int, i: int) -> Verts:
+    """Vertices of cell i of the rank-`rank` skeleton, for messages and
+    reports: sliced from the arrays, with no tuple view built or cached."""
+    indptr, verts = cc.skeleton_arrays(rank)
+    return tuple(verts[indptr[i] : indptr[i + 1]].tolist())
 
 
 def neighborhood(cc: CombinatorialComplex, spec: NeighborhoodSpec, x: Cell) -> set[Cell]:
@@ -703,7 +715,7 @@ def _cc_to_doc(cc: CombinatorialComplex) -> dict:
     return {
         "dimension": cc.dimension,
         "num_nodes": cc.num_nodes,
-        "cells": [[list(verts) for verts in sk] for sk in cc.skeletons],
+        "cells": [_csr_rows(csr, list) for csr in cc._cells],
     }
 
 

@@ -40,6 +40,7 @@ from .complex import (
     CombinatorialComplex,
     NeighborhoodSpec,
     Verts,
+    cell_verts,
     incidence_up,
     natural_specs,
     padded_rows,
@@ -75,7 +76,10 @@ class CellMap:
     def __post_init__(self) -> None:
         if len(self.assignment) != self.source.dimension + 1:
             raise MapNotWellDefined("assignment must cover every source rank")
-        images = tuple(np.array(row, dtype=np.int64) for row in self.assignment)
+        try:
+            images = tuple(np.array(row, dtype=np.int64) for row in self.assignment)
+        except OverflowError:
+            raise MapNotWellDefined("assignment image index outside int64") from None
         for r, row in enumerate(images):
             if len(row) != self.source.skeleton_size(r):
                 raise MapNotWellDefined(f"assignment at rank {r} is not total")
@@ -232,22 +236,21 @@ def _covering_violation(m: CellMap) -> CoveringViolation | None:
         if empty.size:
             return CoveringViolation(
                 reason=f"not surjective onto skeleton {r}: "
-                f"cell {tgt.skeletons[r][empty[0]]} has empty fiber",
+                f"cell {cell_verts(tgt, r, empty[0])} has empty fiber",
             )
     failure = _first_failure(m, natural_specs(src.dimension))
     if failure is None:
         return None
     i, spec = failure
-    rank, tr = spec.r1, spec.target_rank
-    nbrs = src.neighbor_lists(spec)[i]
-    expected = tgt.neighbor_lists(spec)[m.assignment[rank][i]]
+    rank, tr, j = spec.r1, spec.target_rank, m.images[spec.r1][i]
+    (ptr_s, nbrs), (ptr_t, expected) = src.neighbor_csr(spec), tgt.neighbor_csr(spec)
     return CoveringViolation(
         reason="neighborhood does not map bijectively",
         cell_rank=rank,
-        cell=src.skeletons[rank][i],
+        cell=cell_verts(src, rank, i),
         spec=spec,
-        source_neighbors=tuple(src.skeletons[tr][j] for j in nbrs),
-        target_neighbors=tuple(tgt.skeletons[tr][j] for j in expected),
+        source_neighbors=tuple(cell_verts(src, tr, x) for x in nbrs[ptr_s[i] : ptr_s[i + 1]]),
+        target_neighbors=tuple(cell_verts(tgt, tr, x) for x in expected[ptr_t[j] : ptr_t[j + 1]]),
     )
 
 
@@ -273,7 +276,7 @@ def check_isomorphism(m: CellMap) -> str | None:
     i, spec = failure
     return (
         f"containment not preserved at rank-{spec.r1} cell "
-        f"{src.skeletons[spec.r1][i]} into rank {spec.r2}"
+        f"{cell_verts(src, spec.r1, i)} into rank {spec.r2}"
     )
 
 

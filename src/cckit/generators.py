@@ -17,6 +17,7 @@ import numpy as np
 
 # build_cc stays reachable as generators.build_cc: perfbench/tracing.py wraps that name
 from .complex import CombinatorialComplex, SimpleGraph, build_cc, from_uniform_rows  # noqa: F401
+from .complex import _singletons
 from .errors import BadParams, PeriodTooSmall
 
 
@@ -111,7 +112,8 @@ def _grid_complex(
     same node, so rows are distinct and free of repeats (rank monotonicity is
     still checked there).
     """
-    coords = np.unravel_index(np.arange(prod(shape)), shape)
+    # the node ids, after the node-count checks every constructor shares
+    coords = np.unravel_index(_singletons(prod(shape))[1], shape)
     rows_by_rank: list[list[np.ndarray]] = [[] for _ in shape]
     for k in product((0, 1), repeat=len(shape)):
         if any(k):

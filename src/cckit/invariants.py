@@ -37,6 +37,7 @@ from .complex import (
     _expand,
     _from_keys,
     _runs,
+    cell_verts,
     hasse_edges,
     incidence_down,
     incidence_up,
@@ -187,7 +188,7 @@ def cross_diameter(cc: CombinatorialComplex, spec: NeighborhoodSpec, k: int) -> 
     bare = np.flatnonzero(row_lengths(faces[0]) == 0)
     if bare.size:
         raise CellWithoutFaces(
-            f"rank-{k} cell {cc.skeletons[k][bare[0]]} has no rank-{spec.r1} faces"
+            f"rank-{k} cell {cell_verts(cc, k, bare[0])} has no rank-{spec.r1} faces"
         )
     blocks = distance_blocks(cc.neighbor_csr(spec))
     return _worst(nearest_face_distances(dist, faces) for dist in blocks)
@@ -370,7 +371,7 @@ def boundary_edge_graph(cc: CombinatorialComplex) -> SimpleGraph:
     not_pair = np.flatnonzero(boundary & (row_lengths(indptr) != 2))
     if not_pair.size:
         raise WrongKind(
-            f"boundary rank-1 cell {cc.skeletons[1][not_pair[0]]} is not a vertex pair"
+            f"boundary rank-1 cell {cell_verts(cc, 1, not_pair[0])} is not a vertex pair"
         )
     starts = indptr[:-1][boundary]
     return SimpleGraph(cc.num_nodes, frozenset(zip(verts[starts].tolist(), verts[starts + 1].tolist())))

@@ -13,7 +13,7 @@ import numpy as np
 
 # build_cc stays reachable as lifting.build_cc: perfbench/tracing.py wraps that name
 from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc  # noqa: F401
-from .complex import _rows_csr, _singletons, _validated
+from .complex import _from_skeletons, _singletons
 from .errors import BadParams, DegenerateCover
 from .invariants import component_labels, distance_blocks, graph_edges, symmetric_arcs
 
@@ -135,31 +135,13 @@ def _bits(mask: int) -> list[int]:
 def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParams()) -> CombinatorialComplex:
     """Add every chordless cycle of bounded length as a 2-cell.
 
-    The cells go straight to the validator (:func:`_with_two_cells`), not
-    through `build_cc`: the edges of a `SimpleGraph` and the sorted output of
+    The cells go straight to `complex._from_skeletons`, not through
+    `build_cc`: the edges of a `SimpleGraph` and the sorted output of
     :func:`chordless_cycles` are already canonical.
     """
     if isinstance(params, int):
         params = CyclicLiftParams(params)
-    return _with_two_cells(g, chordless_cycles(g, params.max_len))
-
-
-def _with_two_cells(g: SimpleGraph, two_cells: list[Verts]) -> CombinatorialComplex:
-    """The graph as ranks 0-1 and `two_cells` as rank 2, as CSR arrays handed
-    to `complex._validated` without `build_cc`'s per-cell tuple checks.
-
-    The cells are canonical by construction: a validated `SimpleGraph` holds
-    distinct in-range edges, and the 2-cells arrive as sorted, distinct
-    tuples of its nodes.  Node counts are checked as `build_cc` checks them,
-    and rank monotonicity still runs.  A rank-2 cell needs an edge inside
-    it, so an empty rank ends the complex as it does in `build_cc`.
-    """
-    cells = [_singletons(g.num_nodes)]
-    for rows in (g.sorted_edges(), two_cells):
-        if not rows:
-            break
-        cells.append(_rows_csr(rows))
-    return _validated(g.num_nodes, cells)
+    return _from_skeletons(g.num_nodes, [g.sorted_edges(), chordless_cycles(g, params.max_len)])
 
 
 def avg_spd_lens(g: SimpleGraph) -> list[Fraction]:
@@ -198,8 +180,7 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     deduplicated, and single-node components are dropped (a one-vertex rank-2
     cell cannot satisfy rank monotonicity next to the node's edges).  Each
     component lists its nodes in ascending order, so the sorted, distinct
-    cells go straight to the validator (:func:`_with_two_cells`), not through
-    `build_cc`.
+    cells go straight to `complex._from_skeletons`, not through `build_cc`.
     """
     if g.num_nodes == 0:
         raise BadParams("pooling needs a non-empty graph")
@@ -229,4 +210,4 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     for node, comp in zip(flat.tolist(), labels[flat].tolist()):
         groups.setdefault(comp, []).append(node % n)
     pooled = {tuple(group) for group in groups.values() if len(group) > 1}
-    return _with_two_cells(g, sorted(pooled))
+    return _from_skeletons(g.num_nodes, [g.sorted_edges(), sorted(pooled)])

@@ -711,6 +711,37 @@ class TestHostileInputs:
         self.assert_error_line(code, err)
         assert err == f"error: cannot allocate {2**62} nodes\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("torus", "--periods", "2147483648,2147483648"), f"cannot allocate {2**62} nodes"),
+            (
+                ("torus", "--periods", "3,99999999999999999999"),
+                "num_nodes 299999999999999999997 does not fit int64 node ids",
+            ),
+            (
+                ("moebius", "--height", "3", "--perimeter", "99999999999999999999"),
+                "num_nodes 299999999999999999997 does not fit int64 node ids",
+            ),
+        ],
+    )
+    def test_gen_node_count_numpy_refuses(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        self.assert_error_line(code, err)
+        assert err == f"error: {message}\n" and out == ""
+
+    @pytest.mark.parametrize("entry", [2**63, 2**70, -(2**70)])
+    @pytest.mark.parametrize("command", ["verify-cover", "check-iso"])
+    def test_cover_assignment_beyond_int64(self, capsys, tmp_path, command, entry):
+        _, to_cyl, _ = strip_covers(3, 4)
+        rows = [list(row) for row in to_cyl.assignment]
+        rows[1][0] = entry
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(self.cover_doc(rows)))
+        code, out, err = run(capsys, command, str(path))
+        self.assert_error_line(code, err)
+        assert err == "error: assignment image index outside int64\n" and out == ""
+
 
 # -- bounded fuzzing ------------------------------------------------------------
 #
@@ -764,15 +795,21 @@ def valid_cc_docs(draw):
 
 
 CC_DOCS = st.one_of(valid_cc_docs(), random_cc_docs(), st.sampled_from(VALID_DOCS), JUNK)
+# image indices past int64 too, which no skeleton has
+INDICES = st.one_of(st.integers(-1, 10), st.sampled_from([2**63, 2**70, -(2**70)]))
 ASSIGNMENTS = st.one_of(
-    st.lists(st.lists(st.integers(-1, 10), max_size=10), max_size=4), st.lists(JUNK, max_size=3), JUNK
+    st.lists(st.lists(INDICES, max_size=10), max_size=4), st.lists(JUNK, max_size=3), JUNK
 )
 
 
 @st.composite
 def cover_docs(draw):
-    """A real cover of the cylinder with each part replaced one time in three."""
+    """A real cover of the cylinder with one image index redrawn one time in
+    two, then each part replaced one time in three."""
     doc = map_doc(strip_covers(3, 4)[1])
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(doc["assignment"]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(INDICES)
     for key, values in (("source", CC_DOCS), ("target", CC_DOCS), ("assignment", ASSIGNMENTS)):
         if draw(st.integers(0, 2)) == 0:
             doc[key] = draw(values)

@@ -447,14 +447,22 @@ def test_hot_paths_read_arrays_only():
     """Construction, refinement, the oracle, covering checks and Betti numbers
     read the skeleton and neighborhood arrays alone: no tuple view (skeletons,
     neighbor lists, the cell index) is built on a complex the library made.
+    Failing checks, error messages and JSON print their cells from the
+    arrays too.
 
     relabel_complex reads its source's skeletons, so it relabels a copy
     sharing the arrays.  Tori are shared while held, so these periods are
     used by no other test."""
-    from cckit.complex import CombinatorialComplex
-    from cckit.covering import torus_union_certificate, verify_covering
-    from cckit.errors import NotAChainComplex
-    from cckit.invariants import betti_gf2
+    from cckit.complex import CombinatorialComplex, _check_rank_monotonicity
+    from cckit.covering import (
+        CellMap,
+        check_isomorphism,
+        strip_covers,
+        torus_union_certificate,
+        verify_covering,
+    )
+    from cckit.errors import CellWithoutFaces, NotAChainComplex
+    from cckit.invariants import betti_gf2, boundary_edge_graph, cross_diameter
     from cckit.iso import cc_isomorphic
     from cckit.lifting import cyclic_lift, mog_pool
     from cckit.refinement import Engine, distinguish
@@ -492,5 +500,34 @@ def test_hot_paths_read_arrays_only():
     for m in cert.left_maps + cert.right_maps:
         assert verify_covering(m) is None
         checked += [m.source, m.target]
+
+    cover, to_cyl, _ = strip_covers(3, 4)
+    cyl = to_cyl.target
+    swapped = [list(row) for row in to_cyl.assignment]
+    swapped[0][:2] = swapped[0][1::-1]  # nodes 0 and 1 trade images
+    violation = verify_covering(CellMap(cover, cyl, swapped))
+    assert violation.reason == "neighborhood does not map bijectively" and violation.source_neighbors
+    collapsed = [list(row) for row in to_cyl.assignment]
+    collapsed[2] = [0] * len(collapsed[2])
+    assert verify_covering(CellMap(cover, cyl, collapsed)).reason.startswith("not surjective")
+    relabeled_nodes = [[1, 0, *range(2, cyl.num_nodes)]] + [
+        list(range(cyl.skeleton_size(r))) for r in (1, 2)
+    ]
+    assert check_isomorphism(CellMap(cyl, cyl, relabeled_nodes)).startswith("containment")
+    checked += [cover, cyl]
+
+    wide, narrow = build_cc([((0, 1, 2), 1)], 3), build_cc([((0, 1), 1)], 3)
+    inverted = CombinatorialComplex(3, (*map(wide.skeleton_arrays, (0, 1)), narrow.skeleton_arrays(1)))
+    with pytest.raises(RankViolation, match=re.escape("rank-2 cell (0, 1) is contained in")):
+        _check_rank_monotonicity(inverted)
+    faceless = build_cc([((0, 1, 2), 2), ((3, 4), 1)], 5)
+    with pytest.raises(CellWithoutFaces, match=re.escape("rank-2 cell (0, 1, 2) has no")):
+        cross_diameter(faceless, adjacency(1, 2), 2)
+    non_pair = build_cc([((0, 1, 3), 1), ((0, 1, 2, 3), 2)], 4)
+    with pytest.raises(WrongKind, match=re.escape("(0, 1, 3) is not a vertex pair")):
+        boundary_edge_graph(non_pair)
+    checked += [wide, narrow, inverted, faceless, non_pair]
+
     for cc in checked:
+        encode_json(cc)
         assert cc._skeletons is None and not cc._lists_cache and not cc._index

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import SimpleGraph, adjacency, build_cc, disjoint_union, encode_json
+from cckit.complex import SimpleGraph, adjacency, build_cc, disjoint_union, encode_json, graph_as_cc
 from cckit.errors import BadParams, DegenerateCover, OutOfRangeNode
 from cckit.generators import cycle_graph, mog_example_pair, star_graph
 from cckit.invariants import INFINITE, cross_diameter
@@ -220,8 +220,9 @@ def _lift_inputs():
 
 
 class TestHandoff:
-    """Lifts and pools hand their canonical cells straight to the validator;
-    the complex must equal `build_cc` over the same cell list."""
+    """Graph views, lifts and pools hand their canonical cells straight to
+    `complex._from_skeletons`; the complex must equal `build_cc` over the
+    same cell list."""
 
     @staticmethod
     def _assert_built_alike(cc, g, two_cells):
@@ -229,6 +230,11 @@ class TestHandoff:
         want = build_cc(cells, g.num_nodes)
         assert cc == want
         assert encode_json(cc) == encode_json(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_lift_inputs())
+    def test_graph_as_cc(self, g):
+        self._assert_built_alike(graph_as_cc(g), g, [])
 
     @settings(max_examples=60, deadline=None)
     @given(_lift_inputs(), st.sampled_from([3, 4, 5, 8, 18]))
