@@ -12,11 +12,14 @@ refine each complex once and compare per-tick tables across its partners.
 Cell rounds and pair rounds run one update routine
 (:meth:`CellColors.update`): an index matrix gathers neighbor colors through
 padded neighbor rows (:func:`padded_gather`), and a missing neighbor (-1)
-reads the one pad after the last color.  A pair round is a cell round whose
-cells are the pairs (x, y) of X_{r1} x X_{r2}: pair colors are one flat array
-like the cell colors, and a pair gathers the pairs with x or y swapped for a
-neighbor, by flat pair id.  Pair seeding and pooling number their rows the
-same way.
+reads the one pad after the last color.  While every rank holds one color
+(at the start, and through homp's whole run on the paper's torus pairs), a
+cell round writes the same rows from degrees alone and builds no gather
+(:meth:`CellColors.cell_round`); gathers are first built at the round after a
+rank splits.  A pair round is a cell round whose cells are the pairs (x, y)
+of X_{r1} x X_{r2}: pair colors are one flat array like the cell colors, and
+a pair gathers the pairs with x or y swapped for a neighbor, by flat pair id.
+Pair seeding and pooling number their rows the same way.
 
 Rows move only narrow bytes (:mod:`cckit._rowkeys` holds the gathers, row
 builders and numbering).  Gathers are int32 index matrices while the array
@@ -177,10 +180,15 @@ class CellColors:
     cell round and a pair round are one update of a different coloring.
     Initial colors number the ranks holding a cell densely, so the colors
     are 0..classes - 1 at every tick; every row starts with the old color,
-    so each color stays inside one rank.  With ``tabulate`` set, every update
-    keeps the table of the rows it numbered in ``table``.  Gathers depend on
-    a round's value alone, so one cache holds them, keyed by a cell round's
-    specs tuple or a pair round's ranks (r1, r2): equal rounds share a build.
+    so each color stays inside one rank.  ``held`` counts the ranks holding
+    a cell, so the colors are uniform on every rank exactly while
+    ``classes == held``; cell rounds then read degrees, not gathers.  With
+    ``tabulate`` set, every update keeps the table of the rows it numbered
+    in ``table``.  Neighborhoods and gathers depend on a round's value alone,
+    so the caches are keyed by value: a cell round's per-rank neighborhood
+    CSRs (:meth:`_neighborhoods`, read by its degrees and its gathers) and
+    gathers by its specs tuple, a pair round's gathers by its ranks (r1, r2).
+    Equal rounds share a build.
     """
 
     def __init__(self, ccs: Sequence[CombinatorialComplex]):
@@ -193,7 +201,8 @@ class CellColors:
         # one class per rank with a cell in any complex, numbered in rank order
         held = np.cumsum([self.starts[(r + 1) * m] > self.starts[r * m] for r in range(ell + 1)])
         self.colors = (held - 1).repeat(m).repeat(sizes)
-        self.classes = int(held[-1])
+        self.classes = self.held = int(held[-1])
+        self._csrs: dict[tuple, list[list[tuple]]] = {}  # per specs tuple: see _neighborhoods
         self._gathers: dict[tuple, list[tuple]] = {}  # update-ready (span, index, segment) lists
         self.pair_states: list[_PairState] = []
         self.tabulate = False
@@ -242,7 +251,14 @@ class CellColors:
 
     def cell_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
         """One simultaneous update over the specs; returns False once the
-        partition is stable."""
+        partition is stable.
+
+        While the colors are uniform on every rank, the round reads degrees
+        and builds no gather (:meth:`_degree_round`).  Colors never leave
+        their rank and each rank holding a cell holds one, so that is when
+        the class count equals the number of such ranks."""
+        if self.classes == self.held:
+            return self._degree_round(specs)
         return self.update(self, self.cell_gathers(specs))
 
     def cell_gathers(self, specs: tuple[NeighborhoodSpec, ...]) -> list[tuple]:
@@ -253,6 +269,53 @@ class CellColors:
             gathers = [(self.rank_span(r), *gather) for r, gather in enumerate(self._build(specs))]
             self._gathers[specs] = gathers
         return gathers
+
+    def _degree_round(self, specs: tuple[NeighborhoodSpec, ...]) -> bool:
+        """A cell round on colors uniform on every rank, from degrees alone.
+
+        Every neighbor of a spec holds its target rank's one color c_t, so
+        the gathered row of a cell of degree d under the spec at position p
+        with joint width w is w - d pads, key p * base + 1, then d keys
+        p * base + c_t + 2, already sorted: the keys, dtype and width that
+        :meth:`update` writes from the gathers."""
+        base, m = self.classes + 1, len(self.ccs)
+        ranks = [(self.rank_span(r), nbs) for r, nbs in enumerate(self._neighborhoods(specs)) if nbs]
+        positions = [np.array([p for p, _, _ in nbs]) for _, nbs in ranks]
+        degrees = []  # per rank: (cells, specs), the cells complex by complex
+        for _, nbs in ranks:
+            ptrs = [csrs[ci][0] for _, _, csrs in nbs for ci in range(m)]
+            flat = np.concatenate([p[1:] for p in ptrs]) - np.concatenate([p[:-1] for p in ptrs])
+            degrees.append(flat.reshape(len(nbs), -1).T)
+        widths = [d.max(axis=0) for d in degrees]  # each spec's joint width
+        dtype = key_dtype(row_span(base, positions))  # the gathers' segments hold these positions
+        keys = np.zeros((len(self.colors), 1 + max([0] + [int(w.sum()) for w in widths])), dtype=dtype)
+        store_keys(keys[:, 0], self.colors)
+        for (span, nbs), pos, d, w in zip(ranks, positions, degrees, widths):
+            pad = pos * base + 1
+            neighbor = pad + 1 + self.colors[[self.starts[t * m] for _, t, _ in nbs]]
+            # per cell and spec: w - d pads, then d neighbor keys
+            values = np.broadcast_to(np.stack([pad, neighbor], axis=1).astype(dtype), (*d.shape, 2))
+            counts = np.stack([w - d, d], axis=2)
+            keys[span, 1 : 1 + int(w.sum())] = np.repeat(values.ravel(), counts.ravel()).reshape(len(d), -1)
+        return self.recolor(self, keys)
+
+    def _neighborhoods(self, specs: tuple[NeighborhoodSpec, ...]) -> list[list[tuple]]:
+        """Per rank, the specs with a neighbor in some complex, as (position,
+        target rank, per-complex CSRs), the position counting all of that
+        rank's specs; fetched once per specs tuple, shared by the degree
+        round and the gather build."""
+        ranks = self._csrs.get(specs)
+        if ranks is None:
+            ranks = []
+            for r in range(self.ell + 1):
+                nbs = []
+                for pos, s in enumerate(s for s in specs if s.r1 == r):
+                    csrs = [cc.neighbor_csr(s) for cc in self.ccs]
+                    if any(indptr[-1] for indptr, _ in csrs):
+                        nbs.append((pos, s.target_rank, csrs))
+                ranks.append(nbs)
+            self._csrs[specs] = ranks
+        return ranks
 
     def tiled(
         self, copies: int, specs: tuple[NeighborhoodSpec, ...]
@@ -297,14 +360,11 @@ class CellColors:
         m = len(self.ccs)
         dtype = index_dtype(len(self.colors) + 1)  # the gathers read colors and a pad
         out = []
-        for r in range(self.ell + 1):
+        for r, nbs in enumerate(self._neighborhoods(specs)):
             n = len(self.colors[self.rank_span(r)])
             mats, segment = [np.empty((n, 0), dtype=dtype)], []
-            for pos, s in enumerate(s for s in specs if s.r1 == r):
-                csrs = [cc.neighbor_csr(s) for cc in self.ccs]
-                if not any(indptr[-1] for indptr, _ in csrs):
-                    continue
-                shifts = [self.starts[s.target_rank * m + ci] for ci in range(m)]
+            for pos, target, csrs in nbs:
+                shifts = [self.starts[target * m + ci] for ci in range(m)]
                 mats.append(np.vstack(padded_gather(csrs, shifts)).astype(dtype))
                 segment += [pos] * mats[-1].shape[1]
             out.append((np.hstack(mats), np.array(segment, dtype=np.int64)))
@@ -332,9 +392,10 @@ class CellColors:
         )
 
     def compact(self) -> None:
-        """Shrink a paused run: forget the gather cache (the next round
-        rebuilds what it needs) and hold pair colors in the smallest integer
-        type that fits them (rounds widen them again)."""
+        """Shrink a paused run: forget the neighborhood and gather caches
+        (the next round rebuilds what it needs) and hold pair colors in the
+        smallest integer type that fits them (rounds widen them again)."""
+        self._csrs.clear()
         self._gathers.clear()
         for ps in self.pair_states:
             ps.colors = ps.colors.astype(np.min_scalar_type(max(ps.classes - 1, 0)), copy=False)

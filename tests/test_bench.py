@@ -190,6 +190,17 @@ class TestFullDatasetProperties:
         assert reports[0] == reports[1]
         assert [r.separated for r in reports[0]] == [0, 223, 223]
 
+    def test_separating_rounds(self, dataset):
+        """Per pair: homp separates none and the oracle reports no round,
+        while smcn separates every pair at tick 2, the pair seed after its
+        first cell round."""
+        pairs = [(pair.left, pair.right) for pair in dataset]
+        engines = [Engine.homp_full(), Engine.smcn(), Engine.oracle()]
+        homp, smcn, oracle = run_benchmark(pairs, engines)
+        assert homp.rounds == oracle.rounds == [None] * 223
+        assert smcn.rounds == [2] * 223
+        assert (homp.unknown, smcn.unknown, oracle.unknown) == (0, 0, 0)
+
     def test_diameter_labels_match_bfs(self, dataset):
         # formula-derived component diameters vs the metric recomputed on the
         # union complex (components occupy contiguous node ranges)

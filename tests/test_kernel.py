@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cckit import refinement
 from cckit.complex import (
     SimpleGraph,
+    adjacency,
     build_cc,
     disjoint_union,
     disjoint_union_all,
@@ -48,6 +49,7 @@ from cckit._rowkeys import (
 )
 
 from helpers import (
+    arbitrary_complexes,
     lifted_iso_graphs,
     random_graph,
     reference_diagram,
@@ -404,6 +406,107 @@ class TestGathers:
             ]
             assert segment.tolist() == [p for p, w in enumerate(widths) for _ in range(w)]
             assert index.shape == (kernel.rank_span(r).stop - kernel.rank_span(r).start, sum(widths))
+
+
+def captured_round(state, run):
+    """Run one update of state and return (its key buffer before numbering,
+    changed, ids, class count, table)."""
+    captured = []
+    recolor = state.recolor
+
+    def capture(coloring, keys):
+        captured.append(keys.copy())
+        return recolor(coloring, keys)
+
+    state.recolor = capture
+    state.tabulate = True
+    changed = run()
+    (keys,) = captured
+    return keys, changed, state.colors, state.classes, state.table
+
+
+def assert_degree_round_matches_gathers(ccs, specs):
+    degree, gathered = CellColors(ccs), CellColors(ccs)
+    assert degree.classes == degree.held  # the initial colors are uniform per rank
+    ours = captured_round(degree, lambda: degree.cell_round(specs))
+    ref = captured_round(gathered, lambda: gathered.update(gathered, gathered.cell_gathers(specs)))
+    assert degree._gathers == {}  # the degree round built no gather
+    (keys, *rest), (ref_keys, *ref_rest) = ours, ref
+    assert keys.dtype == ref_keys.dtype and keys.shape == ref_keys.shape
+    assert keys.tobytes() == ref_keys.tobytes()
+    changed, ids, k, table = rest
+    ref_changed, ref_ids, ref_k, ref_table = ref_rest
+    assert (changed, ids.tolist(), k, table) == (ref_changed, ref_ids.tolist(), ref_k, ref_table)
+
+
+def empty_middle_rank():
+    """Rank-1 cells and rank-3 cells, none at rank 2."""
+    return build_cc([((0, 1), 1), ((1, 2), 1), ((0, 1, 2), 3), ((1, 2, 3), 3)], 5)
+
+
+def twin_vertex_set():
+    """The vertex set {0, 1} at ranks 1 and 2."""
+    return build_cc([((0, 1), 1), ((1, 2), 1), ((0, 1), 2), ((0, 1, 2), 2)], 4)
+
+
+class TestDegreeRound:
+    """A cell round on colors uniform per rank reads degrees, not gathers,
+    and writes the keys the gathered round writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(arbitrary_complexes(), min_size=1, max_size=3), st.data())
+    def test_matches_gathered_round(self, ccs, data):
+        ell = max(cc.dimension for cc in ccs)
+        # any spec order, so positions differ from the natural ones
+        specs = data.draw(st.lists(st.sampled_from(natural_specs(ell)), min_size=1, unique=True))
+        assert_degree_round_matches_gathers(ccs, tuple(specs))
+
+    @pytest.mark.parametrize(
+        "ccs",
+        [
+            [empty_middle_rank()],
+            [empty_middle_rank(), twin_vertex_set()],
+            [build_cc([], 3)],  # dimension 0: no spec has a neighbor
+            [build_cc([], 2), build_cc([], 4)],
+            [twin_vertex_set()],
+            # adjacency(0, 1) and the rank-1 specs have neighbors in one complex only
+            [build_cc([], 3), graph_as_cc(SimpleGraph.from_edges(3, [(0, 1), (1, 2)]))],
+            [torus((3, 4)), build_cc([((0, 1), 1)], 12), empty_middle_rank()],
+        ],
+        ids=["empty_middle", "empty_middle_twin", "dim0", "dim0_two", "twin", "one_sided", "three"],
+    )
+    def test_fixed_states(self, ccs):
+        ell = max(cc.dimension for cc in ccs)
+        assert_degree_round_matches_gathers(ccs, tuple(natural_specs(ell)))
+
+    @pytest.mark.parametrize("copies", [85, 86])
+    def test_key_dtype_at_its_boundary(self, copies):
+        # two colors, so base 3; the last of the repeated specs sits at
+        # position copies - 1, and the largest key 3 * copies crosses 255
+        ccs = [graph_as_cc(SimpleGraph.from_edges(4, [(0, 1), (1, 2)]))]
+        assert_degree_round_matches_gathers(ccs, (adjacency(0, 1),) * copies)
+
+    def test_split_rank_reads_gathers(self):
+        # once a rank holds two colors, the round gathers again
+        state = CellColors([cylinder((3, 4))])
+        specs = tuple(natural_specs(2))
+        assert state.cell_round(specs)  # the boundary edges split off
+        assert state.classes > state.held and state._gathers == {}
+        state.cell_round(specs)
+        assert specs in state._gathers
+
+    @pytest.mark.parametrize("engine", [Engine.homp_full, Engine.smcn])
+    def test_torus_unions_build_no_cell_gather(self, monkeypatch, engine):
+        # homp never splits a rank on a torus pair, and smcn separates one at
+        # the pair seed, so neither builds a cell round's gathers
+        def build(self, specs):
+            raise AssertionError("a cell round built gathers")
+
+        monkeypatch.setattr(CellColors, "_build", build)
+        a, b = FIXTURES["torus_18"]()
+        joint = distinguish(a, b, engine())
+        assert distinguish(a, b, engine()) == joint  # the second call compares traces
+        assert joint.distinguished == (engine is Engine.smcn)
 
 
 class TestPaddedGather:
