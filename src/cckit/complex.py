@@ -182,6 +182,10 @@ class SparseBinaryMatrix:
 
 Csr = tuple[np.ndarray, np.ndarray]  # (indptr, indices), int64, read-only
 
+# _runs counts instead of sorting where the key bound is at most this many
+# times the number of keys
+COUNT_FACTOR = 4
+
 
 def _frozen(indptr: np.ndarray, indices: np.ndarray) -> Csr:
     """Freeze a CSR: complexes share their caches, so no caller may write."""
@@ -211,12 +215,19 @@ def row_ids(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), row_lengths(indptr))
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of an int array, ascending, with their multiplicities.
+def _runs(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of an int array with values in 0..bound - 1, ascending,
+    with their multiplicities.
 
-    Sort-based: faster than np.unique's hashing on the many small arrays a
-    complex's neighborhoods are built from.
+    A join's keys are packed pairs row * n + col, so their bound is known.
+    Where it is at most COUNT_FACTOR times the number of keys, one counting
+    pass over a dense accumulator (np.bincount; Gustavson, ACM TOMS 1978)
+    replaces the sort; otherwise the keys are sorted.
     """
+    if bound <= COUNT_FACTOR * len(keys):
+        counts = np.bincount(keys, minlength=bound)
+        values = np.flatnonzero(counts)
+        return values, counts[values]
     keys = np.sort(keys)
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
@@ -237,8 +248,17 @@ def _expand(csr: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transpose(csr: Csr, n_cols: int) -> Csr:
+    """The transpose of a frozen CSR with n_cols columns.  An empty relation
+    gives the empty CSR, and the identity relation (square, one entry per
+    row, on the diagonal) is its own transpose: the same arrays come back."""
     indptr, indices = csr
     n_rows = len(indptr) - 1
+    if not len(indices):
+        return _empty_csr(n_cols)
+    if n_rows == n_cols == len(indices):
+        steps = np.arange(n_rows + 1)
+        if (indptr == steps).all() and (indices == steps[:-1]).all():
+            return csr
     return _from_keys(np.sort(indices * n_rows + row_ids(indptr)), n_rows, n_cols)
 
 
@@ -255,7 +275,7 @@ def _pairs_within(groups: Csr, n: int) -> Csr:
         return _empty_csr(n)
     pos, b = _expand(groups, row_ids(indptr))
     a = members[pos]
-    keys, _ = _runs((a * n + b)[a != b])
+    keys, _ = _runs((a * n + b)[a != b], n * n)
     return _from_keys(keys, n, n)
 
 
@@ -396,9 +416,12 @@ class CombinatorialComplex:
         count between distinct cells is co-adjacency over rank 0.
         Incidence-down is the transpose of incidence-up, except into rank 0:
         the rank-0 cells inside a cell are its vertices, so that CSR is the
-        skeleton's own.  Adjacency joins two
-        r1-cells inside a common r2-cell and co-adjacency two r1-cells over a
-        common r2-cell.  Cached per spec.
+        skeleton's own; an empty or identity relation is transposed without
+        a sort (:func:`_transpose`).  Adjacency joins two r1-cells inside a
+        common r2-cell and co-adjacency two r1-cells over a common r2-cell.
+        Every join dedups packed keys row * n + col, by counting where the
+        skeleton sizes bound them tightly enough (:func:`_runs`).  Cached
+        per spec.
         """
         csr = self._csr_cache.get(spec)
         if csr is None:
@@ -443,7 +466,7 @@ class CombinatorialComplex:
         ptr_a, verts_a = self._cells[a]
         # every (x, y) with y holding some vertex of x, once per shared vertex
         pos, y = _expand(self.neighbor_csr(incidence_up(0, b)), verts_a)
-        keys, shared = _runs(row_ids(ptr_a)[pos] * n_b + y)
+        keys, shared = _runs(row_ids(ptr_a)[pos] * n_b + y, n_a * n_b)
         x = keys // n_b
         y = keys - x * n_b
         inside = shared == row_lengths(ptr_a)[x]

@@ -214,7 +214,7 @@ def _chain_violation(cc: CombinatorialComplex) -> tuple[int, int, int] | None:
         indptr, faces = cc.neighbor_csr(incidence_down(r + 1, r))
         pos, z = _expand(cc.neighbor_csr(incidence_down(r, r - 1)), faces)
         n = cc.skeleton_size(r - 1)
-        keys, counts = _runs(row_ids(indptr)[pos] * n + z)
+        keys, counts = _runs(row_ids(indptr)[pos] * n + z, cc.skeleton_size(r + 1) * n)
         odd = keys[counts % 2 == 1]
         if odd.size:
             return r, int(odd[0] // n), int(odd[0] % n)

@@ -149,7 +149,8 @@ def default_smcn_diagram() -> tuple[Stage, ...]:
 
 
 def _hist(colors: np.ndarray) -> Hist:
-    values, counts = _runs(colors.ravel())
+    colors = colors.ravel()
+    values, counts = _runs(colors, int(colors.max()) + 1 if colors.size else 0)
     return tuple(zip(values.tolist(), counts.tolist()))
 
 

@@ -1,11 +1,14 @@
 import json
 import random
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cckit import complex as complex_mod
 from cckit.complex import (
     Cell,
     NeighborhoodKind,
@@ -26,6 +29,7 @@ from cckit.complex import (
     neighborhood,
     neighborhood_matrix,
     parse_edge_list,
+    row_ids,
 )
 from cckit.errors import (
     DuplicateCell,
@@ -531,3 +535,120 @@ def test_hot_paths_read_arrays_only():
     for cc in checked:
         encode_json(cc)
         assert cc._skeletons is None and not cc._lists_cache and not cc._index
+
+
+def sorted_runs(keys):
+    """_runs by sorting: distinct keys ascending, with their multiplicities."""
+    values, counts = np.unique(keys, return_counts=True)
+    return values.astype(np.int64), counts.astype(np.int64)
+
+
+def runs_with_factor(keys, bound, factor):
+    """_runs with COUNT_FACTOR set to factor: 0 forces the sort path for
+    every nonzero bound, a factor above bound the counting path."""
+    with mock.patch.object(complex_mod, "COUNT_FACTOR", factor):
+        return complex_mod._runs(keys, bound)
+
+
+@st.composite
+def bounded_keys(draw):
+    """int64 keys below a bound on either side of COUNT_FACTOR times their
+    number; empty keys and a bound of 0 included."""
+    n = draw(st.integers(0, 40))
+    factor = complex_mod.COUNT_FACTOR
+    least = draw(st.integers(0, 3 * factor * max(n, 1)))
+    bound = draw(st.sampled_from([least, factor * n, factor * n + 1, 10**12])) if n else least
+    if n and bound == 0:
+        bound = 1
+    keys = draw(st.lists(st.integers(0, bound - 1), min_size=n, max_size=n)) if n else []
+    return np.array(keys, dtype=np.int64), bound
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_keys())
+    def test_counting_equals_sorting(self, keys_and_bound):
+        keys, bound = keys_and_bound
+        expected = sorted_runs(keys)
+        factors = [0, complex_mod.COUNT_FACTOR] + [bound + 1] * (bound <= 10**4)
+        for factor in factors:
+            values, counts = runs_with_factor(keys, bound, factor)
+            for got, want in zip((values, counts), expected):
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n, bound, counted", [(0, 0, True), (3, 12, True), (3, 13, False)])
+    def test_rule(self, n, bound, counted):
+        keys = np.arange(n, dtype=np.int64)
+        with mock.patch.object(complex_mod.np, "bincount", wraps=np.bincount) as count:
+            values, counts = complex_mod._runs(keys, bound)
+        assert count.called == counted
+        assert values.tolist() == keys.tolist() and counts.tolist() == [1] * n
+
+
+def frozen_csr(indptr, indices):
+    return complex_mod._frozen(np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64))
+
+
+def sorted_transpose(csr, n_cols):
+    """_transpose's sort path: every (col, row) entry packed and sorted."""
+    indptr, indices = csr
+    n_rows = len(indptr) - 1
+    return complex_mod._from_keys(np.sort(indices * n_rows + row_ids(indptr)), n_rows, n_cols)
+
+
+@st.composite
+def relations(draw):
+    """A frozen CSR of a relation between 0-6 rows and 0-6 columns, rows
+    sorted and free of repeats, and its column count."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = [sorted(draw(st.sets(st.integers(0, n_cols - 1)))) if n_cols else [] for _ in range(n_rows)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return frozen_csr(indptr, [c for r in rows for c in r]), n_cols
+
+
+def assert_same_csr(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes() and a.shape == b.shape
+        assert not a.flags.writeable
+
+
+class TestTranspose:
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_matches_sort_path(self, relation):
+        csr, n_cols = relation
+        assert_same_csr(complex_mod._transpose(csr, n_cols), sorted_transpose(csr, n_cols))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_identity_is_its_own_transpose(self, n):
+        csr = frozen_csr(np.arange(n + 1), np.arange(n))
+        got = complex_mod._transpose(csr, n)
+        assert got[0] is csr[0] and got[1] is csr[1]
+        assert_same_csr(got, sorted_transpose(csr, n))
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(0, 0), (0, 4), (3, 0), (3, 5)])
+    def test_empty_relation(self, n_rows, n_cols):
+        csr = frozen_csr(np.zeros(n_rows + 1), [])
+        assert_same_csr(complex_mod._transpose(csr, n_cols), sorted_transpose(csr, n_cols))
+
+    @pytest.mark.parametrize(
+        "indptr, indices, n_cols",
+        [
+            ([0, 2, 2, 3], [0, 2, 2], 3),  # n entries on n rows, not one per row
+            ([0, 2, 2, 3], [0, 1, 2], 3),  # the diagonal's indices, not its rows
+            ([0, 1, 2, 3], [1, 0, 2], 3),  # a permutation
+            ([0, 1, 2, 3], [0, 1, 2], 4),  # the diagonal of a 3 x 4 relation
+        ],
+    )
+    def test_near_misses_take_the_sort_path(self, indptr, indices, n_cols):
+        csr = frozen_csr(indptr, indices)
+        got = complex_mod._transpose(csr, n_cols)
+        assert got[1] is not csr[1]
+        assert_same_csr(got, sorted_transpose(csr, n_cols))
+
+    def test_rank_zero_incidence_shares_the_singletons(self):
+        cc = torus((3, 4))
+        up = cc.neighbor_csr(incidence_up(0, 0))
+        assert all(a is b for a, b in zip(up, cc.skeleton_arrays(0)))

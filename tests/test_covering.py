@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit.complex import graph_as_cc, incidence_up, natural_specs
+from cckit._rowkeys import key_dtype
+from cckit.complex import from_uniform_rows, graph_as_cc, incidence_up, natural_specs
 from cckit.covering import (
     CellMap,
     CoverCertificate,
@@ -24,7 +25,7 @@ from cckit.errors import (
     NotDivisible,
     PeriodTooSmall,
 )
-from cckit.generators import TorusParams, cycle_graph, cylinder, torus
+from cckit.generators import TorusParams, cycle_graph, cylinder, grid_nodes, torus
 from cckit.refinement import Engine, distinguish
 
 from helpers import (
@@ -420,3 +421,42 @@ class TestCellMapFromNodeMap:
         with pytest.raises(MapNotWellDefined) as exc:
             cell_map_from_node_map(c6, c6, [0, 1, 2, 0, 1, 2])
         assert str(exc.value) == "image (0, 2) of rank-1 cell (0, 5) is not a target cell"
+
+
+def window_torus(shape, window):
+    """A 2-torus whose rank-1 cells are the grid edges and whose rank-2 cells
+    are its window[0] x window[1] blocks of nodes, one from every node."""
+    i, j = np.unravel_index(np.arange(shape[0] * shape[1]), shape)
+    edges = [
+        np.column_stack([grid_nodes([i, j], shape), grid_nodes([i + di, j + dj], shape)])
+        for di, dj in ((0, 1), (1, 0))
+    ]
+    blocks = np.column_stack(
+        [grid_nodes([i + a, j + b], shape) for a in range(window[0]) for b in range(window[1])]
+    )
+    return from_uniform_rows(shape[0] * shape[1], [np.vstack(edges), blocks])
+
+
+class TestWindowCovers:
+    """cell_map_from_node_map where the widest rows are 8 bytes (one uint64
+    key) or 9 bytes (np.void keys): the double cover of a window torus onto
+    it, and the same map with two nodes' images swapped."""
+
+    @pytest.mark.parametrize(
+        "shape, window, row_bytes",
+        [((7, 9), (2, 4), 8), ((7, 9), (3, 3), 9), ((16, 16), (2, 2), 8), ((5, 7), (2, 2), 4)],
+    )
+    def test_found_and_rejected_as_by_joint_interning(self, shape, window, row_bytes):
+        target = window_torus(shape, window)
+        source = window_torus((2 * shape[0], 2 * shape[1]), window)
+        assert key_dtype(target.num_nodes).itemsize * window[0] * window[1] == row_bytes
+        coords = np.unravel_index(np.arange(source.num_nodes), (2 * shape[0], 2 * shape[1]))
+        node_image = grid_nodes(coords, shape)
+        expected = reference_cell_images(source, target, node_image)
+        assert induced_map(source, target, node_image) == expected
+        assert verify_covering(cell_map_from_node_map(source, target, node_image)) is None
+        swapped = node_image.copy()
+        swapped[[0, source.num_nodes - 1]] = swapped[[source.num_nodes - 1, 0]]
+        expected = reference_cell_images(source, target, swapped)
+        assert isinstance(expected, str)
+        assert induced_map(source, target, swapped) == expected
