@@ -4,12 +4,10 @@ A refinement update builds one row per cell (or per pair) and numbers the
 distinct rows (:func:`number_keys`).  The numbering is exact and hash-free:
 every value is stored plus one so the -1 pad is key 0, in the narrowest
 unsigned dtype that holds the largest key (:func:`key_dtype`: 8, 16, 32 or 64
-bits), and one argsort of one sort key per row orders them
-(:func:`sort_keys`).  A row of at most 8 bytes is one native uint64, its
-big-endian bytes zero-padded on the right, so such rows sort and compare as
-integers; a wider row is byte-swapped to big-endian, so that its bytes compare
-as the row does in lexicographic order, and sorted as one np.void key.  Ids
-are canonical: distinct rows are numbered in sorted-row order.
+bits), byte-swapped to big-endian so that a row's bytes compare as the row
+does in lexicographic order, and one argsort of the rows as np.void keys
+orders them.  Ids are canonical: distinct rows are numbered in sorted-row
+order.
 
 Rows move only narrow bytes.  Gathers are int32 index matrices while the
 array they read has fewer than 2**31 entries, int64 from there on
@@ -54,14 +52,14 @@ def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tupl
     compare exactly; the two lengths fix the row width), whatever the key
     dtype.
 
-    One argsort of the rows' sort keys (:func:`sort_keys`) orders them: one
-    uint64 per row of at most 8 bytes, one np.void per wider row.  The buffer
-    is consumed: it is byte-swapped in place to big-endian.
+    The buffer is consumed: it is byte-swapped in place to big-endian, so each
+    row's bytes compare as the row does in lexicographic order, and one row
+    is one np.void sort key.
     """
     keys = _big_endian(keys)
-    rowkeys = sort_keys(keys)
-    order = np.argsort(rowkeys)
-    ordered = rowkeys[order]
+    voids = _void_keys(keys)
+    order = np.argsort(voids)
+    ordered = voids[order]
     leader = np.ones(len(keys), dtype=bool)
     leader[1:] = ordered[1:] != ordered[:-1]
     ids = np.empty(len(keys), dtype=np.int64)
@@ -75,32 +73,17 @@ def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tupl
     return ids, len(starts), table
 
 
-def sort_keys(keys: np.ndarray) -> np.ndarray:
-    """One sort key per row of a C-contiguous unsigned key buffer, comparing
-    as the rows do in lexicographic order.
-
-    A row of at most 8 bytes is one native uint64: its big-endian bytes,
-    zero-padded on the right, so such rows argsort, compare and searchsorted
-    as integers.  A wider row is one np.void of its big-endian bytes, which
-    numpy compares byte by byte; the buffer is then byte-swapped in place to
-    big-endian (:func:`_big_endian`).
-    """
-    size = keys.itemsize
-    if keys.shape[1] * size > 8:
-        return _big_endian(keys).view(np.dtype((np.void, keys.shape[1] * size))).ravel()
-    words = np.zeros(len(keys), dtype=np.uint64)
-    for j in range(keys.shape[1]):
-        # shift by np.uint64: numpy before 2.0 promotes uint64 with a signed
-        # integer to float64
-        words |= keys[:, j].astype(np.uint64) << np.uint64(8 * (8 - size * (j + 1)))
-    return words
-
-
 def _big_endian(keys: np.ndarray) -> np.ndarray:
     """An unsigned key buffer byte-swapped in place to big-endian and viewed
     as such: the same values, stored so that bytes compare as values do."""
     big = keys.dtype.newbyteorder(">")
     return keys if keys.dtype == big else keys.byteswap(inplace=True).view(big)
+
+
+def _void_keys(keys: np.ndarray) -> np.ndarray:
+    """A C-contiguous big-endian key buffer as one np.void key per row (of the
+    row's length also when there are no rows)."""
+    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
 
 
 def store_keys(out: np.ndarray, values) -> None:
@@ -110,12 +93,12 @@ def store_keys(out: np.ndarray, values) -> None:
 
 
 def row_keys(rows: np.ndarray, width: int, span: int) -> np.ndarray:
-    """One sort key per row of an int matrix with values -1..span - 1, padded
-    with -1 to width (:func:`sort_keys`): the keys compare as the padded rows
-    do in lexicographic order, the -1 pad lowest."""
+    """One np.void key per row of an int matrix with values -1..span - 1,
+    padded with -1 to width: the keys compare as the padded rows do in
+    lexicographic order, the -1 pad lowest."""
     keys = np.zeros((len(rows), width), dtype=key_dtype(span))
     store_keys(keys[:, : rows.shape[1]], rows)
-    return sort_keys(keys)
+    return _void_keys(_big_endian(keys))
 
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:

@@ -248,13 +248,11 @@ def _expand(csr: Csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transpose(csr: Csr, n_cols: int) -> Csr:
-    """The transpose of a frozen CSR with n_cols columns.  An empty relation
-    gives the empty CSR, and the identity relation (square, one entry per
-    row, on the diagonal) is its own transpose: the same arrays come back."""
+    """The transpose of a frozen CSR with n_cols columns.  The identity
+    relation (square, one entry per row, on the diagonal) is its own
+    transpose: the same arrays come back, with no sort."""
     indptr, indices = csr
     n_rows = len(indptr) - 1
-    if not len(indices):
-        return _empty_csr(n_cols)
     if n_rows == n_cols == len(indices):
         steps = np.arange(n_rows + 1)
         if (indptr == steps).all() and (indices == steps[:-1]).all():
@@ -416,8 +414,8 @@ class CombinatorialComplex:
         count between distinct cells is co-adjacency over rank 0.
         Incidence-down is the transpose of incidence-up, except into rank 0:
         the rank-0 cells inside a cell are its vertices, so that CSR is the
-        skeleton's own; an empty or identity relation is transposed without
-        a sort (:func:`_transpose`).  Adjacency joins two r1-cells inside a
+        skeleton's own; the identity relation is transposed without a sort
+        (:func:`_transpose`).  Adjacency joins two r1-cells inside a
         common r2-cell and co-adjacency two r1-cells over a common r2-cell.
         Every join dedups packed keys row * n + col, by counting where the
         skeleton sizes bound them tightly enough (:func:`_runs`).  Cached

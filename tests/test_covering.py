@@ -438,9 +438,9 @@ def window_torus(shape, window):
 
 
 class TestWindowCovers:
-    """cell_map_from_node_map where the widest rows are 8 bytes (one uint64
-    key) or 9 bytes (np.void keys): the double cover of a window torus onto
-    it, and the same map with two nodes' images swapped."""
+    """cell_map_from_node_map where the widest rows are 4, 8 or 9 bytes: the
+    double cover of a window torus onto it, and the same map with two nodes'
+    images swapped."""
 
     @pytest.mark.parametrize(
         "shape, window, row_bytes",

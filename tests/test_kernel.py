@@ -45,7 +45,6 @@ from cckit._rowkeys import (
     number_keys,
     padded_gather,
     row_span,
-    sort_keys,
     store_keys,
 )
 
@@ -330,75 +329,6 @@ class TestInternRows:
         assert k == ref_k
         assert [i.tolist() for i in ids] == [i.tolist() for i in ref_ids]
         assert table == ref_table
-
-
-def void_number_keys(keys, tabulate):
-    """number_keys as it was before narrow rows became one uint64 word: every
-    row one np.void of its big-endian bytes.  Ids, class count and table."""
-    keys = keys.astype(keys.dtype.newbyteorder(">"))
-    voids = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-    order = np.argsort(voids, kind="stable")
-    ordered = voids[order]
-    leader = np.ones(len(keys), dtype=bool)
-    leader[1:] = ordered[1:] != ordered[:-1]
-    ids = np.empty(len(keys), dtype=np.int64)
-    ids[order] = np.cumsum(leader) - 1
-    starts = np.flatnonzero(leader)
-    table = None
-    if tabulate:
-        counts = np.diff(np.append(starts, len(keys)))
-        table = ((keys[order[starts]].astype(np.int64) - 1).tobytes(), counts.tobytes())
-    return ids, len(starts), table
-
-
-# (key dtype, row width) at both sides of the one-word boundary: 8 and 16
-# bytes per row and more
-WORD_BOUNDARY = [("u1", 8), ("u1", 9), ("u2", 4), ("u2", 5), ("u4", 2), ("u4", 3), ("u8", 1), ("u8", 2)]
-
-
-@st.composite
-def key_buffers(draw, dtype, width):
-    """A key buffer of 0-12 rows: keys at the dtype's edges or small, with
-    repeated rows likely."""
-    dtype = np.dtype(dtype)
-    top = int(np.iinfo(dtype).max)
-    values = st.sampled_from([0, 1, 2, top // 2, top - 1, top])
-    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), max_size=6))
-    rows = rows + draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else rows
-    return np.array(rows, dtype=dtype).reshape(len(rows), width)
-
-
-class TestNarrowKeys:
-    """Rows of at most 8 bytes sort as one native uint64 word; wider rows as
-    np.void.  Either way number_keys gives the np.void numbering."""
-
-    @pytest.mark.parametrize("dtype, width", WORD_BOUNDARY)
-    def test_word_only_up_to_eight_bytes(self, dtype, width):
-        keys = np.zeros((3, width), dtype=dtype)
-        one_word = width * np.dtype(dtype).itemsize <= 8
-        assert (sort_keys(keys).dtype == np.uint64) == one_word
-        assert (sort_keys(keys).dtype.kind == "V") != one_word
-
-    @pytest.mark.parametrize("dtype, width", WORD_BOUNDARY)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_matches_void_numbering(self, dtype, width, data):
-        keys = data.draw(key_buffers(dtype, width))
-        for tabulate in (False, True):
-            ids, k, table = number_keys(keys.copy(), tabulate)
-            ref_ids, ref_k, ref_table = void_number_keys(keys, tabulate)
-            assert (k, ids.tolist(), table) == (ref_k, ref_ids.tolist(), ref_table)
-
-    @pytest.mark.parametrize("dtype, width", WORD_BOUNDARY)
-    def test_words_ascend_with_the_rows(self, dtype, width):
-        # the first column outweighs all after it; the pad key 0 sorts first
-        top = int(np.iinfo(np.dtype(dtype)).max)
-        rows = sorted({(0,) * width, (0,) * (width - 1) + (1,), (0,) * (width - 1) + (top,),
-                       (1,) + (0,) * (width - 1), (top,) * width})
-        keys = sort_keys(np.array(rows, dtype=dtype))
-        assert np.argsort(keys).tolist() == list(range(len(rows)))
-        ids, k, _ = number_keys(np.array(rows[::-1], dtype=dtype), False)
-        assert (ids.tolist(), k) == (list(range(len(rows)))[::-1], len(rows))
 
 
 # key spans on both sides of every key dtype boundary
