@@ -4,10 +4,12 @@ A refinement update builds one row per cell (or per pair) and numbers the
 distinct rows (:func:`number_keys`).  The numbering is exact and hash-free:
 every value is stored plus one so the -1 pad is key 0, in the narrowest
 unsigned dtype that holds the largest key (:func:`key_dtype`: 8, 16, 32 or 64
-bits), byte-swapped to big-endian so that a row's bytes compare as the row
-does in lexicographic order, and one argsort of the rows as np.void keys
-orders them.  Ids are canonical: distinct rows are numbered in sorted-row
-order.
+bits), and one argsort orders the rows.  When R**w <= 2**64, for R the
+buffer's largest key plus one and w its row width, each row is one uint64,
+its value in mixed radix R; otherwise the buffer is byte-swapped to
+big-endian, so that a row's bytes compare as the row does in lexicographic
+order, and each row is one np.void key.  Both keys keep that order, so ids
+are canonical either way: distinct rows are numbered in sorted-row order.
 
 Rows move only narrow bytes.  Gathers are int32 index matrices while the
 array they read has fewer than 2**31 entries, int64 from there on
@@ -52,14 +54,17 @@ def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tupl
     compare exactly; the two lengths fix the row width), whatever the key
     dtype.
 
-    The buffer is consumed: it is byte-swapped in place to big-endian, so each
-    row's bytes compare as the row does in lexicographic order, and one row
-    is one np.void sort key.
+    A row is one uint64 sort key, its mixed-radix value, when the rows fit
+    64 bits (:func:`_packed_keys`).  Otherwise the buffer is consumed: it is
+    byte-swapped in place to big-endian, so each row's bytes compare as the
+    row does in lexicographic order, and one row is one np.void sort key.
     """
-    keys = _big_endian(keys)
-    voids = _void_keys(keys)
-    order = np.argsort(voids)
-    ordered = voids[order]
+    sort_keys = _packed_keys(keys)
+    if sort_keys is None:
+        keys = _big_endian(keys)
+        sort_keys = _void_keys(keys)
+    order = np.argsort(sort_keys)
+    ordered = sort_keys[order]
     leader = np.ones(len(keys), dtype=bool)
     leader[1:] = ordered[1:] != ordered[:-1]
     ids = np.empty(len(keys), dtype=np.int64)
@@ -71,6 +76,21 @@ def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tupl
         distinct = keys[order[starts]].astype(np.int64) - 1
         table = (distinct.tobytes(), counts.tobytes())
     return ids, len(starts), table
+
+
+def _packed_keys(keys: np.ndarray) -> np.ndarray | None:
+    """The rows of a key buffer as one uint64 each, their mixed-radix value
+    in the radix R = largest key + 1, when R**width <= 2**64; None otherwise.
+    The rows are packed by Horner's rule, one column at a time, into one
+    uint64 array.  Mixed radix keeps the rows' lexicographic order."""
+    radix, width = int(keys.max(initial=0)) + 1, keys.shape[1]
+    if radix**width > 1 << 64:
+        return None
+    packed = keys[:, 0].astype(np.uint64)
+    for column in keys.T[1:]:  # width >= 2, so radix <= 2**32
+        packed *= np.uint64(radix)
+        packed += column
+    return packed
 
 
 def _big_endian(keys: np.ndarray) -> np.ndarray:

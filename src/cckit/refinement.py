@@ -26,9 +26,11 @@ builders and numbering).  Gathers are int32 index matrices while the array
 they read has fewer than 2**31 entries, int64 from there on.  Each update
 computes its key dtype from bounds it already knows (color count, base and
 segment count) and writes its rows once, values plus one, into one unsigned
-key buffer of that dtype (8, 16, 32 or 64 bits), which is byte-swapped and
-sorted in place.  Trace tables hold the distinct rows as int64 bytes whatever
-the key dtype, so they compare across updates and complexes.
+key buffer of that dtype (8, 16, 32 or 64 bits).  The buffer is sorted as
+one uint64 per row when its rows' mixed-radix values fit 64 bits, and
+otherwise byte-swapped in place and sorted as np.void rows.  Trace tables
+hold the distinct rows as int64 bytes whatever the key dtype, so they compare
+across updates and complexes.
 
 Three engines are exposed: plain cell refinement over the natural
 neighborhoods ("homp"), pair-space refinement over X_{r1} x X_{r2} with

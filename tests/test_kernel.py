@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cckit import refinement
+from cckit import _rowkeys, refinement
 from cckit.complex import (
     SimpleGraph,
     adjacency,
@@ -35,6 +35,7 @@ from cckit.refinement import (
     SclBlock,
     _build_gathers,
     _marking_matrix,
+    default_smcn_diagram,
     distinguish,
     run_diagram,
 )
@@ -92,13 +93,45 @@ def narrowest_key_dtype(blocks) -> np.dtype:
     return key_dtype(max([0] + [int(b.max()) + 1 for b in blocks if b.size]))
 
 
-def key_blocks():
-    """1-4 int blocks and a key dtype that holds their keys: the narrowest
-    or any wider one."""
+def packed_radix(width: int) -> int:
+    """The largest radix R with R**width <= 2**64: number_keys packs rows of
+    that width while their largest key is below R."""
+    radix = round(2 ** (64 / width))
+    while radix**width > 1 << 64:
+        radix -= 1
+    while (radix + 1) ** width <= 1 << 64:
+        radix += 1
+    return radix
+
+
+def boundary_blocks():
+    """1-4 int blocks of 2-9 columns whose largest key is R - 1 or R for the
+    radix R of packed_radix(width): key spans on both sides of the packed
+    path's boundary."""
 
     @st.composite
     def build(draw):
-        blocks = draw(st.lists(int_blocks(), min_size=1, max_size=4))
+        width = draw(st.integers(2, 9))
+        top = packed_radix(width) - 2 + draw(st.integers(0, 1))  # the largest value
+        values = st.sampled_from([-1, 0, top - 1, top])
+        blocks = []
+        for _ in range(draw(st.integers(1, 4))):
+            rows = draw(st.integers(1, 4))
+            flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+            blocks.append(np.array(flat, dtype=np.int64).reshape(rows, width))
+        blocks[0][0, 0] = top
+        return blocks
+
+    return build()
+
+
+def key_blocks():
+    """1-4 int blocks and a key dtype that holds their keys: the narrowest
+    or any wider one.  Some draws sit at the packed path's boundary."""
+
+    @st.composite
+    def build(draw):
+        blocks = draw(st.one_of(st.lists(int_blocks(), min_size=1, max_size=4), boundary_blocks()))
         least = narrowest_key_dtype(blocks).itemsize
         return blocks, draw(st.sampled_from([d for d in KEY_DTYPES if d.itemsize >= least]))
 
@@ -370,6 +403,68 @@ class TestKeyDtypes:
         rows = np.column_stack((colors, np.sort(ext[index] + segment * base, axis=1)))
         (ref_ids,), ref_k, ref_table = reference_intern([rows], True)
         assert (k, ids.tolist(), table) == (ref_k, ref_ids.tolist(), ref_table)
+
+    @pytest.mark.parametrize(
+        "dtype, width, top, packed",
+        [
+            ("u1", 8, 2**8 - 2, True),  # R**w = 2**64
+            ("u1", 9, 2**8 - 2, False),
+            ("u8", 2, 2**32 - 2, True),  # R**w = 2**64
+            ("u8", 2, 2**32 - 1, False),
+            ("u1", 8, None, True),  # no rows
+        ],
+    )
+    def test_intern_rows_at_packed_boundary(self, dtype, width, top, packed):
+        # the largest key is top + 1, so R = top + 2; rows pack into one
+        # uint64 while R**width <= 2**64, and stay np.void beyond
+        if top is None:
+            blocks = [np.zeros((0, width), dtype=np.int64)]
+        else:
+            rng = np.random.default_rng(width)
+            block = rng.choice([-1, 0, 1, top - 1, top], size=(12, width))
+            block[0] = top
+            block[1:4] = block[4:7]  # repeated rows
+            blocks = [block[:5], block[5:]]
+        keys = np.zeros((sum(map(len, blocks)), width), dtype=dtype)
+        store_keys(keys, np.concatenate(blocks))
+        assert (_rowkeys._packed_keys(keys) is not None) == packed
+        ids, k, table = number_blocks(blocks, True, np.dtype(dtype))
+        ref_ids, ref_k, ref_table = reference_intern(blocks, True)
+        assert (k, [i.tolist() for i in ids], table) == (ref_k, [i.tolist() for i in ref_ids], ref_table)
+
+    def test_packed_key_holds_the_largest_u8_key(self):
+        # key 2**64 - 1 makes R = 2**64, which no uint64 holds: one column
+        # packs without multiplying by the radix
+        top = 2**64 - 1
+        column = np.array([top, 0, top, 5, top - 1, 5], dtype=np.uint64)
+        keys = column[:, None].copy()
+        packed = _rowkeys._packed_keys(keys)
+        assert packed is not None and packed.tolist() == column.tolist()
+        ids, k, table = number_keys(keys, True)
+        assert (ids.tolist(), k) == ([3, 0, 3, 1, 2, 1], 4)
+        distinct = np.array([0, 5, top - 1, top], dtype=np.uint64).astype(np.int64) - 1
+        assert table == (distinct.tobytes(), np.array([1, 2, 1, 2]).tobytes())
+
+    def test_paths_follow_the_key_range(self, monkeypatch):
+        # the torus_18 pair seed packs its rows; a pair round on two lifts
+        # writes rows too wide for 64 bits, numbered as np.void keys
+        served = []
+        packed_keys = _rowkeys._packed_keys
+
+        def spy(keys):
+            packed = packed_keys(keys)
+            served.append(packed is not None)
+            return packed
+
+        monkeypatch.setattr(_rowkeys, "_packed_keys", spy)
+        (seed,) = [s for s in default_smcn_diagram() if isinstance(s, SclBlock)]
+        torus_pair = CellColors(list(FIXTURES["torus_18"]()))
+        torus_pair.seed_pairs(seed)
+        assert served == [True]
+        lifts = CellColors([PINNED_COMPLEXES["lift_0"](), PINNED_COMPLEXES["lift_1"]()])
+        state = lifts.seed_pairs(seed)
+        lifts.scl_round(state)
+        assert served == [True, True, False]
 
     def test_key_dtype_boundaries(self):
         sizes = [key_dtype(span).itemsize for span in SPANS]
