@@ -16,9 +16,10 @@ array they read has fewer than 2**31 entries, int64 from there on
 (:func:`index_dtype`).  An update knows the bounds of its rows (color count,
 base and segment count, see :func:`row_span`), so it picks the key dtype
 first and writes each row once into the key buffer (:func:`build_rows`).
-Tables of the distinct rows are int64 bytes whatever the key dtype.  The
-same keys let :func:`~cckit.covering.cell_map_from_node_map` look rows up
-among a skeleton's sorted rows (:func:`row_keys`).
+Tables of the distinct rows are int64 bytes whatever the key dtype.  Cover
+maps number their rows here too: :func:`~cckit.covering.cell_map_from_node_map`
+writes a skeleton's rows and their candidate images into one key buffer and
+numbers it, so :func:`number_keys` is the library's only row numbering.
 """
 
 from __future__ import annotations
@@ -57,12 +58,15 @@ def number_keys(keys: np.ndarray, tabulate: bool) -> tuple[np.ndarray, int, tupl
     A row is one uint64 sort key, its mixed-radix value, when the rows fit
     64 bits (:func:`_packed_keys`).  Otherwise the buffer is consumed: it is
     byte-swapped in place to big-endian, so each row's bytes compare as the
-    row does in lexicographic order, and one row is one np.void sort key.
+    row does in lexicographic order, and one row is one np.void sort key:
+    the only np.void keys the library builds.
     """
     sort_keys = _packed_keys(keys)
     if sort_keys is None:
-        keys = _big_endian(keys)
-        sort_keys = _void_keys(keys)
+        big = keys.dtype.newbyteorder(">")
+        if keys.dtype != big:
+            keys = keys.byteswap(inplace=True).view(big)
+        sort_keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
     order = np.argsort(sort_keys)
     ordered = sort_keys[order]
     leader = np.ones(len(keys), dtype=bool)
@@ -93,32 +97,10 @@ def _packed_keys(keys: np.ndarray) -> np.ndarray | None:
     return packed
 
 
-def _big_endian(keys: np.ndarray) -> np.ndarray:
-    """An unsigned key buffer byte-swapped in place to big-endian and viewed
-    as such: the same values, stored so that bytes compare as values do."""
-    big = keys.dtype.newbyteorder(">")
-    return keys if keys.dtype == big else keys.byteswap(inplace=True).view(big)
-
-
-def _void_keys(keys: np.ndarray) -> np.ndarray:
-    """A C-contiguous big-endian key buffer as one np.void key per row (of the
-    row's length also when there are no rows)."""
-    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
-
-
 def store_keys(out: np.ndarray, values) -> None:
     """Write the keys of values of at least -1 into out: values plus one, in
     out's unsigned dtype, so the -1 pad is key 0."""
     np.add(values, 1, out=out, dtype=out.dtype, casting="unsafe")
-
-
-def row_keys(rows: np.ndarray, width: int, span: int) -> np.ndarray:
-    """One np.void key per row of an int matrix with values -1..span - 1,
-    padded with -1 to width: the keys compare as the padded rows do in
-    lexicographic order, the -1 pad lowest."""
-    keys = np.zeros((len(rows), width), dtype=key_dtype(span))
-    store_keys(keys[:, : rows.shape[1]], rows)
-    return _void_keys(_big_endian(keys))
 
 
 def padded_gather(csrs: Sequence[Csr], shifts: Sequence[int] | None = None) -> list[np.ndarray]:

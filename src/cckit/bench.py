@@ -26,7 +26,7 @@ from .complex import (
     disjoint_union_all,
 )
 from .covering import CoverCertificate, cover_periods, torus_union_certificate
-from .errors import BadParams, CCError, ParseError
+from .errors import BadParams, CCError, ParseError, integer
 from .generators import TorusParams, torus
 from .invariants import INFINITE, Distance, betti_gf2, cross_diameter, distance_blocks
 from .invariants import shortest_paths  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -43,6 +43,8 @@ class TorusDatasetSpec:
     max_components: int
 
     def __post_init__(self) -> None:
+        for name in ("min_nodes", "max_nodes", "max_components"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.min_nodes < 9:
             raise BadParams("min_nodes below the smallest torus (3x3 = 9 nodes)")
         if self.max_nodes < self.min_nodes:

@@ -53,7 +53,7 @@ from .errors import (
     PeriodTooSmall,
 )
 from .generators import StripParams, TorusParams, cylinder, grid_nodes, moebius, torus
-from ._rowkeys import row_keys
+from ._rowkeys import key_dtype, number_keys, store_keys
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,10 @@ def cell_map_from_node_map(
     """Extend a node-level map cell-wise; every image set must be a target cell.
 
     Vectorized per rank: the padded vertex rows go through the node map, are
-    sorted and de-duplicated within each row, then looked up among the target
-    rows.  A skeleton is in lexicographic order, so the target rows' byte keys
-    (:func:`~cckit._rowkeys.row_keys`) are strictly increasing: an image row
-    is target row j when its key is found at position j, and no target cell
-    when its key is found nowhere.
+    sorted and de-duplicated within each row, then numbered jointly with the
+    target rows in one key buffer (:func:`~cckit._rowkeys.number_keys`): an
+    image row is target row j when it gets the id of row j, and no target cell
+    when its id is no target row's.
     """
     node_image = np.asarray(node_image, dtype=np.int64)
     if node_image.shape != (source.num_nodes,):
@@ -128,12 +127,16 @@ def cell_map_from_node_map(
         img = np.sort(img, axis=1)
         img[img == pad] = -1
         targets = padded_rows(target.skeleton_arrays(r))
+        n = len(targets)
         width = max(img.shape[1], targets.shape[1])
-        keys, wanted = (row_keys(m, width, target.num_nodes) for m in (targets, img))
-        images = np.searchsorted(keys, wanted)
-        found = images < len(keys)
-        found[found] = keys[images[found]] == wanted[found]
-        unmatched = np.flatnonzero(~found)
+        keys = np.zeros((n + len(img), width), dtype=key_dtype(target.num_nodes))
+        store_keys(keys[:n, : targets.shape[1]], targets)
+        store_keys(keys[n:, : img.shape[1]], img)
+        ids, count, _ = number_keys(keys, False)
+        cell_of = np.full(count, -1, dtype=np.int64)
+        cell_of[ids[:n]] = np.arange(n)
+        images = cell_of[ids[n:]]
+        unmatched = np.flatnonzero(images < 0)
         if unmatched.size:
             i = unmatched[0]
             raise MapNotWellDefined(

@@ -6,6 +6,8 @@ exit code 2 (validation error).
 
 from __future__ import annotations
 
+import numbers
+
 
 class CCError(Exception):
     """Base class for all toolkit validation errors."""
@@ -49,6 +51,14 @@ class PeriodTooSmall(CCError):
 
 class BadParams(CCError):
     """Structurally invalid generator parameters."""
+
+
+def integer(value, name: str) -> int:
+    """value as an int when it is an integer (numbers.Integral, numpy's
+    included, but not bool); BadParams otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DegenerateCover(CCError):

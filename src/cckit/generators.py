@@ -18,7 +18,7 @@ import numpy as np
 # build_cc stays reachable as generators.build_cc: perfbench/tracing.py wraps that name
 from .complex import CombinatorialComplex, SimpleGraph, build_cc, from_uniform_rows  # noqa: F401
 from .complex import _singletons
-from .errors import BadParams, PeriodTooSmall
+from .errors import BadParams, PeriodTooSmall, integer
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class TorusParams:
     def __post_init__(self) -> None:
         if not self.periods:
             raise BadParams("torus needs at least one period")
-        if not all(isinstance(p, int) and not isinstance(p, bool) for p in self.periods):
-            raise BadParams(f"torus periods must be integers, got {self.periods}")
+        object.__setattr__(self, "periods", tuple(integer(p, "torus period") for p in self.periods))
         for p in self.periods:
             if p < 3:
                 raise PeriodTooSmall(f"torus period {p} < 3")
@@ -52,6 +51,8 @@ class StripParams:
     perimeter: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "height", integer(self.height, "strip height"))
+        object.__setattr__(self, "perimeter", integer(self.perimeter, "strip perimeter"))
         if self.height < 3 or self.perimeter < 3:
             raise PeriodTooSmall(
                 f"strip needs height, perimeter >= 3, got ({self.height}, {self.perimeter})"
@@ -144,6 +145,7 @@ def moebius(params: StripParams | tuple[int, int]) -> CombinatorialComplex:
 
 
 def cycle_graph(n: int) -> SimpleGraph:
+    n = integer(n, "cycle length")
     if n < 3:
         raise BadParams(f"cycle needs n >= 3, got {n}")
     return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -155,6 +157,7 @@ def star_graph(n: int, k: int) -> SimpleGraph:
     Node ids: 0..n*k-1 are the cycle, n*k..n*k+k-1 the spokes.  Requires
     k >= 3 and n*k > 3 so the only triangles are spoke-cycle triangles.
     """
+    n, k = integer(n, "star graph n"), integer(k, "star graph k")
     if n < 1 or k < 3 or n * k <= 3:
         raise BadParams(f"star graph needs n >= 1, k >= 3, n*k > 3; got ({n}, {k})")
     m = n * k

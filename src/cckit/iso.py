@@ -71,7 +71,7 @@ import numpy as np
 # build_cc and check_isomorphism stay reachable as iso attributes, and
 # cc_isomorphic calls check_isomorphism through them: perfbench/tracing.py wraps both
 from .complex import CombinatorialComplex, build_cc, row_ids, row_lengths  # noqa: F401
-from .complex import incidence_down, incidence_up
+from .complex import _expand, incidence_down, incidence_up
 from .covering import CellMap, cell_map_from_node_map, check_isomorphism
 from .errors import BadParams, MapNotWellDefined
 from .invariants import component_labels
@@ -331,10 +331,11 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
     """The node-connectivity components, as complexes sliced from the parent's
     skeleton arrays, each with its parent nodes in ascending order.
 
-    A cell belongs to the component of its first vertex.  Stable sorts by
-    component keep each component's cells in parent order, and the vertex
-    renumbering preserves order within a component, so every slice is already
-    canonical and needs no re-validation.  Ranks past a component's top
+    A cell belongs to the component of its first vertex.  A stable sort by
+    component keeps each component's cells in parent order, their vertex rows
+    are read in that order, and the vertex renumbering preserves order within
+    a component, so every slice is already canonical and needs no
+    re-validation.  Ranks past a component's top
     non-empty rank are dropped from its complex.  The node lists are all a
     witness needs: a node map of each component extends to the parent's
     cells (:func:`cc_isomorphic`).
@@ -353,7 +354,7 @@ def split_components(cc: CombinatorialComplex) -> list[_Component]:
         lengths = row_lengths(indptr)
         comp = labels[verts[indptr[:-1]]]
         cells = np.argsort(comp, kind="stable")
-        flat = local[verts[np.argsort(np.repeat(comp, lengths), kind="stable")]]
+        flat = local[_expand((indptr, verts), cells)[1]]
         ptr = np.concatenate(([0], np.cumsum(lengths[cells])))
         starts = np.concatenate(([0], np.cumsum(np.bincount(comp, minlength=count))))
         ranks.append((ptr, flat, starts))

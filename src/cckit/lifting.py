@@ -14,7 +14,7 @@ import numpy as np
 # build_cc stays reachable as lifting.build_cc: perfbench/tracing.py wraps that name
 from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc  # noqa: F401
 from .complex import _from_skeletons, _singletons
-from .errors import BadParams, DegenerateCover
+from .errors import BadParams, DegenerateCover, integer
 from .invariants import component_labels, distance_blocks, graph_edges, symmetric_arcs
 
 Rational = Fraction | int
@@ -27,6 +27,7 @@ class CyclicLiftParams:
     max_len: int = 18
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_len", integer(self.max_len, "max cycle length"))
         if self.max_len < 3:
             raise BadParams(f"max cycle length {self.max_len} < 3")
 
@@ -139,7 +140,7 @@ def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParam
     `build_cc`: the edges of a `SimpleGraph` and the sorted output of
     :func:`chordless_cycles` are already canonical.
     """
-    if isinstance(params, int):
+    if not isinstance(params, CyclicLiftParams):
         params = CyclicLiftParams(params)
     return _from_skeletons(g.num_nodes, [g.sorted_edges(), chordless_cycles(g, params.max_len)])
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cckit import _rowkeys
 from cckit._rowkeys import key_dtype
-from cckit.complex import from_uniform_rows, graph_as_cc, incidence_up, natural_specs
+from cckit.complex import SimpleGraph, from_uniform_rows, graph_as_cc, incidence_up, natural_specs
 from cckit.covering import (
     CellMap,
     CoverCertificate,
@@ -402,8 +403,9 @@ class TestCellMapFromNodeMap:
     @settings(max_examples=200, deadline=None)
     @given(arbitrary_complexes(), arbitrary_complexes(), st.integers(0, 2**32 - 1))
     def test_matches_joint_interning(self, source, other, seed):
-        """Looking images up among the sorted target rows gives the map, or
-        the first unmatched image's message, that joint interning gave."""
+        """Numbering the image rows jointly with the target rows in one key
+        buffer gives the map, or the first unmatched image's message, that
+        joint interning gave."""
         rng = random.Random(seed)
         perm = list(range(source.num_nodes))
         rng.shuffle(perm)
@@ -421,6 +423,11 @@ class TestCellMapFromNodeMap:
         with pytest.raises(MapNotWellDefined) as exc:
             cell_map_from_node_map(c6, c6, [0, 1, 2, 0, 1, 2])
         assert str(exc.value) == "image (0, 2) of rank-1 cell (0, 5) is not a target cell"
+        # a target without the rank: the key buffer holds image rows alone
+        isolated = graph_as_cc(SimpleGraph.from_edges(6, []))
+        with pytest.raises(MapNotWellDefined) as exc:
+            cell_map_from_node_map(c6, isolated, range(6))
+        assert str(exc.value) == "image (0, 1) of rank-1 cell (0, 1) is not a target cell"
 
 
 def window_torus(shape, window):
@@ -438,15 +445,31 @@ def window_torus(shape, window):
 
 
 class TestWindowCovers:
-    """cell_map_from_node_map where the widest rows are 4, 8 or 9 bytes: the
-    double cover of a window torus onto it, and the same map with two nodes'
-    images swapped."""
+    """cell_map_from_node_map where the widest rows are 4, 8, 9 or 20 bytes:
+    the double cover of a window torus onto it, and the same map with two
+    nodes' images swapped.  Each rank's joint rows are packed into uint64
+    keys when they fit 64 bits and numbered as np.void keys otherwise."""
 
     @pytest.mark.parametrize(
         "shape, window, row_bytes",
-        [((7, 9), (2, 4), 8), ((7, 9), (3, 3), 9), ((16, 16), (2, 2), 8), ((5, 7), (2, 2), 4)],
+        [
+            ((7, 9), (2, 4), 8),
+            ((7, 9), (3, 3), 9),
+            ((16, 16), (2, 2), 8),
+            ((5, 7), (2, 2), 4),
+            ((7, 9), (4, 5), 20),
+        ],
     )
-    def test_found_and_rejected_as_by_joint_interning(self, shape, window, row_bytes):
+    def test_found_and_rejected_as_by_joint_interning(self, shape, window, row_bytes, monkeypatch):
+        served = []
+        packed_keys = _rowkeys._packed_keys
+
+        def spy(keys):
+            packed_rows = packed_keys(keys)
+            served.append(packed_rows is not None)
+            return packed_rows
+
+        monkeypatch.setattr(_rowkeys, "_packed_keys", spy)
         target = window_torus(shape, window)
         source = window_torus((2 * shape[0], 2 * shape[1]), window)
         assert key_dtype(target.num_nodes).itemsize * window[0] * window[1] == row_bytes
@@ -454,6 +477,12 @@ class TestWindowCovers:
         node_image = grid_nodes(coords, shape)
         expected = reference_cell_images(source, target, node_image)
         assert induced_map(source, target, node_image) == expected
+        # ranks 0 and 1 pack; rank 2 packs while R**w <= 2**64, with R the
+        # largest key (num_nodes) plus one: only the (4, 5) window, 20
+        # columns with R = 64, is numbered as np.void keys
+        wide = (target.num_nodes + 1) ** (window[0] * window[1]) > 1 << 64
+        assert wide == (window == (4, 5))
+        assert served == [True, True, not wide]
         assert verify_covering(cell_map_from_node_map(source, target, node_image)) is None
         swapped = node_image.copy()
         swapped[[0, source.num_nodes - 1]] = swapped[[source.num_nodes - 1, 0]]

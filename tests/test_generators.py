@@ -4,9 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from cckit.bench import TorusDatasetSpec
 from cckit.complex import build_cc, natural_specs
 from cckit.errors import BadParams, PeriodTooSmall
 from cckit.generators import (
+    StripParams,
+    TorusParams,
             cartesian_product,
     cycle_graph,
     cylinder,
@@ -16,6 +19,7 @@ from cckit.generators import (
     torus,
 )
 from cckit.invariants import diameter
+from cckit.lifting import CyclicLiftParams
 from cckit.complex import adjacency, graph_as_cc
 
 from helpers import graph_automorphisms, reference_strip, reference_strip_node, reference_torus
@@ -219,3 +223,37 @@ class TestMogPair:
 
         left, right = mog_example_pair()
         assert cc_isomorphic(graph_as_cc(left), graph_as_cc(right)).isomorphic is False
+
+
+class TestIntegerParams:
+    """Every integer parameter follows one rule: numbers.Integral, numpy's
+    included, but not bool; anything else is BadParams."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (cylinder, ((3.5, 4),)),
+            (cycle_graph, (3.5,)),
+            (cycle_graph, (True,)),
+            (star_graph, (1.5, 3)),
+            (CyclicLiftParams, (3.5,)),
+            (TorusDatasetSpec, (18.0, 24, 2)),
+            (TorusDatasetSpec, (18, 24.5, 2)),
+            (TorusDatasetSpec, (18, 24, True)),
+        ],
+    )
+    def test_non_integers_rejected(self, build, args):
+        with pytest.raises(BadParams, match="must be an integer"):
+            build(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert torus((np.int64(3), 3)) is torus((3, 3))
+        assert cycle_graph(np.int64(5)) == cycle_graph(5)
+        values = [
+            *TorusParams((np.int64(3), np.uint8(4))).periods,
+            *vars(StripParams(np.int64(3), np.int32(4))).values(),
+            CyclicLiftParams(np.int64(5)).max_len,
+            *vars(TorusDatasetSpec(np.int64(18), np.int64(24), np.int16(2))).values(),
+        ]
+        assert values == [3, 4, 3, 4, 5, 18, 24, 2]
+        assert {type(v) for v in values} == {int}
