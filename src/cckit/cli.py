@@ -214,7 +214,7 @@ def _cmd_invariants(args) -> int:
             report["boundary_cycle_lengths"] = report["boundary_edge_count"] = f"undefined ({exc})"
         else:
             report["boundary_cycle_lengths"] = cycle_lengths(boundary)
-            report["boundary_edge_count"] = len(boundary.edges)
+            report["boundary_edge_count"] = len(boundary.edge_array)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -5,6 +5,10 @@ A combinatorial complex is a ranked family of vertex sets over integer nodes
 never decreases in rank.  Cells are keyed by (vertex set, rank), so the same
 vertex set may appear at several ranks (pooling constructions need this).
 
+Graphs and 0/1 matrices are arrays too: a :class:`SimpleGraph` stores one
+sorted (m, 2) edge array and a :class:`SparseBinaryMatrix` one CSR, and
+their tuple and set forms are built on access.
+
 Complexes are immutable after construction; all queries are pure reads.
 Neighborhood structures are cached lazily on first use -- concurrent readers
 may duplicate that work but always observe identical results.  The refinement
@@ -31,6 +35,7 @@ from .errors import (
     RankViolation,
     UnknownCell,
     WrongKind,
+    integer,
 )
 
 Verts = tuple[int, ...]
@@ -140,44 +145,105 @@ def natural_specs(dimension: int) -> list[NeighborhoodSpec]:
     ]
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected graph on 0..num_nodes-1 without self-loops."""
+    """Undirected graph on 0..num_nodes-1 without self-loops.
 
-    num_nodes: int
-    edges: frozenset[Verts]
+    The edges are one read-only (m, 2) int64 array, `edge_array`: u < v in
+    every row, rows distinct and in lexicographic order.  The constructor
+    takes integer pairs in either orientation, as any collection (a frozenset
+    included) or an integer array, and checks them in one vectorized pass;
+    nothing is sized by num_nodes.  `edges` and `sorted_edges()` are built
+    from the array on each read.
+    """
 
-    def __post_init__(self) -> None:
-        for e in self.edges:
-            if len(e) != 2 or e[0] >= e[1]:
-                raise ParseError(f"bad edge {e}")
-            if e[1] >= self.num_nodes or e[0] < 0:
-                raise OutOfRangeNode(f"edge {e} outside 0..{self.num_nodes - 1}")
+    __slots__ = ("num_nodes", "edge_array")
+
+    def __init__(self, num_nodes: int, edges: Iterable[Sequence[int]] | np.ndarray = ()):
+        self.num_nodes = integer(num_nodes, "num_nodes")
+        rows = _edge_rows(edges)
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        top = max(-1, min(self.num_nodes, 2**63) - 1)  # the largest valid id, as an int64
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi > top))
+        if bad.size:
+            u, v = rows[bad[0]].tolist()
+            if u == v:
+                raise ParseError(f"bad edge {(u, v)}")
+            raise OutOfRangeNode(f"edge {(u, v)} outside 0..{self.num_nodes - 1}")
+        order = np.lexsort((hi, lo))
+        rows = np.column_stack((lo[order], hi[order]))
+        first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        self.edge_array = rows[first]
+        self.edge_array.flags.writeable = False
 
     @staticmethod
     def from_edges(num_nodes: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
-        canon = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return SimpleGraph(num_nodes, canon)
+        return SimpleGraph(num_nodes, edges)
+
+    @property
+    def edges(self) -> frozenset[Verts]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     def sorted_edges(self) -> list[Verts]:
-        return sorted(self.edges)
+        return list(map(tuple, self.edge_array.tolist()))
+
+    def _key(self) -> tuple:
+        return self.num_nodes, self.edge_array.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SimpleGraph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph({self.num_nodes}, {self.edge_array.tolist()})"
 
 
-@dataclass(frozen=True)
+def _edge_rows(edges) -> np.ndarray:
+    """`edges` as an (m, 2) int64 array.  An (m, 2) signed integer array is
+    taken as it is.  Otherwise endpoints follow :func:`errors.integer` (BadParams for a float,
+    bool or string), one beyond int64 is OutOfRangeNode, and a pair of
+    another length ParseError."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "i":
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
+    pairs = list(edges)
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ParseError(f"bad edge {tuple(pair)}")
+    ends = [integer(v, "edge endpoint") for pair in pairs for v in pair]
+    try:
+        return np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise OutOfRangeNode("an edge endpoint does not fit int64 node ids") from None
+
+
 class SparseBinaryMatrix:
-    """0/1 matrix stored as the set of positions holding 1."""
+    """0/1 matrix of shape (rows, cols), stored as one frozen CSR `csr` of the
+    positions holding 1, ascending in each row.  `entries`, the set of those
+    positions, is built on access."""
 
-    rows: int
-    cols: int
-    entries: frozenset[tuple[int, int]]
+    __slots__ = ("rows", "cols", "csr")
 
-    def __post_init__(self) -> None:
-        for i, j in self.entries:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ParseError(f"entry {(i, j)} outside {self.rows}x{self.cols}")
+    def __init__(self, rows: int, cols: int, csr: Csr):
+        self.rows, self.cols, self.csr = rows, cols, _frozen(*csr)
+
+    @property
+    def entries(self) -> frozenset[tuple[int, int]]:
+        indptr, indices = self.csr
+        return frozenset(map(tuple, np.column_stack((row_ids(indptr), indices)).tolist()))
 
     def transpose(self) -> "SparseBinaryMatrix":
-        return SparseBinaryMatrix(self.cols, self.rows, frozenset((j, i) for i, j in self.entries))
+        return SparseBinaryMatrix(self.cols, self.rows, _transpose(self.csr, self.cols))
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, *(a.tobytes() for a in self.csr)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SparseBinaryMatrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 Csr = tuple[np.ndarray, np.ndarray]  # (indptr, indices), int64, read-only
@@ -511,13 +577,16 @@ def build_cc(
     deduplicated vertex-wise, sorted lexicographically within each skeleton.
     This is the one entry point for cells from outside the library.
 
-    Raises EmptyCell, OutOfRangeNode, DuplicateCell, or RankViolation.
+    Raises BadParams (a vertex id or rank that is no integer, by
+    :func:`errors.integer`), EmptyCell, OutOfRangeNode, DuplicateCell, or
+    RankViolation.
     """
     _singletons(num_nodes)  # node-count errors come before cell errors
     seen: dict[tuple[Verts, int], None] = {}
     max_rank = 0
     for verts_in, rank in raw_cells:
-        verts = tuple(sorted(set(verts_in)))
+        rank = integer(rank, "cell rank")
+        verts = tuple(sorted({integer(v, "vertex id") for v in verts_in}))
         if not verts:
             raise EmptyCell("cell has no vertices")
         if rank < 0:
@@ -565,7 +634,7 @@ def _singletons(num_nodes: int) -> Csr:
     ValueError or MemoryError (OverflowError in older releases) for an
     impossible size before it touches memory.
     """
-    if num_nodes < 1:
+    if integer(num_nodes, "num_nodes") < 1:
         raise OutOfRangeNode("a complex needs at least one node")
     if num_nodes >= 2**63:  # node ids are int64
         raise OutOfRangeNode(f"num_nodes {num_nodes} does not fit int64 node ids")
@@ -631,7 +700,12 @@ def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
 
 def graph_as_cc(g: SimpleGraph) -> CombinatorialComplex:
     """View a graph as a complex: nodes at rank 0, edges at rank 1."""
-    return _from_skeletons(g.num_nodes, [g.sorted_edges()])
+    return _from_skeletons(g.num_nodes, [_edge_skeleton(g)])
+
+
+def _edge_skeleton(g: SimpleGraph) -> Csr:
+    """A graph's edges as a canonical rank-1 skeleton CSR."""
+    return np.arange(0, 2 * len(g.edge_array) + 1, 2, dtype=np.int64), g.edge_array.ravel()
 
 
 # -- per-cell operations -----------------------------------------------------------
@@ -658,9 +732,8 @@ def neighborhood(cc: CombinatorialComplex, spec: NeighborhoodSpec, x: Cell) -> s
 
 def neighborhood_matrix(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> SparseBinaryMatrix:
     """Matrix form of a neighborhood function, rows indexed by skeleton r1."""
-    indptr, indices = cc.neighbor_csr(spec)
-    entries = frozenset(zip(row_ids(indptr).tolist(), indices.tolist()))
-    return SparseBinaryMatrix(len(indptr) - 1, cc.skeleton_size(spec.target_rank), entries)
+    csr = cc.neighbor_csr(spec)
+    return SparseBinaryMatrix(len(csr[0]) - 1, cc.skeleton_size(spec.target_rank), csr)
 
 
 def augmented_hasse_graph(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> SimpleGraph:
@@ -670,7 +743,7 @@ def augmented_hasse_graph(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> S
     indptr, nbrs = cc.neighbor_csr(spec)
     rows = row_ids(indptr)
     once = rows < nbrs  # the relation is symmetric: keep each edge once
-    return SimpleGraph(len(indptr) - 1, frozenset(zip(rows[once].tolist(), nbrs[once].tolist())))
+    return SimpleGraph(len(indptr) - 1, np.column_stack((rows[once], nbrs[once])))
 
 
 def hasse_edges(cc: CombinatorialComplex) -> tuple[np.ndarray, np.ndarray]:
@@ -693,7 +766,7 @@ def hasse_graph(cc: CombinatorialComplex) -> tuple[SimpleGraph, tuple[int, ...]]
     lower, upper = hasse_edges(cc)
     sizes = cc.skeleton_sizes()
     ranks = tuple(np.repeat(np.arange(len(sizes)), sizes).tolist())
-    return SimpleGraph(len(ranks), frozenset(zip(lower.tolist(), upper.tolist()))), ranks
+    return SimpleGraph(len(ranks), np.column_stack((lower, upper))), ranks
 
 
 def disjoint_union(a: CombinatorialComplex, b: CombinatorialComplex) -> CombinatorialComplex:
@@ -796,9 +869,8 @@ def _cc_from_doc(doc, name: str = "top-level JSON value") -> CombinatorialComple
 
 def format_edge_list(g: SimpleGraph) -> str:
     """Text form: first line "n m", then one "u v" line per edge."""
-    lines = [f"{g.num_nodes} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
+    m = len(g.edge_array)
+    return f"{g.num_nodes} {m}\n" + ("%d %d\n" * m) % tuple(g.edge_array.ravel().tolist())
 
 
 def parse_edge_list(text: str) -> SimpleGraph:
@@ -858,15 +930,15 @@ def _edge_block(lineno: int, n: int, lines: list[tuple[int, list[str]]]) -> Simp
         raise ParseError(f"line {lineno}: header 'n m' = {n} {len(lines)} inconsistent with input")
     if n >= 2**63:  # node ids are int64
         raise ParseError(f"line {lineno}: node count {n} does not fit int64 node ids")
-    edges = []
+    ends = []
     for edge_lineno, tokens in lines:
         u, v = _int_row(edge_lineno, tokens, "edge 'u v'")
         if u == v:
             raise ParseError(f"line {edge_lineno}: self-loop {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {edge_lineno}: edge {u} {v} outside 0..{n - 1}")
-        edges.append((u, v))
-    g = SimpleGraph.from_edges(n, edges)
-    if len(g.edges) != len(lines):
+        ends += u, v
+    g = SimpleGraph(n, np.array(ends, dtype=np.int64).reshape(-1, 2))
+    if len(g.edge_array) != len(lines):
         raise ParseError(f"line {lineno}: duplicate edges in block")
     return g

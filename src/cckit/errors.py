@@ -56,6 +56,8 @@ class BadParams(CCError):
 def integer(value, name: str) -> int:
     """value as an int when it is an integer (numbers.Integral, numpy's
     included, but not bool); BadParams otherwise."""
+    if type(value) is int:  # most calls: skips the slow abstract-class check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadParams(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -148,7 +148,8 @@ def cycle_graph(n: int) -> SimpleGraph:
     n = integer(n, "cycle length")
     if n < 3:
         raise BadParams(f"cycle needs n >= 3, got {n}")
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return SimpleGraph(n, np.column_stack((i, (i + 1) % n)))
 
 
 def star_graph(n: int, k: int) -> SimpleGraph:
@@ -161,29 +162,19 @@ def star_graph(n: int, k: int) -> SimpleGraph:
     if n < 1 or k < 3 or n * k <= 3:
         raise BadParams(f"star graph needs n >= 1, k >= 3, n*k > 3; got ({n}, {k})")
     m = n * k
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    for i in range(k):
-        b = m + i
-        edges.append((b, (n * i) % m))
-        edges.append((b, (n * i + 1) % m))
-    return SimpleGraph.from_edges(m + k, edges)
+    spoke = np.repeat(np.arange(k), 2)
+    rim = (n * spoke + np.tile([0, 1], k)) % m  # a_{n*i}, a_{n*i+1}
+    spokes = np.column_stack((m + spoke, rim))
+    return SimpleGraph(m + k, np.concatenate((cycle_graph(m).edge_array, spokes)))
 
 
 def cartesian_product(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    """Graph Cartesian product on node pairs, flattened row-major."""
-    n2 = g2.num_nodes
-
-    def nid(u: int, v: int) -> int:
-        return u * n2 + v
-
-    edges = []
-    for u in range(g1.num_nodes):
-        for a, b in g2.edges:
-            edges.append((nid(u, a), nid(u, b)))
-    for v in range(n2):
-        for a, b in g1.edges:
-            edges.append((nid(a, v), nid(b, v)))
-    return SimpleGraph.from_edges(g1.num_nodes * n2, edges)
+    """Graph Cartesian product on node pairs, flattened row-major: node
+    (u, v) is u * n2 + v."""
+    n1, n2 = g1.num_nodes, g2.num_nodes
+    copies_of_g2 = (np.arange(n1)[:, None, None] * n2 + g2.edge_array).reshape(-1, 2)
+    copies_of_g1 = (g1.edge_array * n2 + np.arange(n2)[:, None, None]).reshape(-1, 2)
+    return SimpleGraph(n1 * n2, np.concatenate((copies_of_g2, copies_of_g1)))
 
 
 def mog_example_pair() -> tuple[SimpleGraph, SimpleGraph]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count
+from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -126,12 +126,6 @@ def component_labels(num_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray
         np.minimum.at(label, lv, low)
     # roots are the smallest nodes, so ascending roots is first-appearance order
     return (np.cumsum(label == np.arange(num_nodes)) - 1)[label]
-
-
-def graph_edges(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoints of a graph's edges as two int64 arrays."""
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
-    return ends[0::2], ends[1::2]
 
 
 def connected_components(cc: CombinatorialComplex) -> tuple[int, list[list[int]]]:
@@ -374,12 +368,12 @@ def boundary_edge_graph(cc: CombinatorialComplex) -> SimpleGraph:
             f"boundary rank-1 cell {cell_verts(cc, 1, not_pair[0])} is not a vertex pair"
         )
     starts = indptr[:-1][boundary]
-    return SimpleGraph(cc.num_nodes, frozenset(zip(verts[starts].tolist(), verts[starts + 1].tolist())))
+    return SimpleGraph(cc.num_nodes, np.column_stack((verts[starts], verts[starts + 1])))
 
 
 def cycle_lengths(g: SimpleGraph) -> list[int] | None:
     """Component sizes when the graph is a disjoint union of cycles, else None."""
-    u, v = graph_edges(g)
+    u, v = g.edge_array.T
     degree = np.bincount(np.concatenate((u, v)), minlength=g.num_nodes)
     if ((degree != 0) & (degree != 2)).any():
         return None

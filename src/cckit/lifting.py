@@ -13,9 +13,9 @@ import numpy as np
 
 # build_cc stays reachable as lifting.build_cc: perfbench/tracing.py wraps that name
 from .complex import CombinatorialComplex, SimpleGraph, Verts, build_cc  # noqa: F401
-from .complex import _from_skeletons, _singletons
+from .complex import _edge_skeleton, _from_skeletons, _singletons
 from .errors import BadParams, DegenerateCover, integer
-from .invariants import component_labels, distance_blocks, graph_edges, symmetric_arcs
+from .invariants import component_labels, distance_blocks, symmetric_arcs
 
 Rational = Fraction | int
 
@@ -76,7 +76,7 @@ def chordless_cycles(g: SimpleGraph, max_len: int) -> list[Verts]:
     (arXiv:1309.1051).
     """
     nbrs: dict[int, list[int]] = {}
-    for u, v in g.edges:
+    for u, v in g.edge_array.tolist():
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
     degree = {v: len(ns) for v, ns in nbrs.items()}
@@ -142,13 +142,13 @@ def cyclic_lift(g: SimpleGraph, params: CyclicLiftParams | int = CyclicLiftParam
     """
     if not isinstance(params, CyclicLiftParams):
         params = CyclicLiftParams(params)
-    return _from_skeletons(g.num_nodes, [g.sorted_edges(), chordless_cycles(g, params.max_len)])
+    return _from_skeletons(g.num_nodes, [_edge_skeleton(g), chordless_cycles(g, params.max_len)])
 
 
 def avg_spd_lens(g: SimpleGraph) -> list[Fraction]:
     """Average shortest-path distance per node, exact; disconnected graphs
     average over the node's own component."""
-    arcs = symmetric_arcs(g.num_nodes, *graph_edges(g))
+    arcs = symmetric_arcs(g.num_nodes, *g.edge_array.T)
     # per block, distance sums and reached counts; a node reaches its whole component
     sums = [(np.maximum(d, 0).sum(axis=1), (d >= 0).sum(axis=1)) for d in distance_blocks(arcs)]
     return [Fraction(t, c) for tot, cnt in sums for t, c in zip(tot.tolist(), cnt.tolist())]
@@ -203,7 +203,7 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     members = np.zeros((len(intervals), n), dtype=bool)
     for row, nodes in zip(members, intervals.values()):
         row[nodes] = True
-    u, v = graph_edges(g)
+    u, v = g.edge_array.T
     k, e = np.nonzero(members[:, u] & members[:, v])
     labels = component_labels(members.size, k * n + u[e], k * n + v[e])
     groups: dict[int, list[int]] = {}
@@ -211,4 +211,4 @@ def mog_pool(g: SimpleGraph, params: MogParams | None = None) -> CombinatorialCo
     for node, comp in zip(flat.tolist(), labels[flat].tolist()):
         groups.setdefault(comp, []).append(node % n)
     pooled = {tuple(group) for group in groups.values() if len(group) > 1}
-    return _from_skeletons(g.num_nodes, [g.sorted_edges(), sorted(pooled)])
+    return _from_skeletons(g.num_nodes, [_edge_skeleton(g), sorted(pooled)])

@@ -73,6 +73,25 @@ def brute_neighborhood(
     return out
 
 
+def reference_edge_set(num_nodes: int, pairs) -> frozenset[tuple[int, int]]:
+    """A graph's edges as the frozenset of (min, max) tuples that
+    SimpleGraph once stored, checked edge by edge."""
+    edges = frozenset((min(u, v), max(u, v)) for u, v in pairs)
+    assert all(0 <= u < v < num_nodes for u, v in edges)
+    return edges
+
+
+def reference_matrix_entries(cc: CombinatorialComplex, spec: NeighborhoodSpec) -> frozenset:
+    """The positions of ``neighborhood_matrix(cc, spec)``, from the
+    set-comprehension definitions of :func:`brute_neighborhood`."""
+    targets = {verts: j for j, verts in enumerate(cc.cells(spec.target_rank))}
+    return frozenset(
+        (i, targets[v])
+        for i, verts in enumerate(cc.cells(spec.r1))
+        for v, _ in brute_neighborhood(cc, spec, verts, spec.r1)
+    )
+
+
 def brute_induced_cycles(g: SimpleGraph, max_len: int) -> set[tuple[int, ...]]:
     """All chordless cycle vertex sets by checking every subset up to max_len
     of the nodes that have an edge (ids may be scattered over a large range)."""

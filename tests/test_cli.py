@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -59,6 +62,80 @@ def mob_file(tmp_path):
     path = tmp_path / "mob.json"
     path.write_bytes(encode_json(moebius((3, 4))))
     return str(path)
+
+
+# sha256 of every graph path's output, pinned when graphs were frozensets of
+# tuples: the array form must write the same bytes.  "@name" in a command is
+# a file holding the output `name`; a command starting with "scripts/" runs
+# that script with its defaults.
+PINNED_OUTPUTS = {
+    "cycle": ("gen cycle --n 1000", "69656856a42e6367262ff4ca3280abf55221102b24f06f252fe12b1c85dac4c1"),
+    "star": ("gen star --n 2 --k 6", "f0a4753e0409a6c82ff78e4142e80b5f183bb953328b394ab782c2910f68f239"),
+    "product": (
+        "gen cycle-product --n 5 --m 7",
+        "75b833a0ec31180f97d2b308e63f9abbf081cac4ee93e87998eb60a1da8cd3d8",
+    ),
+    "mog-left": (
+        "gen mog-pair --side left",
+        "d71a9f1b3bed8757090e4aec74707b8c7a215fa5ad78953f39b172d41dc391b6",
+    ),
+    "mog-right": (
+        "gen mog-pair --side right",
+        "6a3951a0d0c40bb76cd820c7d45346fa46a86c00d14321001903d14eed36fa47",
+    ),
+    "cyclic-lift": (
+        "lift --method cyclic -i @product",
+        "861a69fae056212134a736ca74540f8278223c868342fc764e3e42372d8715d9",
+    ),
+    "triangular-lift": (
+        "lift --method triangular -i @star",
+        "70e610d5d1a9fc242052e2fa6990eba07699c26b0039bcad5adb3b59f76473d7",
+    ),
+    "pool": ("pool -i @star", "6558f6fe9d84d326a79b5bd5d79ad8ac062008d4cd8f97450d2566d4e349ca7c"),
+    "lift-invariants": (
+        "invariants --cross-k 2 --json @cyclic-lift",
+        "941dd6ff32b394442e1d9ddb20f693887fe30dcebb9dee3df4c78d4fb3fa240e",
+    ),
+    "cylinder": (
+        "gen cylinder --height 3 --perimeter 4",
+        "ecb546c4696b9951e5abbf79fe6f6d298b5dba2045a609bab15517b43580b313",
+    ),
+    "cylinder-invariants": (
+        "invariants --json @cylinder",
+        "8b43408ac0d26148bd1b3fdb0046570b85c080b6d21a51d2ec0052961f2e0ad0",
+    ),
+    "label-lifted-sample": (
+        "scripts/label_lifted_sample.py",
+        "a0f6a36e845cc2461b1a3d3f1f0ba1b84f0b13bc33a92928b6c53f7fae9f9305",
+    ),
+}
+
+
+def pinned_output(name, capsys, tmp_path) -> bytes:
+    command, _ = PINNED_OUTPUTS[name]
+    if command.startswith("scripts/"):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, command)], env=env, capture_output=True, check=True
+        )
+        return proc.stdout
+    argv = []
+    for token in command.split():
+        if token.startswith("@"):
+            path = tmp_path / token[1:]
+            path.write_bytes(pinned_output(token[1:], capsys, tmp_path))
+            token = str(path)
+        argv.append(token)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return out.encode()
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_pinned_graph_outputs(name, capsys, tmp_path):
+    digest = hashlib.sha256(pinned_output(name, capsys, tmp_path)).hexdigest()
+    assert digest == PINNED_OUTPUTS[name][1]
 
 
 class TestGen:

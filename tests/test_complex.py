@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from cckit.complex import (
     row_ids,
 )
 from cckit.errors import (
+    BadParams,
     DuplicateCell,
     EmptyCell,
     OutOfRangeNode,
@@ -42,7 +44,16 @@ from cckit.errors import (
 )
 from cckit.generators import torus
 
-from helpers import arbitrary_complexes, brute_neighborhood, example_two_dim_complex, random_graph
+from cckit.lifting import chordless_cycles, triangular_lift
+
+from helpers import (
+    arbitrary_complexes,
+    brute_neighborhood,
+    example_two_dim_complex,
+    random_graph,
+    reference_edge_set,
+    reference_matrix_entries,
+)
 
 FILLED_TRIANGLE = [((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 2)]
 
@@ -293,6 +304,146 @@ class TestMatrices:
                 up = neighborhood_matrix(cc, incidence_up(r1, r2))
                 down = neighborhood_matrix(cc, incidence_down(r2, r1))
                 assert up.transpose().entries == down.entries
+
+
+# id ranges of random graphs: small, wide, 2**40 (nothing may be sized by the
+# node count) and the whole int64 range
+ID_RANGES = (8, 10**6, 2**40, 2**63)
+
+
+@st.composite
+def edge_pairs(draw):
+    """A node count and pairs of distinct ids, in either orientation and with
+    repeats; ids cluster at both ends of the range, so endpoints next to
+    2**63 occur."""
+    n = draw(st.sampled_from(ID_RANGES))
+    ids = st.one_of(st.integers(0, min(n, 40) - 1), st.integers(max(0, n - 40), n - 1))
+    return n, draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=30))
+
+
+class TestArrayForms:
+    """SimpleGraph and SparseBinaryMatrix store arrays; their set and tuple
+    forms, equality and hash match the frozenset references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_pairs())
+    def test_graph_matches_frozenset_reference(self, case):
+        n, pairs = case
+        ref = reference_edge_set(n, pairs)
+        g = SimpleGraph(n, pairs)
+        assert g.edges == ref
+        assert g.sorted_edges() == sorted(ref)
+        assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (len(ref), 2)
+        assert not g.edge_array.flags.writeable
+        same = [
+            SimpleGraph(n, ref),
+            SimpleGraph.from_edges(n, [(v, u) for u, v in reversed(pairs)]),
+            SimpleGraph(n, np.array(sorted(ref), dtype=np.int64).reshape(-1, 2)),
+        ]
+        for h in same:
+            assert h == g and hash(h) == hash(g)
+        assert SimpleGraph(n + 1, ref) != g
+        if ref:
+            assert SimpleGraph(n, sorted(ref)[1:]) != g
+        if n < 2**63:  # the edge-list header holds an int64 count
+            assert parse_edge_list(format_edge_list(g)) == g
+
+    def test_huge_id_range_allocates_per_edge(self):
+        edges = [(2**40 - 1, 0), (5, 2**39), (2**39, 2**40 - 1), (0, 5)]
+        tracemalloc.start()
+        try:
+            g = SimpleGraph(2**40, edges)
+            assert g.edges == reference_edge_set(2**40, edges)
+            assert parse_edge_list(format_edge_list(g)) == g
+            assert chordless_cycles(g, 4) == [(0, 5, 2**39, 2**40 - 1)]
+            assert hash(g) == hash(SimpleGraph(2**40, g.edges))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(arbitrary_complexes(), graphs().map(triangular_lift)))
+    def test_matrices_match_reference(self, cc):
+        for spec in natural_specs(cc.dimension + 1):
+            mat = neighborhood_matrix(cc, spec)
+            ref = reference_matrix_entries(cc, spec)
+            shape = (cc.skeleton_size(spec.r1), cc.skeleton_size(spec.target_rank))
+            assert (mat.rows, mat.cols) == shape
+            assert mat.entries == ref
+            flipped = mat.transpose()
+            assert (flipped.rows, flipped.cols) == (mat.cols, mat.rows)
+            assert flipped.entries == {(j, i) for i, j in ref}
+            assert flipped.transpose() == mat and hash(flipped.transpose()) == hash(mat)
+
+
+class TestIntegerRule:
+    """Vertex ids, ranks, node counts and endpoints: any integer, numpy's
+    included; a float, bool or string is BadParams, never truncated."""
+
+    @pytest.mark.parametrize(
+        "cells, num_nodes",
+        [
+            ([((0, 1.5), 1)], 3),
+            ([((0, True), 1)], 3),
+            ([((0, "1"), 1)], 3),
+            ([((0, np.float64(1)), 1)], 3),
+            ([((0, 1), 1.0)], 3),
+            ([((0, 1), True)], 3),
+            ([((0, 1), 1)], 3.0),
+        ],
+    )
+    def test_build_cc_rejects_non_integers(self, cells, num_nodes):
+        with pytest.raises(BadParams, match="must be an integer"):
+            build_cc(cells, num_nodes)
+
+    def test_build_cc_accepts_numpy_integers(self):
+        cc = build_cc([((np.int64(1), np.uint8(0)), np.int32(1))], 3)
+        assert cc == build_cc([((0, 1), 1)], 3)
+        assert [type(v) for v in cc.cells(1)[0]] == [int, int]
+
+    @pytest.mark.parametrize(
+        "num_nodes, edges",
+        [
+            (3, frozenset({(0, 1.5)})),
+            (3, [(0, True)]),
+            (3, [("0", 1)]),
+            (3.0, []),
+            (True, []),
+            (3, np.array([[0.0, 1.0]])),
+            (3, np.array([[False, True]])),
+        ],
+    )
+    def test_graph_rejects_non_integers(self, num_nodes, edges):
+        with pytest.raises(BadParams, match="must be an integer"):
+            SimpleGraph(num_nodes, edges)
+
+    @pytest.mark.parametrize(
+        "num_nodes, edges",
+        [
+            (3, [(0, 3)]),
+            (3, [(-1, 0)]),
+            (2**64, [(0, 2**63)]),
+            (2**70, [(2**64, 1)]),
+            (3, [(-(2**63) - 1, 1)]),
+            (2**64, np.array([[0, 2**63]], dtype=np.uint64)),
+        ],
+    )
+    def test_graph_node_out_of_range(self, num_nodes, edges):
+        with pytest.raises(OutOfRangeNode):
+            SimpleGraph(num_nodes, edges)
+
+    def test_graph_accepts_numpy_integers(self):
+        g = SimpleGraph(np.int64(3), [(np.int8(2), np.uint64(0))])
+        assert g == SimpleGraph(3, [(0, 2)]) and type(g.num_nodes) is int
+        assert SimpleGraph(2**63, [(2**63 - 1, 0)]).sorted_edges() == [(0, 2**63 - 1)]
+
+    @pytest.mark.parametrize(
+        "edges, message", [([(1, 1)], "bad edge (1, 1)"), ([(0, 1, 2)], "bad edge (0, 1, 2)")]
+    )
+    def test_graph_bad_pairs(self, edges, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            SimpleGraph(3, edges)
 
 
 class TestHasseGraphs:

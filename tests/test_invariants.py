@@ -41,7 +41,6 @@ from cckit.invariants import (
     diameter,
     distance_blocks,
     euler_characteristic,
-    graph_edges,
     nearest_face_distances,
     orientability_2d,
     shortest_paths,
@@ -200,7 +199,7 @@ class TestBfsKernel:
     @settings(max_examples=25, deadline=None)
     @given(g=sparse_split_graphs(max_nodes=12))
     def test_blocks_stitch_to_one_block_and_brute_force(self, block, g):
-        arcs = symmetric_arcs(g.num_nodes, *graph_edges(g))
+        arcs = symmetric_arcs(g.num_nodes, *g.edge_array.T)
         whole = bfs_distances(arcs, np.arange(g.num_nodes))
         assert whole.tolist() == brute_distance_matrix(g)
         with pytest.MonkeyPatch.context() as mp:
