@@ -145,6 +145,26 @@ def natural_specs(dimension: int) -> list[NeighborhoodSpec]:
     ]
 
 
+@lru_cache(maxsize=256)
+def _decided_specs(
+    uniform: tuple[bool, ...], meets: frozenset[tuple[int, int]]
+) -> tuple[frozenset[NeighborhoodSpec], frozenset[NeighborhoodSpec]]:
+    """(specs decided empty, specs decided the identity) of a complex whose
+    rank r has at most one cell size exactly when uniform[r], and whose ranks
+    lo < hi share a cell size exactly when (lo, hi) is in meets: the rule of
+    :meth:`CombinatorialComplex.size_decided`, memoized by that signature."""
+    empty, identity = set(), set()
+    for hi in range(len(uniform)):
+        for lo in range(hi):
+            empty |= {adjacency(hi, lo), co_adjacency(lo, hi)}
+            if (lo, hi) not in meets:
+                empty |= {incidence_up(hi, lo), incidence_down(lo, hi)}
+        if uniform[hi]:
+            empty |= {adjacency(hi, hi), co_adjacency(hi, hi)}
+            identity |= {incidence_up(hi, hi), incidence_down(hi, hi)}
+    return frozenset(empty), frozenset(identity)
+
+
 class SimpleGraph:
     """Undirected graph on 0..num_nodes-1 without self-loops.
 
@@ -153,17 +173,21 @@ class SimpleGraph:
     takes integer pairs in either orientation, as any collection (a frozenset
     included) or an integer array, and checks them in one vectorized pass;
     nothing is sized by num_nodes.  `edges` and `sorted_edges()` are built
-    from the array on each read.
+    from the array on each read.  num_nodes lies in 0..2**63 - 1, the counts
+    an edge-list header can hold; another count is OutOfRangeNode.
     """
 
     __slots__ = ("num_nodes", "edge_array")
 
     def __init__(self, num_nodes: int, edges: Iterable[Sequence[int]] | np.ndarray = ()):
         self.num_nodes = integer(num_nodes, "num_nodes")
+        if self.num_nodes < 0:
+            raise OutOfRangeNode(f"num_nodes {self.num_nodes} is negative")
+        if self.num_nodes >= 2**63:  # node ids are int64
+            raise OutOfRangeNode(f"num_nodes {self.num_nodes} does not fit int64 node ids")
         rows = _edge_rows(edges)
         lo, hi = rows.min(axis=1), rows.max(axis=1)
-        top = max(-1, min(self.num_nodes, 2**63) - 1)  # the largest valid id, as an int64
-        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi > top))
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= self.num_nodes))
         if bad.size:
             u, v = rows[bad[0]].tolist()
             if u == v:
@@ -276,6 +300,16 @@ def row_lengths(indptr: np.ndarray) -> np.ndarray:
     return indptr[1:] - indptr[:-1]
 
 
+def _cell_sizes(indptr: np.ndarray) -> set[int]:
+    """The distinct row lengths of a skeleton CSR: its cell sizes."""
+    lengths = row_lengths(indptr)
+    if not len(lengths):
+        return set()
+    if lengths.min() == lengths.max():  # most ranks: one size
+        return {int(lengths[0])}
+    return set(np.flatnonzero(np.bincount(lengths)).tolist())  # no size exceeds the vertex count
+
+
 def row_ids(indptr: np.ndarray) -> np.ndarray:
     """The row of every entry of a CSR."""
     return np.repeat(np.arange(len(indptr) - 1), row_lengths(indptr))
@@ -335,7 +369,7 @@ def _from_keys(keys: np.ndarray, n: int, n_rows: int) -> Csr:
 def _pairs_within(groups: Csr, n: int) -> Csr:
     """The relation on 0..n-1 joining distinct members of a common group."""
     indptr, members = groups
-    if row_lengths(indptr).max(initial=0) < 2:  # most calls: no group joins two
+    if row_lengths(indptr).max(initial=0) < 2:  # no group joins two
         return _empty_csr(n)
     pos, b = _expand(groups, row_ids(indptr))
     a = members[pos]
@@ -384,6 +418,7 @@ class CombinatorialComplex:
         "_skeletons",
         "_index",
         "_csr_cache",
+        "_decided",
         "_lists_cache",
         "_traces",
         "_components",
@@ -397,6 +432,7 @@ class CombinatorialComplex:
         self._skeletons: tuple[tuple[Verts, ...], ...] | None = None
         self._index: dict[tuple[Verts, int], int] | None = None
         self._csr_cache: dict[NeighborhoodSpec, Csr] = {}
+        self._decided: tuple[frozenset, frozenset] | None = None  # see size_decided
         self._lists_cache: dict[NeighborhoodSpec, list[tuple[int, ...]]] = {}
         # refinement traces by stages tuple; see cckit.refinement.distinguish
         self._traces: dict = {}
@@ -486,12 +522,47 @@ class CombinatorialComplex:
         Every join dedups packed keys row * n + col, by counting where the
         skeleton sizes bound them tightly enough (:func:`_runs`).  Cached
         per spec.
+
+        A spec that the cell sizes decide empty (:meth:`size_decided`) is
+        neither joined nor cached: a fresh empty CSR comes back.
         """
         csr = self._csr_cache.get(spec)
         if csr is None:
+            if spec in self.size_decided()[0]:
+                return _empty_csr(self.skeleton_size(spec.r1))
             csr = self._compute_csr(spec)
             self._csr_cache[spec] = csr
         return csr
+
+    def size_decided(self) -> tuple[frozenset[NeighborhoodSpec], frozenset[NeighborhoodSpec]]:
+        """The natural specs whose relation the cell sizes alone decide, as
+        (the specs decided empty, the specs decided the identity).
+
+        Strict inclusion never lowers the rank, so for ranks lo < hi a
+        hi-cell lies inside a lo-cell only when both hold the same vertex
+        set.  With S_r the set of cell sizes at rank r:
+
+        - adjacency(hi, lo) and co_adjacency(lo, hi) are empty, since each
+          group they join has at most one member;
+        - incidence_up(hi, lo) and incidence_down(lo, hi) are empty unless
+          S_lo and S_hi meet;
+        - when |S_r| <= 1, no r-cell nests in another, so adjacency(r, r) and
+          co_adjacency(r, r) are empty and incidence_up(r, r) and
+          incidence_down(r, r) are the identity.
+
+        The rule reads row lengths only and runs no join.  It rests on rank
+        monotonicity, so :func:`_check_rank_monotonicity` builds its join
+        without it.  Computed on first use; complexes with one size
+        signature share the sets (:func:`_decided_specs`).
+        """
+        if self._decided is None:
+            sizes = [{1}] + [_cell_sizes(indptr) for indptr, _ in self._cells[1:]]
+            ranks = range(len(sizes))
+            self._decided = _decided_specs(
+                tuple(len(s) <= 1 for s in sizes),
+                frozenset((lo, hi) for hi in ranks for lo in range(hi) if sizes[lo] & sizes[hi]),
+            )
+        return self._decided
 
     def _compute_csr(self, spec: NeighborhoodSpec) -> Csr:
         r1, r2 = spec.r1, spec.r2
@@ -514,16 +585,18 @@ class CombinatorialComplex:
             return self._csr_cache[spec]
         return _pairs_within(self.neighbor_csr(incidence_up(r2, r1)), n1)
 
-    def _fill_shared(self, a: int, b: int) -> None:
+    def _fill_shared(self, a: int, b: int, rule: bool = True) -> None:
         """Cache incidence-up both ways between ranks a <= b (co-adjacency
         over rank 0 when 0 < a = b), from one count of the vertices each
-        a-cell x shares with each b-cell y."""
+        a-cell x shares with each b-cell y.  Incidence-up from b to a is
+        skipped when the cell sizes decide it empty, unless `rule` is False."""
         ptr_b, verts_b = self._cells[b]
         n_a, n_b = self.skeleton_size(a), self.skeleton_size(b)
         cache = self._csr_cache
+        down = a < b and not (rule and incidence_up(b, a) in self.size_decided()[0])
         if a == 0:  # node v is the rank-0 cell v, inside every cell holding v
             cache.setdefault(incidence_up(0, b), _transpose((ptr_b, verts_b), self.num_nodes))
-            if b > 0:  # a b-cell lies inside node v only as the singleton {v}
+            if down:  # a b-cell lies inside node v only as the singleton {v}
                 single = np.flatnonzero(row_lengths(ptr_b) == 1)
                 cache.setdefault(incidence_up(b, 0), _csr(single, verts_b[ptr_b[single]], n_b))
             return
@@ -538,10 +611,10 @@ class CombinatorialComplex:
         if a == b:
             apart = x != y
             cache.setdefault(co_adjacency(a, 0), _csr(x[apart], y[apart], n_a))
-        else:
+        elif down:
             holds = shared == row_lengths(ptr_b)[y]
-            down = _from_keys(np.sort(y[holds] * n_a + x[holds]), n_a, n_b)
-            cache.setdefault(incidence_up(b, a), down)
+            down_csr = _from_keys(np.sort(y[holds] * n_a + x[holds]), n_a, n_b)
+            cache.setdefault(incidence_up(b, a), down_csr)
 
     def neighbor_lists(self, spec: NeighborhoodSpec) -> list[tuple[int, ...]]:
         """Neighborhood of every cell in skeleton r1, as sorted index tuples:
@@ -680,6 +753,8 @@ def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
 
     A higher-rank cell x inside a lower-rank cell y is strict exactly when
     |x| < |y|, so rank pairs whose sizes rule that out are skipped unjoined.
+    The size rule of :meth:`CombinatorialComplex.size_decided` assumes what
+    this checks, so the join is built without it.
     """
     lengths = [row_lengths(indptr) for indptr, _ in cc._cells]
     for r_low in range(cc.dimension + 1):
@@ -687,7 +762,8 @@ def _check_rank_monotonicity(cc: CombinatorialComplex) -> None:
             low, high = lengths[r_low], lengths[r_high]
             if not len(low) or not len(high) or high.min() >= low.max():
                 continue
-            indptr, sups = cc.neighbor_csr(incidence_up(r_high, r_low))
+            cc._fill_shared(r_low, r_high, rule=False)
+            indptr, sups = cc._csr_cache[incidence_up(r_high, r_low)]
             subs = row_ids(indptr)
             strict = np.flatnonzero(high[subs] < low[sups])
             if strict.size:

@@ -174,6 +174,9 @@ def first_spec_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
     Vectorized: sorted images of each neighbor list must equal the target's
     (strictly increasing) neighbor list, which also forces injectivity.  Rows
     are compared up to the first one whose degree differs from its image's.
+    A spec that the cell sizes of both complexes decide alike, empty on both
+    or the identity on both (:meth:`~cckit.complex.CombinatorialComplex.size_decided`),
+    passes for every cell map; :func:`_first_failure` never asks about it.
     """
     indptr_s, indices_s = m.source.neighbor_csr(spec)
     indptr_t, indices_t = m.target.neighbor_csr(spec)
@@ -200,13 +203,20 @@ def first_spec_failure(m: CellMap, spec: NeighborhoodSpec) -> int | None:
 
 def _first_failure(m: CellMap, specs: list[NeighborhoodSpec]):
     """First (cell index, spec) whose neighborhood is not mapped bijectively,
-    in skeleton-then-spec order; None when every spec passes."""
+    in skeleton-then-spec order; None when every spec passes.
+
+    Specs that source and target both decide empty, or both decide the
+    identity, by their cell sizes pass for every cell map and are skipped
+    unchecked, so the (cell, spec) reported is the one a check of every spec
+    would report.  A spec decided on one side only is checked."""
+    src, tgt = m.source.size_decided(), m.target.size_decided()
+    passing = (src[0] & tgt[0]) | (src[1] & tgt[1])  # (decided empty, decided identity)
     for rank in range(m.source.dimension + 1):
         rank_specs = [s for s in specs if s.r1 == rank]
         failures = [
             (cell, pos)
             for pos, spec in enumerate(rank_specs)
-            if (cell := first_spec_failure(m, spec)) is not None
+            if spec not in passing and (cell := first_spec_failure(m, spec)) is not None
         ]
         if failures:
             cell, pos = min(failures)

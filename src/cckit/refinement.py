@@ -306,13 +306,17 @@ class CellColors:
         """Per rank, the specs with a neighbor in some complex, as (position,
         target rank, per-complex CSRs), the position counting all of that
         rank's specs; fetched once per specs tuple, shared by the degree
-        round and the gather build."""
+        round and the gather build.  A spec that every complex's cell sizes
+        decide empty is skipped unfetched."""
         ranks = self._csrs.get(specs)
         if ranks is None:
             ranks = []
+            decided = [cc.size_decided()[0] for cc in self.ccs]
             for r in range(self.ell + 1):
                 nbs = []
                 for pos, s in enumerate(s for s in specs if s.r1 == r):
+                    if all(s in empty for empty in decided):
+                        continue
                     csrs = [cc.neighbor_csr(s) for cc in self.ccs]
                     if any(indptr[-1] for indptr, _ in csrs):
                         nbs.append((pos, s.target_rank, csrs))

@@ -488,6 +488,92 @@ def arbitrary_complexes(max_nodes: int = 7):
     return build()
 
 
+def cored_graphs(max_nodes=14, id_ranges=(None, 10**6, 2**40)):
+    """Graphs whose 2-core is a proper part: cyclic blocks (a cycle with random
+    chords) meeting at cut vertices or joined by bridges, pendant trees and
+    isolated nodes.  Ids are scattered over one of `id_ranges` (None: 0..n-1)."""
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        size = draw(st.integers(1, max_nodes))
+        edges: list[tuple[int, int]] = []
+        count = 1
+        while count < size:
+            piece = rng.choice(["block", "block", "pendant", "isolated"])
+            k = rng.randint(3, 6)
+            bridge = rng.random() < 0.5  # else the block meets the rest at a cut vertex
+            if piece == "block" and count + k - (not bridge) <= size:
+                anchor = rng.randrange(count)
+                members = list(range(count, count + k - (not bridge)))
+                count += len(members)
+                if bridge:
+                    edges.append((anchor, members[0]))
+                else:
+                    members.append(anchor)
+                rng.shuffle(members)
+                edges += zip(members, members[1:] + members[:1])
+                chords = [(a, b) for i, a in enumerate(members) for b in members[i + 2 :]]
+                edges += [e for e in chords if rng.random() < 0.3]
+            else:
+                if piece == "pendant":
+                    edges.append((rng.randrange(count), count))
+                count += 1
+        id_range = draw(st.sampled_from(id_ranges)) or size
+        ids = rng.sample(range(id_range), size)
+        return SimpleGraph.from_edges(id_range, [(ids[a], ids[b]) for a, b in edges])
+
+    return build()
+
+
+def forests(max_nodes=10):
+    """Acyclic graphs, isolated nodes included."""
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        n = draw(st.integers(1, max_nodes))
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
+        return SimpleGraph.from_edges(n, edges)
+
+    return build()
+
+
+@contextmanager
+def size_rule_bypassed():
+    """Complexes decide no spec by their cell sizes, so every neighborhood
+    CSR is built by its join."""
+    undecided = (frozenset(), frozenset())
+    with mock.patch.object(CombinatorialComplex, "size_decided", lambda self: undecided):
+        yield
+
+
+def uncached_copy(cc: CombinatorialComplex) -> CombinatorialComplex:
+    """A complex on cc's skeleton arrays, with empty caches."""
+    return CombinatorialComplex(cc.num_nodes, tuple(map(cc.skeleton_arrays, range(cc.dimension + 1))))
+
+
+def assert_size_rule_holds(cc: CombinatorialComplex) -> None:
+    """Every natural spec the cell sizes of cc decide agrees with its CSR as
+    built with the rule bypassed, on a copy of cc with empty caches: a spec
+    decided empty has no entry, one decided the identity is arange.  The CSRs
+    cc returns with the rule on equal the built ones on every natural spec."""
+    empty, identity = cc.size_decided()
+    assert not empty & identity
+    copy = uncached_copy(cc)
+    with size_rule_bypassed():
+        built = {spec: copy.neighbor_csr(spec) for spec in natural_specs(cc.dimension)}
+    assert empty | identity <= set(built)
+    for spec, (indptr, indices) in built.items():
+        n = cc.skeleton_size(spec.r1)
+        if spec in empty:
+            assert indptr.tolist() == [0] * (n + 1), spec
+        if spec in identity:
+            assert indptr.tolist() == list(range(n + 1)) and indices.tolist() == list(range(n)), spec
+        got = cc.neighbor_csr(spec)
+        assert got[0].tolist() == indptr.tolist() and got[1].tolist() == indices.tolist(), spec
+
+
 def brute_isomorphic(a: CombinatorialComplex, b: CombinatorialComplex) -> bool:
     """Isomorphism by trying every node permutation (tiny complexes only).
 

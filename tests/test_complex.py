@@ -20,8 +20,10 @@ from cckit.complex import (
     co_adjacency,
     decode_json,
     disjoint_union,
+    disjoint_union_all,
     encode_json,
     format_edge_list,
+    from_uniform_rows,
     graph_as_cc,
     hasse_graph,
     incidence_down,
@@ -44,12 +46,15 @@ from cckit.errors import (
 )
 from cckit.generators import torus
 
-from cckit.lifting import chordless_cycles, triangular_lift
+from cckit.lifting import chordless_cycles, cyclic_lift, mog_pool, triangular_lift
 
 from helpers import (
     arbitrary_complexes,
+    assert_size_rule_holds,
     brute_neighborhood,
+    cored_graphs,
     example_two_dim_complex,
+    forests,
     random_graph,
     reference_edge_set,
     reference_matrix_entries,
@@ -307,16 +312,16 @@ class TestMatrices:
 
 
 # id ranges of random graphs: small, wide, 2**40 (nothing may be sized by the
-# node count) and the whole int64 range
-ID_RANGES = (8, 10**6, 2**40, 2**63)
+# node count), the whole int64 range, and counts past it
+ID_RANGES = (8, 10**6, 2**40, 2**63 - 1, 2**63, 2**70)
 
 
 @st.composite
 def edge_pairs(draw):
-    """A node count and pairs of distinct ids, in either orientation and with
-    repeats; ids cluster at both ends of the range, so endpoints next to
-    2**63 occur."""
-    n = draw(st.sampled_from(ID_RANGES))
+    """A node count in 1..2**70 and pairs of distinct ids below it, in either
+    orientation and with repeats; ids cluster at both ends of the range, so
+    endpoints next to 2**63 occur."""
+    n = draw(st.one_of(st.sampled_from(ID_RANGES), st.integers(1, 2**70)))
     ids = st.one_of(st.integers(0, min(n, 40) - 1), st.integers(max(0, n - 40), n - 1))
     return n, draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=30))
 
@@ -329,6 +334,10 @@ class TestArrayForms:
     @given(edge_pairs())
     def test_graph_matches_frozenset_reference(self, case):
         n, pairs = case
+        if n >= 2**63:  # past the int64 node ids, so no edge-list header holds it
+            with pytest.raises(OutOfRangeNode, match=f"num_nodes {n} does not fit int64 node ids"):
+                SimpleGraph(n, pairs)
+            return
         ref = reference_edge_set(n, pairs)
         g = SimpleGraph(n, pairs)
         assert g.edges == ref
@@ -342,11 +351,11 @@ class TestArrayForms:
         ]
         for h in same:
             assert h == g and hash(h) == hash(g)
-        assert SimpleGraph(n + 1, ref) != g
+        if n + 1 < 2**63:
+            assert SimpleGraph(n + 1, ref) != g
         if ref:
             assert SimpleGraph(n, sorted(ref)[1:]) != g
-        if n < 2**63:  # the edge-list header holds an int64 count
-            assert parse_edge_list(format_edge_list(g)) == g
+        assert parse_edge_list(format_edge_list(g)) == g
 
     def test_huge_id_range_allocates_per_edge(self):
         edges = [(2**40 - 1, 0), (5, 2**39), (2**39, 2**40 - 1), (0, 5)]
@@ -433,10 +442,30 @@ class TestIntegerRule:
         with pytest.raises(OutOfRangeNode):
             SimpleGraph(num_nodes, edges)
 
+    @pytest.mark.parametrize(
+        "num_nodes, message",
+        [
+            (-3, "num_nodes -3 is negative"),
+            (-(2**70), f"num_nodes {-(2**70)} is negative"),
+            (2**63, f"num_nodes {2**63} does not fit int64 node ids"),
+            (np.uint64(2**63), f"num_nodes {2**63} does not fit int64 node ids"),
+        ],
+    )
+    def test_graph_node_count_out_of_range(self, num_nodes, message):
+        # the counts an edge-list header cannot hold, refused before the edges are read
+        with pytest.raises(OutOfRangeNode, match=re.escape(message)):
+            SimpleGraph(num_nodes, [(0, 1)])
+
+    @pytest.mark.parametrize("num_nodes", [0, 1, 2**63 - 1])
+    def test_graph_node_count_bounds_round_trip(self, num_nodes):
+        g = SimpleGraph(num_nodes, [])
+        assert format_edge_list(g) == f"{num_nodes} 0\n"
+        assert parse_edge_list(format_edge_list(g)) == g
+
     def test_graph_accepts_numpy_integers(self):
         g = SimpleGraph(np.int64(3), [(np.int8(2), np.uint64(0))])
         assert g == SimpleGraph(3, [(0, 2)]) and type(g.num_nodes) is int
-        assert SimpleGraph(2**63, [(2**63 - 1, 0)]).sorted_edges() == [(0, 2**63 - 1)]
+        assert SimpleGraph(2**63 - 1, [(2**63 - 2, 0)]).sorted_edges() == [(0, 2**63 - 2)]
 
     @pytest.mark.parametrize(
         "edges, message", [([(1, 1)], "bad edge (1, 1)"), ([(0, 1, 2)], "bad edge (0, 1, 2)")]
@@ -596,6 +625,67 @@ class TestEdgeList:
     def test_node_count_beyond_int64(self, n):
         with pytest.raises(ParseError, match=f"line 1: node count {n} does not fit int64"):
             parse_edge_list(f"{n} 0\n")
+
+
+class TestSizeRule:
+    """The specs that cell sizes decide (CombinatorialComplex.size_decided)
+    are what a join builds: empty, or the identity."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arbitrary_complexes())
+    def test_arbitrary_complexes(self, cc):
+        assert_size_rule_holds(cc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(forests(), cored_graphs(max_nodes=16, id_ranges=(None, 40))))
+    def test_lifts_and_pools(self, g):
+        for cc in (cyclic_lift(g, 18), triangular_lift(g), mog_pool(g)):
+            assert_size_rule_holds(cc)
+
+    @pytest.mark.parametrize("periods", [(3,), (3, 4), (3, 3, 3)])
+    def test_tori(self, periods):
+        assert_size_rule_holds(torus(periods))
+
+    def test_torus_unions(self):
+        parts = [torus((3, 4)), torus((3, 3)), graph_as_cc(SimpleGraph(3, [(0, 1)])), build_cc([], 2)]
+        for k in range(1, len(parts) + 1):
+            assert_size_rule_holds(disjoint_union_all(parts[:k]))
+
+    def test_two_dimensional_torus_decides_two_thirds(self):
+        empty, identity = torus((3, 4)).size_decided()
+        assert (len(empty), len(identity)) == (18, 6)
+        assert identity == {make(r, r) for r in range(3) for make in (incidence_up, incidence_down)}
+
+    def test_vertex_set_at_two_ranks(self):
+        # {0, 1} at ranks 1 and 2: the sizes of ranks 1 and 2 meet and rank 2
+        # holds two sizes, so no spec between or within them is decided
+        cc = build_cc([((0, 1), 1), ((1, 2), 1), ((0, 1), 2), ((0, 1, 2), 2)], 4)
+        empty, identity = cc.size_decided()
+        undecided = {incidence_up(2, 1), incidence_down(1, 2), incidence_up(2, 2), adjacency(2, 2)}
+        assert undecided.isdisjoint(empty | identity)
+        assert cc.neighbor_csr(incidence_up(2, 1))[1].size == 1
+        assert_size_rule_holds(cc)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [((0, 1), 1), ((1, 2, 3), 1), ((0, 1, 2, 3), 2)],  # two sizes, no nesting
+            [((0, 1), 1), ((0, 1, 2), 1), ((2, 3), 1), ((0, 1, 2, 3), 2)],  # nesting within rank 1
+        ],
+    )
+    def test_rank_with_mixed_sizes(self, cells):
+        cc = build_cc(cells, 4)
+        empty, identity = cc.size_decided()
+        within = {make(1, 1) for make in (adjacency, co_adjacency, incidence_up, incidence_down)}
+        assert within.isdisjoint(empty | identity)
+        assert_size_rule_holds(cc)
+
+    def test_lazy_and_shared(self):
+        # fresh complexes: generators.torus shares its tori with other callers
+        a = from_uniform_rows(6, [np.array([[0, 1], [2, 3]]), np.array([[0, 1, 2, 3]])])
+        b = from_uniform_rows(5, [np.array([[0, 4]]), np.array([[1, 2, 3, 4], [0, 1, 2, 3]])])
+        assert a._decided is None and b._decided is None  # construction computes nothing
+        assert a.size_decided() is b.size_decided()  # one size signature: one pair of sets
 
 
 def test_hot_paths_read_arrays_only():

@@ -1,13 +1,25 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cckit import _rowkeys
+from cckit import _rowkeys, covering
 from cckit._rowkeys import key_dtype
-from cckit.complex import SimpleGraph, from_uniform_rows, graph_as_cc, incidence_up, natural_specs
+from cckit.bench import TorusDatasetSpec, gen_torus_dataset
+from cckit.complex import (
+    SimpleGraph,
+    adjacency,
+    build_cc,
+    co_adjacency,
+    from_uniform_rows,
+    graph_as_cc,
+    incidence_down,
+    incidence_up,
+    natural_specs,
+)
 from cckit.covering import (
     CellMap,
     CoverCertificate,
@@ -36,6 +48,7 @@ from helpers import (
     reference_strip,
     reference_strip_cover_nodes,
     relabel_complex,
+    size_rule_bypassed,
 )
 
 
@@ -389,6 +402,93 @@ class TestAgainstBruteForce:
         relabeling = cell_map_from_node_map(cc, relabel_complex(cc, perm), perm)
         for m in (shuffle, relabeling):
             assert _first_failure(m, from_nodes) == _first_failure(m, every)
+
+
+def every_spec_first_failure(m, specs):
+    """_first_failure as a loop over every spec, none skipped."""
+    for rank in range(m.source.dimension + 1):
+        rank_specs = [s for s in specs if s.r1 == rank]
+        failures = [
+            (cell, pos)
+            for pos, spec in enumerate(rank_specs)
+            if (cell := covering.first_spec_failure(m, spec)) is not None
+        ]
+        if failures:
+            cell, pos = min(failures)
+            return cell, rank_specs[pos]
+    return None
+
+
+def assert_checks_match_every_spec_loop(m):
+    """verify_covering and check_isomorphism report what they report when
+    every spec is checked on CSRs built without the size rule, messages
+    included."""
+    got = covering._covering_violation(m), check_isomorphism(m)
+    with size_rule_bypassed(), mock.patch.object(covering, "_first_failure", every_spec_first_failure):
+        want = covering._covering_violation(m), check_isomorphism(m)
+    assert got == want
+    assert verify_covering(m) == want[0]
+
+
+@pytest.fixture(scope="module")
+def dataset_maps():
+    """Every distinct cover map of the paper's 223 torus pairs."""
+    pairs = gen_torus_dataset(TorusDatasetSpec(18, 40, 3))
+    maps = {id(m): m for p in pairs for m in p.certificate.left_maps + p.certificate.right_maps}
+    return list(maps.values())
+
+
+class TestSizeDecidedSkips:
+    """The cover checks skip the specs that source and target decide alike
+    by their cell sizes, and report what a check of every spec reports."""
+
+    def test_dataset_cover_maps(self, dataset_maps):
+        assert len(dataset_maps) > 300
+        for m in dataset_maps:
+            assert_checks_match_every_spec_loop(m)
+
+    def test_brute_force_cases(self):
+        for m, _ in TestAgainstBruteForce().cases():
+            assert_checks_match_every_spec_loop(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_tori(self, seed):
+        rng = random.Random(seed)
+        cc = torus((3, 4))
+        rows = [rng.sample(range(cc.skeleton_size(r)), cc.skeleton_size(r)) for r in range(3)]
+        rows[seed % 3] = list(range(cc.skeleton_size(seed % 3)))  # one rank left in place
+        assert_checks_match_every_spec_loop(CellMap(cc, cc, tuple(rows)))
+
+    def test_two_torus_cover_checks_twelve_specs(self):
+        coords = np.unravel_index(np.arange(36), (6, 6))
+        m = cell_map_from_node_map(torus((6, 6)), torus((3, 3)), grid_nodes(coords, (3, 3)))
+        with mock.patch.object(covering, "first_spec_failure", wraps=covering.first_spec_failure) as spy:
+            assert covering._covering_violation(m) is None
+        checked = [call.args[1] for call in spy.call_args_list]
+        # per rank pair lo < hi, the four specs the cell sizes leave open
+        expected = {
+            spec
+            for hi in range(3)
+            for lo in range(hi)
+            for spec in (adjacency(lo, hi), co_adjacency(hi, lo), incidence_up(lo, hi), incidence_down(hi, lo))
+        }
+        assert len(checked) == 12 and set(checked) == expected
+
+    def test_spec_decided_on_one_side_is_checked(self):
+        # rank 1 has one cell size in the source and two, nested, in the target
+        source = graph_as_cc(cycle_graph(4))
+        target = build_cc([((0, 1), 1), ((2, 3), 1), ((0, 1, 2, 3), 1)], 4)
+        m = CellMap(source, target, ((0, 1, 2, 3), (0, 1, 1, 2)))
+        specs = [s for s in natural_specs(1) if s.r1 == 1]
+        with mock.patch.object(covering, "first_spec_failure", wraps=covering.first_spec_failure) as spy:
+            failure = _first_failure(m, specs)
+        checked = {call.args[1] for call in spy.call_args_list}
+        # decided in the source only: empty (adjacency, co-adjacency) or the identity (incidence)
+        assert {adjacency(1, 1), co_adjacency(1, 1), incidence_up(1, 1), incidence_down(1, 1)} <= checked
+        assert adjacency(1, 0) not in checked and incidence_up(1, 0) not in checked  # empty on both sides
+        assert failure == (0, adjacency(1, 1))
+        with size_rule_bypassed():
+            assert every_spec_first_failure(m, specs) == failure
 
 
 def induced_map(source, target, node_image):

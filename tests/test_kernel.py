@@ -51,11 +51,14 @@ from cckit._rowkeys import (
 
 from helpers import (
     arbitrary_complexes,
+    assert_size_rule_holds,
     lifted_iso_graphs,
     random_graph,
     reference_diagram,
     reference_intern,
     reference_marking,
+    size_rule_bypassed,
+    uncached_copy,
 )
 
 
@@ -574,6 +577,11 @@ class TestDegreeRound:
         ell = max(cc.dimension for cc in ccs)
         assert_degree_round_matches_gathers(ccs, tuple(natural_specs(ell)))
 
+    @pytest.mark.parametrize("make", [empty_middle_rank, twin_vertex_set])
+    def test_size_rule_holds(self, make):
+        # rank 3 above an empty rank 2, and one vertex set at ranks 1 and 2
+        assert_size_rule_holds(make())
+
     @pytest.mark.parametrize("copies", [85, 86])
     def test_key_dtype_at_its_boundary(self, copies):
         # two colors, so base 3; the last of the repeated specs sits at
@@ -651,3 +659,18 @@ def test_pinned_tables_and_ids(name, engine):
     # built or keyed must leave every byte of them as it is
     stages = ENGINES[engine]().stages
     assert run_digest(PINNED_COMPLEXES[name](), stages) == PINNED_DIGESTS[name, engine]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(arbitrary_complexes(), graphs().map(lambda g: cyclic_lift(g, 18))))
+def test_runs_equal_without_size_rule(cc):
+    # the size rule skips neighborhoods, never their positions: every tick's
+    # table and ids equal those of a run that builds every neighborhood
+    copy = uncached_copy(cc)
+    for name in ("homp", "smcn", "scl_11_bin"):
+        engine = ENGINES[name]()
+        if top_pair_rank(engine) > cc.dimension:
+            continue
+        with size_rule_bypassed():
+            want = run_digest(copy, engine.stages)
+        assert run_digest(cc, engine.stages) == want

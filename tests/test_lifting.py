@@ -24,6 +24,8 @@ from cckit.refinement import Engine, distinguish
 from helpers import (
     brute_graph_distances,
     brute_induced_cycles,
+    cored_graphs,
+    forests,
     lifted_iso_graphs,
     random_graph,
     random_split_graph,
@@ -38,57 +40,6 @@ def graphs(max_nodes=8, edge_prob=0.5):
         n = draw(st.integers(2, max_nodes))
         seed = draw(st.integers(0, 10**6))
         return random_graph(random.Random(seed), n, edge_prob)
-
-    return build()
-
-
-def cored_graphs(max_nodes=14, id_ranges=(None, 10**6, 2**40)):
-    """Graphs whose 2-core is a proper part: cyclic blocks (a cycle with random
-    chords) meeting at cut vertices or joined by bridges, pendant trees and
-    isolated nodes.  Ids are scattered over one of `id_ranges` (None: 0..n-1)."""
-
-    @st.composite
-    def build(draw):
-        rng = random.Random(draw(st.integers(0, 10**6)))
-        size = draw(st.integers(1, max_nodes))
-        edges: list[tuple[int, int]] = []
-        count = 1
-        while count < size:
-            piece = rng.choice(["block", "block", "pendant", "isolated"])
-            k = rng.randint(3, 6)
-            bridge = rng.random() < 0.5  # else the block meets the rest at a cut vertex
-            if piece == "block" and count + k - (not bridge) <= size:
-                anchor = rng.randrange(count)
-                members = list(range(count, count + k - (not bridge)))
-                count += len(members)
-                if bridge:
-                    edges.append((anchor, members[0]))
-                else:
-                    members.append(anchor)
-                rng.shuffle(members)
-                edges += zip(members, members[1:] + members[:1])
-                chords = [(a, b) for i, a in enumerate(members) for b in members[i + 2 :]]
-                edges += [e for e in chords if rng.random() < 0.3]
-            else:
-                if piece == "pendant":
-                    edges.append((rng.randrange(count), count))
-                count += 1
-        id_range = draw(st.sampled_from(id_ranges)) or size
-        ids = rng.sample(range(id_range), size)
-        return SimpleGraph.from_edges(id_range, [(ids[a], ids[b]) for a, b in edges])
-
-    return build()
-
-
-def forests(max_nodes=10):
-    """Acyclic graphs, isolated nodes included."""
-
-    @st.composite
-    def build(draw):
-        rng = random.Random(draw(st.integers(0, 10**6)))
-        n = draw(st.integers(1, max_nodes))
-        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8]
-        return SimpleGraph.from_edges(n, edges)
 
     return build()
 
